@@ -8,6 +8,7 @@ failed), 2 usage or validation errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -94,16 +95,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.output_dir:
-        config = ExperimentConfig(
-            datasets=config.datasets,
-            methods=config.methods,
-            split_mode=config.split_mode,
-            fractions=config.fractions,
-            n_splits=config.n_splits,
-            base_seed=config.base_seed,
-            train=config.train,
-            output_dir=args.output_dir,
-        )
+        config = dataclasses.replace(config, output_dir=args.output_dir)
     result = run_experiment(config, jobs=args.jobs)
     print(f"{len(result.records)} records -> {result.files['records']}")
     for name in ("mae_mean", "mae_splits"):

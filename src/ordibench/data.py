@@ -86,14 +86,15 @@ class LabelSet:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-    def normalize(self, age: float) -> float:
-        """Map an age in years onto [0, 1] over the label range."""
-        if self.span == 0:
-            return 0.0
-        return (float(age) - self.values[0]) / self.span
+    def normalize(self, age):
+        """Map an age in years (or an array of ages) onto [0, 1] over the label range."""
+        age = np.asarray(age, dtype=float)
+        unit = (age - self.values[0]) / self.span if self.span else np.zeros_like(age)
+        return float(unit) if unit.ndim == 0 else unit
 
-    def denormalize(self, unit: float) -> float:
-        return self.values[0] + float(unit) * self.span
+    def denormalize(self, unit):
+        age = self.values[0] + np.asarray(unit, dtype=float) * self.span
+        return float(age) if age.ndim == 0 else age
 
 
 @dataclass(eq=False)

@@ -233,7 +233,8 @@ def _run_cell(table: DatasetTable, split: SplitSpec, split_index: int,
         selected_epoch=run.selected_epoch,
     )]
     for other in holdouts:
-        cross = evaluate_mae(run.best_model, other, other.sample_ids, method)
+        cross = evaluate_mae(run.best_model, other, other.sample_ids, method,
+                             label_set=table.label_set)
         records.append(RunRecord(
             dataset=f"{table.name}->{other.name}",
             method=method.display_name,

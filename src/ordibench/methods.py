@@ -7,9 +7,13 @@ mean-variance penalty, a unimodality penalty), two reduce the problem to
 binary threshold classifiers (independent or with a shared consistency
 score), one regresses a normalized scalar, and the remaining soft-target
 variant adds an expectation anchor. Every loss returns LossEval(value,
-grad) where grad matches the head output vector elementwise; gradients are
-what the trainer backpropagates, so each formula here is paired with a
+grad) where grad matches the head output elementwise; gradients are what
+the trainer backpropagates, so each formula here is paired with a
 finite-difference check in the test suite.
+
+Every loss takes either one head-output row or an (n, head) batch of rows
+(with one label index or age per row). There is one implementation: a
+single row runs the same array code as a batch, on its last axis.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import LabelSet
+from .data import LabelSet, ValidationError
 
 __all__ = [
     "FAMILIES",
@@ -135,12 +139,25 @@ class MethodConfig:
         return cls(**payload)
 
 
+def _unwrap(x):
+    """A float for a single row's 0-d result, the (n,) array for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 @dataclass
 class LossEval:
-    """A loss value and its gradient with respect to the head outputs."""
+    """A loss value and its gradient with respect to the head outputs.
 
-    value: float
+    For one row, value is a float and grad has the head's shape; for an
+    (n, head) batch, value is an (n,) array of per-row losses and grad is
+    (n, head).
+    """
+
+    value: float | np.ndarray
     grad: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.value = _unwrap(self.value)
 
 
 @dataclass(frozen=True)
@@ -166,31 +183,44 @@ class TargetDistribution:
 
 
 def _as_logits(logits) -> np.ndarray:
+    """One head-output row (head,) or a batch of rows (n, head), all finite."""
     z = np.asarray(logits, dtype=float)
-    if z.ndim != 1 or len(z) < 1:
-        raise ValueError("logits must be a non-empty 1-d vector")
+    if z.ndim not in (1, 2) or z.shape[-1] < 1:
+        raise ValueError("logits must be a non-empty 1-d row or a 2-d batch of rows")
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
     return z
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of matching rows (b may be one row shared by all of a).
+
+    A stacked matmul of (1, K) by (K, 1) runs the same BLAS dot per row as a
+    1-d `a @ b`, so a batch gets bitwise the values of its rows one by one.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _one_hot(t: np.ndarray, n_labels: int) -> np.ndarray:
+    return (np.arange(n_labels) == t[..., None]).astype(float)
+
+
 def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax of a logit vector."""
+    """Numerically stable softmax of a logit row, or of each row of a batch."""
     z = _as_logits(logits)
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits) -> np.ndarray:
     z = _as_logits(logits)
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _logsumexp(z: np.ndarray) -> float:
-    m = z.max()
-    return float(m + np.log(np.exp(z - m).sum()))
+def _logsumexp(z: np.ndarray) -> np.ndarray:
+    m = z.max(axis=-1)
+    return m + np.log(np.exp(z - m[..., None]).sum(axis=-1))
 
 
 def sigmoid(x):
@@ -204,39 +234,52 @@ def sigmoid(x):
     return out
 
 
-def _check_index(index: int, n: int) -> int:
-    index = int(index)
-    if not 0 <= index < n:
+def _check_index(index, n: int) -> np.ndarray:
+    """Label index (or array of indices) as integers, each within [0, n)."""
+    idx = np.asarray(index).astype(np.int64)
+    if np.any((idx < 0) | (idx >= n)):
         raise IndexError(f"label index {index} out of range for {n} labels")
-    return index
+    return idx
 
 
-def ce_loss(logits, true_index: int) -> LossEval:
-    """Categorical cross-entropy on softmax probabilities."""
+def _label_indices(ages: np.ndarray, label_set: LabelSet) -> np.ndarray:
+    """Index of each age, truncated to whole years, in the label set."""
+    y = label_set.as_array()
+    years = np.trunc(ages)
+    idx = np.searchsorted(y, years)
+    found = y[np.minimum(idx, len(y) - 1)] == years
+    missing = np.ravel(years)[~np.ravel(found)]
+    if missing.size:
+        raise ValidationError(f"age {missing[0]:g} is not in the label set")
+    return idx
+
+
+def ce_loss(logits, true_index) -> LossEval:
+    """Categorical cross-entropy on softmax probabilities.
+
+    This is soft_ce_loss against a one-hot target; the target's dot product
+    with the logits picks out the true label's logit exactly.
+    """
     z = _as_logits(logits)
-    t = _check_index(true_index, len(z))
-    value = _logsumexp(z) - z[t]
-    grad = softmax(z)
-    grad[t] -= 1.0
-    return LossEval(value=float(value), grad=grad)
+    return soft_ce_loss(z, _one_hot(_check_index(true_index, z.shape[-1]), z.shape[-1]))
 
 
-def l1_regression_loss(output: float, target: float) -> LossEval:
+def l1_regression_loss(output, target) -> LossEval:
     """Absolute error of a scalar head against a (normalized) target age.
 
     The gradient is the sign of the residual; at zero residual the
     subgradient 0 is returned.
     """
-    diff = float(output) - float(target)
-    return LossEval(value=abs(diff), grad=np.array([float(np.sign(diff))]))
+    diff = np.asarray(output, dtype=float) - np.asarray(target, dtype=float)
+    return LossEval(np.abs(diff), np.sign(diff)[..., None])
 
 
-def ebc_encode(true_index: int, n_labels: int) -> np.ndarray:
+def ebc_encode(true_index, n_labels: int) -> np.ndarray:
     """Extended binary targets: entry k answers "is the label above rank k?"."""
     if n_labels < 2:
         raise ValueError("threshold encoding needs at least 2 labels")
     t = _check_index(true_index, n_labels)
-    return (t > np.arange(n_labels - 1)).astype(float)
+    return (t[..., None] > np.arange(n_labels - 1)).astype(float)
 
 
 def _bce_with_logits(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -252,9 +295,7 @@ def ebc_loss(head_logits, targets) -> LossEval:
         raise ValueError(f"targets shape {t.shape} != logits shape {z.shape}")
     if np.any((t < 0) | (t > 1)):
         raise ValueError("threshold targets must lie in [0, 1]")
-    value = float(_bce_with_logits(z, t).sum())
-    grad = sigmoid(z) - t
-    return LossEval(value=value, grad=grad)
+    return LossEval(_bce_with_logits(z, t).sum(axis=-1), sigmoid(z) - t)
 
 
 def coral_scores(shared_score: float, biases) -> np.ndarray:
@@ -271,10 +312,22 @@ def coral_scores(shared_score: float, biases) -> np.ndarray:
 
 
 def one_hot_target(true_index: int, n_labels: int) -> TargetDistribution:
-    t = _check_index(true_index, n_labels)
-    p = np.zeros(n_labels)
-    p[t] = 1.0
-    return TargetDistribution(probs=p, origin="one-hot")
+    return TargetDistribution(probs=_one_hot(_check_index(true_index, n_labels), n_labels),
+                              origin="one-hot")
+
+
+def _target_weights(origin: str, t: np.ndarray, y: np.ndarray, width: float) -> np.ndarray:
+    """Unnormalized soft-label weights around label index t, peak 1 per row.
+
+    origin "normal" is a discretized normal of standard deviation width;
+    "double-exponential" decays at rate width with label distance.
+    """
+    dist = y - y[t][..., None]
+    if origin == "normal":
+        expo = -(dist ** 2) / (2.0 * width * width)
+    else:
+        expo = -width * np.abs(dist)
+    return np.exp(expo - expo.max(axis=-1, keepdims=True))
 
 
 def dldl_target(true_index: int, label_set: LabelSet, sigma: float) -> TargetDistribution:
@@ -282,9 +335,7 @@ def dldl_target(true_index: int, label_set: LabelSet, sigma: float) -> TargetDis
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     y = label_set.as_array()
-    t = _check_index(true_index, len(y))
-    expo = -((y - y[t]) ** 2) / (2.0 * sigma * sigma)
-    w = np.exp(expo - expo.max())
+    w = _target_weights("normal", _check_index(true_index, len(y)), y, sigma)
     return TargetDistribution(probs=w, origin="normal", param=float(sigma))
 
 
@@ -293,9 +344,7 @@ def sord_target(true_index: int, label_set: LabelSet, alpha: float) -> TargetDis
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     y = label_set.as_array()
-    t = _check_index(true_index, len(y))
-    expo = -alpha * np.abs(y - y[t])
-    w = np.exp(expo - expo.max())
+    w = _target_weights("double-exponential", _check_index(true_index, len(y)), y, alpha)
     return TargetDistribution(probs=w, origin="double-exponential", param=float(alpha))
 
 
@@ -304,54 +353,52 @@ def _target_probs(target) -> np.ndarray:
 
 
 def soft_ce_loss(logits, target) -> LossEval:
-    """Cross-entropy against a soft target distribution."""
+    """Cross-entropy against a soft target distribution (one per row)."""
     z = _as_logits(logits)
     q = _target_probs(target)
     if q.shape != z.shape:
         raise ValueError(f"target shape {q.shape} != logits shape {z.shape}")
-    value = _logsumexp(z) - float(q @ z)
-    grad = softmax(z) - q
-    return LossEval(value=float(value), grad=grad)
+    return LossEval(_logsumexp(z) - _rowdot(q, z), softmax(z) - q)
 
 
-def expectation(probs, label_set: LabelSet) -> float:
-    """Mean label value under a posterior."""
+def _moments(probs, label_set: LabelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and variance of the label under each posterior row, and label - mean."""
     p = np.asarray(probs, dtype=float)
     y = label_set.as_array()
-    if p.shape != y.shape:
+    if p.shape[-1:] != y.shape:
         raise ValueError(f"posterior length {p.shape} != label count {y.shape}")
-    return float(p @ y)
+    e = _rowdot(p, y)
+    dev = y - e[..., None]
+    return e, _rowdot(p, dev ** 2), dev
 
 
-def variance(probs, label_set: LabelSet) -> float:
-    p = np.asarray(probs, dtype=float)
-    y = label_set.as_array()
-    if p.shape != y.shape:
-        raise ValueError(f"posterior length {p.shape} != label count {y.shape}")
-    mu = float(p @ y)
-    return float(p @ (y - mu) ** 2)
+def expectation(probs, label_set: LabelSet):
+    """Mean label value under a posterior (per row for a batch)."""
+    return _unwrap(_moments(probs, label_set)[0])
 
 
-def dldlv2_loss(logits, target, label_set: LabelSet, true_age: float,
+def variance(probs, label_set: LabelSet):
+    return _unwrap(_moments(probs, label_set)[1])
+
+
+def dldlv2_loss(logits, target, label_set: LabelSet, true_age,
                 lambda_expect: float = 1.0) -> LossEval:
     """Soft cross-entropy plus an absolute anchor on the expected label.
 
     The anchor term |E[label] - age| couples the whole distribution to the
     scalar prediction it implies; its subgradient at a zero residual is 0.
     """
-    base = soft_ce_loss(logits, target)
-    p = softmax(logits)
-    y = label_set.as_array()
-    if len(y) != len(p):
-        raise ValueError("label set does not match logits length")
-    e = float(p @ y)
-    diff = e - float(true_age)
-    value = base.value + lambda_expect * abs(diff)
-    grad = base.grad + lambda_expect * float(np.sign(diff)) * p * (y - e)
-    return LossEval(value=float(value), grad=grad)
+    z = _as_logits(logits)
+    base = soft_ce_loss(z, target)
+    p = softmax(z)
+    e, _, dev = _moments(p, label_set)
+    diff = e - np.asarray(true_age, dtype=float)
+    value = base.value + lambda_expect * np.abs(diff)
+    grad = base.grad + (lambda_expect * np.sign(diff))[..., None] * p * dev
+    return LossEval(value, grad)
 
 
-def meanvar_loss(logits, true_index: int, label_set: LabelSet,
+def meanvar_loss(logits, true_index, label_set: LabelSet,
                  lambda_mean: float = 0.2, lambda_var: float = 0.05) -> LossEval:
     """Cross-entropy plus squared-mean and variance penalties.
 
@@ -359,42 +406,45 @@ def meanvar_loss(logits, true_index: int, label_set: LabelSet,
     Both penalty gradients flow analytically through the softmax.
     """
     z = _as_logits(logits)
-    y = label_set.as_array()
-    if len(y) != len(z):
-        raise ValueError("label set does not match logits length")
-    t = _check_index(true_index, len(z))
+    t = _check_index(true_index, z.shape[-1])
+    base = ce_loss(z, t)
     p = softmax(z)
-    e = float(p @ y)
-    var = float(p @ (y - e) ** 2)
-    y_true = y[t]
-
-    value = (_logsumexp(z) - z[t]) + 0.5 * lambda_mean * (e - y_true) ** 2 + lambda_var * var
-    d_e = p * (y - e)                  # gradient of E[label] wrt logits
-    d_var = p * ((y - e) ** 2 - var)   # gradient of Var[label] wrt logits
-    grad = p.copy()
-    grad[t] -= 1.0
-    grad += lambda_mean * (e - y_true) * d_e + lambda_var * d_var
-    return LossEval(value=float(value), grad=grad)
+    e, var, dev = _moments(p, label_set)
+    miss = e - label_set.as_array()[t]
+    value = base.value + 0.5 * lambda_mean * miss ** 2 + lambda_var * var
+    d_e = p * dev                            # gradient of E[label] wrt logits
+    d_var = p * (dev ** 2 - var[..., None])  # gradient of Var[label] wrt logits
+    grad = base.grad + ((lambda_mean * miss)[..., None] * d_e + lambda_var * d_var)
+    return LossEval(value, grad)
 
 
-def unimodal_penalty(probs, mode_index: int) -> float:
+def _unimodal_hinges(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unimodality violation around mode t per row, and its gradient wrt p.
+
+    Mass must not fall before the mode nor rise after it; each adjacent pair
+    stepping the wrong way contributes its gap.
+    """
+    rise = p[..., 1:] - p[..., :-1]
+    wrong_way = np.where(np.arange(p.shape[-1] - 1) < t[..., None], -1.0, 1.0)
+    gap = wrong_way * rise
+    active = np.where(gap > 0, wrong_way, 0.0)
+    g = np.zeros_like(p)
+    g[..., :-1] -= active
+    g[..., 1:] += active
+    return np.maximum(gap, 0.0).sum(axis=-1), g
+
+
+def unimodal_penalty(probs, mode_index):
     """Total hinge violation of unimodality around the given mode.
 
     Mass must be non-decreasing up to the mode and non-increasing after it;
     every adjacent pair violating that contributes its gap.
     """
     p = np.asarray(probs, dtype=float)
-    t = _check_index(mode_index, len(p))
-    rising = p[:-1] - p[1:]   # positive where mass drops moving right
-    total = 0.0
-    if t > 0:
-        total += float(np.maximum(rising[:t], 0.0).sum())
-    if t < len(p) - 1:
-        total += float(np.maximum(-rising[t:], 0.0).sum())
-    return total
+    return _unwrap(_unimodal_hinges(p, _check_index(mode_index, p.shape[-1]))[0])
 
 
-def unimodal_loss(logits, true_index: int, lambda_uni: float = 1.0) -> LossEval:
+def unimodal_loss(logits, true_index, lambda_uni: float = 1.0) -> LossEval:
     """Cross-entropy plus a hinge penalty on non-unimodal posteriors.
 
     The penalty is piecewise linear in the probabilities, so the returned
@@ -402,60 +452,55 @@ def unimodal_loss(logits, true_index: int, lambda_uni: float = 1.0) -> LossEval:
     inactive branch is used.
     """
     z = _as_logits(logits)
-    t = _check_index(true_index, len(z))
+    t = _check_index(true_index, z.shape[-1])
+    base = ce_loss(z, t)
     p = softmax(z)
-    K = len(p)
-
-    g = np.zeros(K)  # d(penalty)/d(probs)
-    penalty = 0.0
-    for k in range(t):
-        gap = p[k] - p[k + 1]
-        if gap > 0:
-            penalty += gap
-            g[k] += 1.0
-            g[k + 1] -= 1.0
-    for k in range(t, K - 1):
-        gap = p[k + 1] - p[k]
-        if gap > 0:
-            penalty += gap
-            g[k + 1] += 1.0
-            g[k] -= 1.0
-
-    value = (_logsumexp(z) - z[t]) + lambda_uni * penalty
-    grad = p.copy()
-    grad[t] -= 1.0
-    grad += lambda_uni * p * (g - float(p @ g))  # softmax Jacobian applied to g
-    return LossEval(value=float(value), grad=grad)
+    penalty, g = _unimodal_hinges(p, t)
+    value = base.value + lambda_uni * penalty
+    # softmax Jacobian applied to d(penalty)/d(probs)
+    grad = base.grad + lambda_uni * p * (g - _rowdot(p, g)[..., None])
+    return LossEval(value, grad)
 
 
-def loss_eval(config: MethodConfig, head_out, age: float, label_set: LabelSet) -> LossEval:
-    """Evaluate one sample's loss for any family, given raw head outputs.
+def _regression_outputs(head_out) -> np.ndarray:
+    """The scalar output of a regression head: 0-d for one row, (n,) for a batch."""
+    out = np.asarray(head_out, dtype=float)
+    if out.ndim < 2:
+        out = out.reshape(-1)
+    if out.ndim > 2 or out.shape[-1] != 1:
+        raise ValueError("regression head must produce exactly 1 output")
+    return out[..., 0]
 
-    For regression the target is the age normalized to [0, 1] over the label
-    range; for every other family the integer label index is used.
+
+def loss_eval(config: MethodConfig, head_out, ages, label_set: LabelSet) -> LossEval:
+    """Loss of one head-output row and its age, or of an (n, head) batch.
+
+    A single row (with a scalar age) gives a float value and a (head,)
+    gradient; a batch (with an (n,) age array) gives per-row values (n,) and
+    gradients (n, head). For regression the target is the age normalized to
+    [0, 1] over the label range; for every other family the integer label
+    index is used.
     """
     family = config.family
+    ages = np.asarray(ages, dtype=float)
     if family == "regression":
-        out = np.asarray(head_out, dtype=float).reshape(-1)
-        if len(out) != 1:
-            raise ValueError("regression head must produce exactly 1 output")
-        return l1_regression_loss(float(out[0]), label_set.normalize(age))
+        return l1_regression_loss(_regression_outputs(head_out), label_set.normalize(ages))
 
-    true_index = label_set.index_of(int(age))
+    t = _label_indices(ages, label_set)
     if family == "cross-entropy":
-        return ce_loss(head_out, true_index)
+        return ce_loss(head_out, t)
     if family in THRESHOLD_FAMILIES:
-        targets = ebc_encode(true_index, len(label_set))
-        return ebc_loss(head_out, targets)
-    if family == "dldl":
-        return soft_ce_loss(head_out, dldl_target(true_index, label_set, config.sigma))
-    if family == "sord":
-        return soft_ce_loss(head_out, sord_target(true_index, label_set, config.alpha))
-    if family == "dldl-v2":
-        target = dldl_target(true_index, label_set, config.sigma)
-        return dldlv2_loss(head_out, target, label_set, float(age), config.lambda_expect)
+        return ebc_loss(head_out, ebc_encode(t, len(label_set)))
     if family == "mean-variance":
-        return meanvar_loss(head_out, true_index, label_set, config.lambda_mean, config.lambda_var)
+        return meanvar_loss(head_out, t, label_set, config.lambda_mean, config.lambda_var)
     if family == "unimodal":
-        return unimodal_loss(head_out, true_index, config.lambda_uni)
+        return unimodal_loss(head_out, t, config.lambda_uni)
+    if family in ("dldl", "dldl-v2", "sord"):
+        origin, width = (("double-exponential", config.alpha) if family == "sord"
+                         else ("normal", config.sigma))
+        w = _target_weights(origin, t, label_set.as_array(), width)
+        q = w / w.sum(axis=-1, keepdims=True)
+        if family == "dldl-v2":
+            return dldlv2_loss(head_out, q, label_set, ages, config.lambda_expect)
+        return soft_ce_loss(head_out, q)
     raise ValueError(f"unknown method family {family!r}")

@@ -270,14 +270,14 @@ def batch_loss_and_grads(model: MlpModel, x: np.ndarray, ages: np.ndarray,
         return float("inf"), [np.zeros_like(w) for w in model.weights], [
             np.zeros_like(b) for b in model.biases
         ]
-    grad_out = np.zeros_like(out)
-    total = 0.0
-    for i in range(n):
-        ev = loss_eval(method, out[i], float(ages[i]), label_set)
-        total += ev.value
-        grad_out[i] = ev.grad / n
-    gw, gb = _backprop(model, acts, grad_out)
-    return total / n, gw, gb
+    ev = loss_eval(method, out, np.asarray(ages, dtype=float), label_set)
+    gw, gb = _backprop(model, acts, ev.grad / n)
+    return _sum_in_order(ev.value) / n, gw, gb
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """Left-to-right sum, as a Python loop adds (np.sum adds pairwise)."""
+    return float(np.cumsum(values)[-1])
 
 
 class _Adam:
@@ -326,20 +326,27 @@ def head_kind_for(method: MethodConfig) -> str:
     return HEAD_SHARED_SCORE if method.family == "coral" else HEAD_DENSE
 
 
+def _fold_mae(model: MlpModel, x: np.ndarray, ages: np.ndarray,
+              method: MethodConfig, label_set: LabelSet) -> float:
+    pred = decode_output(method, forward(model, x), label_set)
+    return _sum_in_order(np.abs(pred.age - ages)) / len(ages)
+
+
 def evaluate_mae(model: MlpModel, table: DatasetTable, fold_ids,
-                 method: MethodConfig) -> float:
-    """Mean absolute error in years of decoded predictions over a fold."""
+                 method: MethodConfig, label_set: Optional[LabelSet] = None) -> float:
+    """Mean absolute error in years of decoded predictions over a fold.
+
+    Outputs are decoded with label_set, the labels the model was trained
+    on; it defaults to the table's own. Errors are taken against the
+    table's true ages, so a model can be scored on a table whose label set
+    differs from its own.
+    """
     ids = tuple(fold_ids)
     if not ids:
         raise ValueError("cannot evaluate an empty fold")
-    x = table.features_for(ids)
-    ages = table.ages_for(ids)
-    out = forward(model, x)
-    err = 0.0
-    for i in range(len(ids)):
-        pred = decode_output(method, out[i], table.label_set)
-        err += abs(pred.age - float(ages[i]))
-    return err / len(ids)
+    if label_set is None:
+        label_set = table.label_set
+    return _fold_mae(model, table.features_for(ids), table.ages_for(ids), method, label_set)
 
 
 def train(table: DatasetTable, split: SplitSpec, method: MethodConfig,
@@ -357,6 +364,8 @@ def train(table: DatasetTable, split: SplitSpec, method: MethodConfig,
     label_set = table.label_set
     x_train = table.features_for(split.train)
     ages_train = table.ages_for(split.train)
+    x_val = table.features_for(split.val)
+    ages_val = table.ages_for(split.val)
 
     if initial_model is None:
         model = init_model(
@@ -395,8 +404,8 @@ def train(table: DatasetTable, split: SplitSpec, method: MethodConfig,
             epoch_loss += value * len(rows)
         if not all(np.all(np.isfinite(w)) for w in model.weights):
             raise TrainingDiverged(epoch)
-        val_mae = evaluate_mae(model, table, split.val, method)
-        history.append((epoch_loss / n, float(val_mae)))
+        val_mae = _fold_mae(model, x_val, ages_val, method, label_set)
+        history.append((epoch_loss / n, val_mae))
         if val_mae < best_mae:
             best_mae = val_mae
             best_epoch = epoch

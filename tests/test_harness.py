@@ -1,11 +1,13 @@
 """Experiment grid driving: configs, records, matrices, the leakage probe."""
 
+import csv
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from ordibench import harness
 from ordibench.data import ValidationError
 from ordibench.harness import (
     DatasetEntry,
@@ -17,7 +19,10 @@ from ordibench.harness import (
     save_run_records,
 )
 from ordibench.splitting import MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE
+from ordibench.methods import MethodConfig
+from ordibench.prediction import decode_output
 from ordibench.stats import load_result_matrix
+from ordibench.training import forward
 
 BASE_CONFIG = {
     "datasets": [{
@@ -144,6 +149,60 @@ def test_cross_dataset_rows_cover_held_out_tables(tmp_path):
     # grid: 2 intra contexts x 2 methods x 2 splits + 2 cross contexts likewise
     assert len(result.records) == 16
     assert set(result.contexts) == names
+
+
+def _write_narrow_manifest(path, dimension):
+    """15 identities x 4 rows with ages 30-54: the inferred label set has K = 25."""
+    rng = np.random.default_rng(3)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "identity_id", "age"] + [f"f{i}" for i in range(dimension)])
+        for ident in range(15):
+            for j in range(4):
+                age = 30 + (4 * ident + j) % 25
+                feats = rng.normal(size=dimension) + (age - 40) / 10.0
+                writer.writerow([f"s{ident}_{j}", f"p{ident}", age] + [repr(float(v)) for v in feats])
+
+
+@pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")
+def test_cross_rows_decode_with_the_training_label_set(tmp_path, monkeypatch):
+    """Held-out tables with another label set are decoded with the model's own labels."""
+    _write_narrow_manifest(tmp_path / "narrow.csv", dimension=8)
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["output_dir"] = str(tmp_path / "x")
+    payload["datasets"][0]["synth"]["age_range"] = [20, 60]
+    payload["datasets"].append({"name": "narrow", "path": "narrow.csv"})
+    payload["methods"] = [{"family": f} for f in ("cross-entropy", "or-cnn", "coral", "regression")]
+    payload["split"]["n_splits"] = 1
+    payload["train"]["epochs"] = 3
+    cfg = ExperimentConfig.from_dict(payload, base_dir=tmp_path)
+
+    runs, tables = {}, {}
+    original_train = harness.train
+
+    def capturing_train(table, split, method, train_cfg, **kwargs):
+        run = original_train(table, split, method, train_cfg, **kwargs)
+        runs[(table.name, method.display_name)] = run
+        tables[table.name] = table
+        return run
+
+    monkeypatch.setattr(harness, "train", capturing_train)
+    result = run_experiment(cfg, jobs=1)
+    assert not result.failures
+    assert len(tables["synthA"].label_set) == 41 and len(tables["narrow"].label_set) == 25
+
+    cross = [r for r in result.records if "->" in r.dataset]
+    assert len(cross) == 2 * 4
+    for rec in cross:
+        source, target = rec.dataset.split("->")
+        trained_on, held_out = tables[source].label_set, tables[target]
+        method = MethodConfig(family=rec.method)
+        ids = held_out.sample_ids
+        out = forward(runs[(source, rec.method)].best_model, held_out.features_for(ids))
+        err = 0.0
+        for row, age in zip(out, held_out.ages_for(ids)):
+            err += abs(decode_output(method, row, trained_on).age - age)
+        assert rec.test_mae == err / len(held_out.ages), rec
 
 
 def test_failed_cell_is_isolated(tmp_path):

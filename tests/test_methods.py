@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradcheck import fd_grad, rel_err
-from ordibench.data import LabelSet
+from ordibench.data import LabelSet, ValidationError
 from ordibench.methods import (
     DISTRIBUTION_FAMILIES,
     FAMILIES,
@@ -263,6 +263,55 @@ def test_gradients_match_finite_differences(family):
         fd = fd_grad(lambda v: loss_eval(cfg, v, age, ls).value, z)
         assert rel_err(out.grad, fd) <= 1e-5, (family, checked)
         checked += 1
+
+
+# ------------------------------------------------------------- batches
+
+def _random_batch(rng, cfg):
+    k = int(rng.integers(2, 81))
+    lo = int(rng.integers(0, 30))
+    # label sets with gaps, so indices come from the labels, not from age - lo
+    labels = lo + np.sort(rng.choice(2 * k, size=k, replace=False))
+    ls = LabelSet(tuple(int(v) for v in labels))
+    n = int(rng.integers(1, 40))
+    z = rng.normal(size=(n, cfg.head_size(k))) * 3.0
+    ages = rng.choice(labels, size=n).astype(float)
+    return ls, z, ages
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batched_loss_equals_stacked_rows(family):
+    cfg = MethodConfig(family=family)
+    rng = rng_from_seed(202)
+    for _ in range(30):
+        ls, z, ages = _random_batch(rng, cfg)
+        batch = loss_eval(cfg, z, ages, ls)
+        rows = [loss_eval(cfg, z[i], ages[i], ls) for i in range(len(z))]
+        assert batch.value.shape == (len(z),) and batch.grad.shape == z.shape
+        assert all(isinstance(r.value, float) for r in rows)
+        np.testing.assert_allclose(batch.value, [r.value for r in rows], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.grad, np.stack([r.grad for r in rows]),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "regression"])
+def test_batched_loss_rejects_age_outside_label_set(family):
+    cfg = MethodConfig(family=family)
+    ls = LabelSet((20, 21, 23))
+    z = np.zeros((3, cfg.head_size(3)))
+    with pytest.raises(ValidationError):
+        loss_eval(cfg, z, np.array([20.0, 22.0, 23.0]), ls)
+    with pytest.raises(ValidationError):
+        loss_eval(cfg, z[0], 24.0, ls)
+
+
+def test_unimodal_penalty_batch_matches_rows():
+    rng = rng_from_seed(7)
+    p = rng.dirichlet(np.ones(12), size=9)
+    modes = rng.integers(0, 12, size=9)
+    np.testing.assert_allclose(unimodal_penalty(p, modes),
+                               [unimodal_penalty(p[i], modes[i]) for i in range(9)],
+                               rtol=0, atol=1e-15)
 
 
 # ------------------------------------------------------------ configs

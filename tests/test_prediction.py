@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ordibench.data import LabelSet
-from ordibench.methods import MethodConfig
+from ordibench.methods import FAMILIES, THRESHOLD_FAMILIES, MethodConfig
 from ordibench.prediction import (
     bayes_mae_predict,
     brute_force_bayes,
@@ -106,3 +106,52 @@ def test_decode_output_rejects_wrong_width():
         decode_output(MethodConfig(family="cross-entropy"), np.zeros(3), ls)
     with pytest.raises(ValueError):
         decode_output(MethodConfig(family="or-cnn"), np.zeros(4), ls)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batched_decode_equals_rows_exactly(family):
+    cfg = MethodConfig(family=family)
+    rng = rng_from_seed(29)
+    for _ in range(40):
+        k = int(rng.integers(2, 81))
+        lo = int(rng.integers(0, 40))
+        ls = LabelSet(tuple(range(lo, lo + k)))
+        n = int(rng.integers(1, 40))
+        out = rng.normal(size=(n, cfg.head_size(k))) * 3.0
+        if family in THRESHOLD_FAMILIES:
+            # logits where sigmoid(z) > 0.5 and z > 0 disagree, or sit on the edge
+            mask = rng.random(out.shape) < 0.3
+            out[mask] = rng.choice([0.0, 1e-300, -1e-300], size=int(mask.sum()))
+        elif family == "regression":
+            out = rng.uniform(-0.5, 1.5, size=(n, 1))
+        batch = decode_output(cfg, out, ls)
+        rows = [decode_output(cfg, out[i], ls) for i in range(n)]
+        assert batch.age.shape == (n,)
+        assert batch.age.tolist() == [r.age for r in rows]
+        if family == "regression":
+            assert batch.label_index is None
+            assert all(r.label_index is None for r in rows)
+        else:
+            assert batch.label_index.tolist() == [r.label_index for r in rows]
+            assert all(type(r.label_index) is int and type(r.age) is float for r in rows)
+
+
+def test_threshold_decode_counts_sigmoid_above_half_not_positive_logits():
+    ls = LabelSet((0, 1, 2, 3))
+    tiny = np.array([[1e-300, 1e-300, 1e-300], [0.0, 0.0, 0.0], [1.0, 1e-17, -1e-300]])
+    pred = decode_output(MethodConfig(family="or-cnn"), tiny, ls)
+    assert pred.label_index.tolist() == [0, 0, 1]
+
+
+def test_batched_bayes_matches_brute_force_rows():
+    rng = rng_from_seed(41)
+    ls = LabelSet(tuple(range(10, 45)))
+    p = rng.dirichlet(np.full(35, 0.5), size=200)
+    batch = bayes_mae_predict(p, ls)
+    assert batch.label_index.tolist() == [brute_force_bayes(row, ls).label_index for row in p]
+
+
+def test_batched_posterior_validation_names_a_bad_row():
+    p = np.array([[0.2, 0.5, 0.3], [0.2, 0.5, 0.4]])
+    with pytest.raises(ValueError, match="not normalized"):
+        bayes_mae_predict(p, LS3)

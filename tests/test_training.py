@@ -23,6 +23,7 @@ from ordibench.training import (
     save_model,
     train,
 )
+from ordibench import training
 from ordibench.training import _backprop, _forward_cached
 from ordibench.util import rng_from_seed
 
@@ -254,6 +255,41 @@ def test_train_never_touches_the_test_fold():
     assert requested, "spy never saw a lookup"
     assert set(requested) <= allowed
     assert not set(requested) & set(split.test)
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count calls to the loss and the decoder through the names the trainer uses."""
+    counts = {"loss": 0, "decode": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(training, "loss_eval", counting("loss", training.loss_eval))
+    monkeypatch.setattr(training, "decode_output", counting("decode", training.decode_output))
+    return counts
+
+
+@pytest.mark.parametrize("family", ["cross-entropy", "coral", "regression"])
+def test_one_loss_call_per_minibatch_and_one_decode_per_fold(call_counts, family):
+    tab, split = clean_split_table()
+    method = MethodConfig(family=family)
+    model = init_model(tab.dimension, (8,), method.head_size(len(tab.label_set)), seed=0,
+                       head_kind=head_kind_for(method))
+    rows = split.train[:32]
+    batch_loss_and_grads(model, tab.features_for(rows), tab.ages_for(rows), method,
+                         tab.label_set)
+    assert call_counts == {"loss": 1, "decode": 0}
+    evaluate_mae(model, tab, split.val, method)
+    assert call_counts == {"loss": 1, "decode": 1}
+
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=0, hidden_dims=(8,))
+    train(tab, split, method, cfg)
+    batches = -(-len(split.train) // cfg.batch_size)
+    assert call_counts == {"loss": 1 + cfg.epochs * batches, "decode": 1 + cfg.epochs}
 
 
 def test_train_rejects_empty_folds():
