@@ -71,6 +71,18 @@ class LabelSet:
         except KeyError:
             raise ValidationError(f"age {age} is not in the label set") from None
 
+    def indices_of(self, ages) -> np.ndarray:
+        """index_of for an array of ages at once: each age, truncated to whole
+        years, must be in the label set."""
+        y = self.as_array()
+        years = np.trunc(ages)
+        idx = np.searchsorted(y, years)
+        found = y[np.minimum(idx, len(y) - 1)] == years
+        missing = np.ravel(years)[~np.ravel(found)]
+        if missing.size:
+            raise ValidationError(f"age {missing[0]:g} is not in the label set")
+        return idx
+
     @property
     def min_label(self) -> int:
         return self.values[0]

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import LabelSet, ValidationError
+from .data import LabelSet
 
 __all__ = [
     "FAMILIES",
@@ -239,18 +239,6 @@ def _check_index(index, n: int) -> np.ndarray:
     idx = np.asarray(index).astype(np.int64)
     if np.any((idx < 0) | (idx >= n)):
         raise IndexError(f"label index {index} out of range for {n} labels")
-    return idx
-
-
-def _label_indices(ages: np.ndarray, label_set: LabelSet) -> np.ndarray:
-    """Index of each age, truncated to whole years, in the label set."""
-    y = label_set.as_array()
-    years = np.trunc(ages)
-    idx = np.searchsorted(y, years)
-    found = y[np.minimum(idx, len(y) - 1)] == years
-    missing = np.ravel(years)[~np.ravel(found)]
-    if missing.size:
-        raise ValidationError(f"age {missing[0]:g} is not in the label set")
     return idx
 
 
@@ -486,7 +474,7 @@ def loss_eval(config: MethodConfig, head_out, ages, label_set: LabelSet) -> Loss
     if family == "regression":
         return l1_regression_loss(_regression_outputs(head_out), label_set.normalize(ages))
 
-    t = _label_indices(ages, label_set)
+    t = label_set.indices_of(ages)
     if family == "cross-entropy":
         return ce_loss(head_out, t)
     if family in THRESHOLD_FAMILIES:

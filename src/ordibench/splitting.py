@@ -105,8 +105,7 @@ def _bin_index_of_ages(table: DatasetTable, ages: np.ndarray) -> tuple[np.ndarra
     """Assign a bin index to each age; returns (indices, n_bins)."""
     edges = age_bin_edges(table.label_set.values)
     if edges is None:
-        idx = np.asarray([table.label_set.index_of(int(a)) for a in ages], dtype=int)
-        return idx, len(table.label_set)
+        return table.label_set.indices_of(ages), len(table.label_set)
     idx = np.clip(np.searchsorted(edges, ages, side="right") - 1, 0, len(edges) - 2)
     return idx.astype(int), len(edges) - 1
 
@@ -169,37 +168,31 @@ def make_split(table: DatasetTable, mode: str, fractions, seed: int) -> SplitSpe
     rng.shuffle(idents)
     idents.sort(key=lambda k: -len(groups[k]))  # stable: seeded order breaks ties
 
-    ident_hist = {
-        k: np.bincount(bin_idx[list(rows)], minlength=n_bins).astype(float)
-        for k, rows in groups.items()
-    }
+    sizes = np.array([len(groups[k]) for k in idents], dtype=float)
+    hists = np.array(
+        [np.bincount(bin_idx[list(groups[k])], minlength=n_bins) for k in idents], dtype=float
+    )
+    count_targets = np.asarray(targets, dtype=float)
+    hist_targets = np.outer(fr, global_hist)
     fold_counts = np.zeros(3)
     fold_hists = np.zeros((3, n_bins))
-    hist_targets = np.outer(fr, global_hist)
-    assignment: dict[str, int] = {}
-    for ident in idents:
-        c = len(groups[ident])
-        h = ident_hist[ident]
-        costs = np.empty(3)
-        for f in range(3):
-            # marginal change of the fold's count gap: -c while below target,
-            # +c once the identity would overshoot it
-            count_now = abs(fold_counts[f] - targets[f])
-            count_next = abs(fold_counts[f] + c - targets[f])
-            # marginal change of the fold's histogram gap: negative while the
-            # identity's age bins still have room under the fold's target
-            gap_now = np.abs(fold_hists[f] - hist_targets[f]).sum()
-            gap_next = np.abs(fold_hists[f] + h - hist_targets[f]).sum()
-            costs[f] = (count_next - count_now) + (gap_next - gap_now)
-        f = int(np.argmin(costs))
-        assignment[ident] = f
+    fold = np.empty(len(idents), dtype=np.intp)
+    for i, (c, h) in enumerate(zip(sizes, hists)):
+        # marginal change of each fold's count gap: -c while below target,
+        # +c once the identity would overshoot it
+        count_now = np.abs(fold_counts - count_targets)
+        count_next = np.abs(fold_counts + c - count_targets)
+        # marginal change of each fold's histogram gap: negative while the
+        # identity's age bins still have room under the fold's target
+        gap_now = np.abs(fold_hists - hist_targets).sum(axis=1)
+        gap_next = np.abs(fold_hists + h - hist_targets).sum(axis=1)
+        f = int(np.argmin((count_next - count_now) + (gap_next - gap_now)))
+        fold[i] = f
         fold_counts[f] += c
         fold_hists[f] += h
 
-    _repair_assignment(
-        assignment, idents, groups, ident_hist, fold_counts, fold_hists,
-        np.asarray(targets, dtype=float), hist_targets,
-    )
+    _repair_assignment(sizes, hists, fold, count_targets, hist_targets)
+    assignment = dict(zip(idents, fold.tolist()))
 
     fold_ids: list[list[str]] = [[], [], []]
     for s in table.samples:
@@ -223,110 +216,126 @@ def make_split(table: DatasetTable, mode: str, fractions, seed: int) -> SplitSpe
     )
 
 
-def _repair_assignment(assignment: dict[str, int], idents: list[str], groups,
-                       ident_hist, fold_counts: np.ndarray, fold_hists: np.ndarray,
+# Candidate steps scored per array pass of the repair. Scratch memory is
+# about _REPAIR_CHUNK x 3 x bins floats, whatever the number of identities.
+_REPAIR_CHUNK = 1024
+_OTHER_FOLDS = np.array([[1, 2], [0, 2], [0, 1]])
+_TOL = 1e-9
+
+
+def _repair_assignment(sizes: np.ndarray, hists: np.ndarray, fold: np.ndarray,
                        targets: np.ndarray, hist_targets: np.ndarray,
                        max_passes: int = 200) -> None:
     """Hill-climb the greedy assignment with moves and swaps, in place.
 
-    A step is accepted when it lexicographically improves (total count gap,
-    worst normalized bin deviation, total histogram gap); equal-size swaps
-    leave counts untouched and exist purely to trade ages between folds.
-    Deterministic: identities are visited in their given order and the first
-    improving step is taken.
+    sizes (n,) and hists (n, bins) are the identities' sample counts and age
+    histograms; fold (n,) is the fold of each and is updated. A step is
+    accepted when it lexicographically improves (total count gap, worst
+    normalized bin deviation, total histogram gap) by more than 1e-9;
+    equal-size swaps leave counts untouched and exist purely to trade ages
+    between folds. Each pass scores every move (identity by identity, target
+    folds ascending, never emptying a fold) and then every swap of
+    identities i < j in different folds (row by row), and takes the best
+    improving step; ties go to the earliest in that scan order, so the
+    result is deterministic.
     """
-    total = float(fold_counts.sum())
-    global_norm = hist_targets.sum(axis=0) / total
-
-    def objective() -> tuple[float, float, float]:
-        count_gap = float(np.abs(fold_counts - targets).sum())
-        safe = np.maximum(fold_counts, 1.0)
-        max_dev = float(np.abs(fold_hists / safe[:, None] - global_norm).max())
-        hist_gap = float(np.abs(fold_hists - hist_targets).sum())
-        return count_gap, max_dev, hist_gap
-
-    def better(new: tuple[float, float, float], old: tuple[float, float, float]) -> bool:
-        for a, b in zip(new, old):
-            if a < b - 1e-9:
-                return True
-            if a > b + 1e-9:
-                return False
-        return False
-
-    fold_members = [sum(1 for f in assignment.values() if f == k) for k in range(3)]
-
-    def apply_move(ident: str, f1: int) -> None:
-        f0 = assignment[ident]
-        c, h = len(groups[ident]), ident_hist[ident]
-        fold_counts[f0] -= c
-        fold_counts[f1] += c
-        fold_hists[f0] -= h
-        fold_hists[f1] += h
-        assignment[ident] = f1
-        fold_members[f0] -= 1
-        fold_members[f1] += 1
-
-    def apply_swap(a: str, b: str) -> None:
-        fa, fb = assignment[a], assignment[b]
-        ca, ha = len(groups[a]), ident_hist[a]
-        cb, hb = len(groups[b]), ident_hist[b]
-        fold_counts[fa] += cb - ca
-        fold_counts[fb] += ca - cb
-        fold_hists[fa] += hb - ha
-        fold_hists[fb] += ha - hb
-        assignment[a], assignment[b] = fb, fa
-
+    goals = (targets, hist_targets, hist_targets.sum(axis=0) / float(sizes.sum()))
     for _ in range(max_passes):
-        current = objective()
-        best_step = None
-        best_obj = current
-        for ident in idents:
-            f0 = assignment[ident]
-            if fold_members[f0] <= 1:
-                continue  # never empty a fold
-            c = len(groups[ident])
-            h = ident_hist[ident]
-            for f1 in range(3):
-                if f1 == f0:
-                    continue
-                fold_counts[f0] -= c
-                fold_counts[f1] += c
-                fold_hists[f0] -= h
-                fold_hists[f1] += h
-                cand = objective()
-                fold_counts[f0] += c
-                fold_counts[f1] -= c
-                fold_hists[f0] += h
-                fold_hists[f1] -= h
-                if better(cand, best_obj):
-                    best_obj = cand
-                    best_step = ("move", ident, f1)
-        for i, a in enumerate(idents):
-            fa = assignment[a]
-            ca, ha = len(groups[a]), ident_hist[a]
-            for b in idents[i + 1:]:
-                fb = assignment[b]
-                if fa == fb:
-                    continue
-                cb, hb = len(groups[b]), ident_hist[b]
-                fold_counts[fa] += cb - ca
-                fold_counts[fb] += ca - cb
-                fold_hists[fa] += hb - ha
-                fold_hists[fb] += ha - hb
-                cand = objective()
-                fold_counts[fa] -= cb - ca
-                fold_counts[fb] -= ca - cb
-                fold_hists[fa] -= hb - ha
-                fold_hists[fb] -= ha - hb
-                if better(cand, best_obj):
-                    best_obj = cand
-                    best_step = ("swap", a, b)
-        if best_step is None:
+        # counts and histograms are whole numbers: any summation order is exact
+        fold_counts = np.bincount(fold, weights=sizes, minlength=3)
+        fold_hists = np.zeros_like(hist_targets)
+        np.add.at(fold_hists, fold, hists)
+        current = _objectives(fold_counts[None], fold_hists[None].copy(), *goals)
+        best = tuple(float(v[0]) for v in current)
+        step = None
+        for a, b, dst in _candidate_chunks(fold):
+            states = _candidate_states(sizes, hists, fold, a, b, dst, fold_counts, fold_hists)
+            objs = _objectives(*states, *goals)
+            k = _first_better(objs, best, 0)
+            while k >= 0:
+                best = tuple(float(v[k]) for v in objs)
+                step = (a[k], -1 if b is None else b[k], dst[k])
+                k = _first_better(objs, best, k + 1)
+        if step is None:
             break
-        if best_step[0] == "move":
-            apply_move(best_step[1], best_step[2])
-        else:
-            apply_swap(best_step[1], best_step[2])
+        i, j, f1 = step
+        if j >= 0:
+            fold[j] = fold[i]
+        fold[i] = f1
+
+
+def _candidate_chunks(fold: np.ndarray):
+    """The steps of one repair pass in scan order, _REPAIR_CHUNK at a time.
+
+    Yields (a, b, dst): identity a goes to fold dst; b is None for moves,
+    and for swaps the identity that goes the other way.
+    """
+    members = np.bincount(fold, minlength=3)
+    movable = np.flatnonzero(members[fold] > 1)
+    a = np.repeat(movable, 2)
+    dst = _OTHER_FOLDS[fold[movable]].ravel()
+    for s in range(0, len(a), _REPAIR_CHUNK):
+        yield a[s:s + _REPAIR_CHUNK], None, dst[s:s + _REPAIR_CHUNK]
+    # pair p of the row-major upper triangle is (i, j) with
+    # row_start[i] <= p < row_start[i + 1]
+    n = len(fold)
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    n_pairs = int(row_start[-1])
+    for p0 in range(0, n_pairs, _REPAIR_CHUNK):
+        p = np.arange(p0, min(p0 + _REPAIR_CHUNK, n_pairs))
+        i = np.searchsorted(row_start, p, side="right") - 1
+        j = p - row_start[i] + i + 1
+        cross = fold[i] != fold[j]
+        if cross.any():
+            yield i[cross], j[cross], fold[j[cross]]
+
+
+def _candidate_states(sizes, hists, fold, a, b, dst, fold_counts, fold_hists):
+    """Fold counts (m, 3) and histograms (m, 3, bins) after each candidate step."""
+    dc = sizes[a] if b is None else sizes[a] - sizes[b]
+    dh = hists[a] if b is None else hists[a] - hists[b]
+    rows = np.arange(len(a))
+    src = fold[a]
+    counts = np.repeat(fold_counts[None], len(a), axis=0)
+    counts[rows, src] -= dc
+    counts[rows, dst] += dc
+    cand = np.repeat(fold_hists[None], len(a), axis=0)
+    cand[rows, src] -= dh
+    cand[rows, dst] += dh
+    return counts, cand
+
+
+def _objectives(counts, cand, targets, hist_targets, global_norm):
+    """(count gap, max bin deviation, histogram gap) of each candidate state.
+
+    The same elementwise operations as for a single (3, bins) state, and the
+    histogram gap is a sum over a contiguous 3 * bins row, which numpy adds
+    in the same pairwise order as the flat sum of one state: every value is
+    bitwise what scoring the candidates one by one gives. Overwrites cand.
+    """
+    count_gap = np.abs(counts - targets).sum(axis=1)
+    safe = np.maximum(counts, 1.0)
+    max_dev = np.zeros(len(counts))
+    for f in range(3):
+        dev = cand[:, f] / safe[:, f, None]
+        dev -= global_norm
+        np.maximum(max_dev, np.abs(dev, out=dev).max(axis=1), out=max_dev)
+    cand -= hist_targets
+    hist_gap = np.abs(cand, out=cand).reshape(len(cand), -1).sum(axis=1)
+    return count_gap, max_dev, hist_gap
+
+
+def _first_better(objs, best, start: int) -> int:
+    """Index of the first candidate from start on that lexicographically beats
+    best by more than _TOL, or -1."""
+    count_gap, max_dev, hist_gap = (v[start:] for v in objs)
+    c, d, h = best
+    better = (count_gap < c - _TOL) | (
+        (count_gap <= c + _TOL)
+        & ((max_dev < d - _TOL) | ((max_dev <= d + _TOL) & (hist_gap < h - _TOL)))
+    )
+    hits = np.flatnonzero(better)
+    return start + int(hits[0]) if hits.size else -1
 
 
 def make_split_series(table: DatasetTable, mode: str, fractions, base_seed: int, n: int) -> list[SplitSpec]:

@@ -281,27 +281,43 @@ def _sum_in_order(values: np.ndarray) -> float:
 
 
 class _Adam:
+    """Adam over every weight and bias of a model, updated in place.
+
+    The moments and the temporaries are single preallocated vectors over
+    all parameters, so one step is a fixed handful of array operations
+    whatever the depth. The operations and their order are those of
+    m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), elementwise.
+    """
+
     def __init__(self, model: MlpModel, cfg: TrainConfig):
         self.cfg = cfg
         self.t = 0
-        self.mw = [np.zeros_like(w) for w in model.weights]
-        self.vw = [np.zeros_like(w) for w in model.weights]
-        self.mb = [np.zeros_like(b) for b in model.biases]
-        self.vb = [np.zeros_like(b) for b in model.biases]
+        ends = np.cumsum([p.size for p in model.weights + model.biases])
+        self.slices = [slice(a, b) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+        self.g, self.m, self.v, self.num, self.den = (np.zeros(ends[-1]) for _ in range(5))
 
     def step(self, model: MlpModel, gw, gb) -> None:
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for i, g in enumerate(gw):
-            self.mw[i] = c.beta1 * self.mw[i] + (1 - c.beta1) * g
-            self.vw[i] = c.beta2 * self.vw[i] + (1 - c.beta2) * g * g
-            model.weights[i] -= c.learning_rate * (self.mw[i] / bc1) / (np.sqrt(self.vw[i] / bc2) + c.adam_eps)
-        for i, g in enumerate(gb):
-            self.mb[i] = c.beta1 * self.mb[i] + (1 - c.beta1) * g
-            self.vb[i] = c.beta2 * self.vb[i] + (1 - c.beta2) * g * g
-            model.biases[i] -= c.learning_rate * (self.mb[i] / bc1) / (np.sqrt(self.vb[i] / bc2) + c.adam_eps)
+        g, m, v, num, den = self.g, self.m, self.v, self.num, self.den
+        np.concatenate([x.ravel() for x in (*gw, *gb)], out=g)
+        m *= c.beta1
+        m += np.multiply(1 - c.beta1, g, out=num)
+        np.multiply(1 - c.beta2, g, out=num)
+        num *= g
+        v *= c.beta2
+        v += num
+        np.divide(m, bc1, out=num)
+        num *= c.learning_rate
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += c.adam_eps
+        num /= den
+        for p, part in zip(model.weights + model.biases, self.slices):
+            p -= num[part].reshape(p.shape)
 
 
 @dataclass

@@ -52,3 +52,116 @@ def grid_search_alignment_residual(src, dst, final_step=1e-3):
         txs = np.linspace(x0 - dx, x0 + dx, 11)
         tys = np.linspace(y0 - dy, y0 + dy, 11)
     return best
+
+
+def reference_objective(fold_counts, fold_hists, targets, hist_targets, global_norm):
+    """(total count gap, worst normalized bin deviation, total histogram gap)
+    of one (3,) / (3, bins) fold state."""
+    count_gap = float(np.abs(fold_counts - targets).sum())
+    safe = np.maximum(fold_counts, 1.0)
+    max_dev = float(np.abs(fold_hists / safe[:, None] - global_norm).max())
+    hist_gap = float(np.abs(fold_hists - hist_targets).sum())
+    return count_gap, max_dev, hist_gap
+
+
+def reference_repair(assignment, idents, groups, ident_hist, fold_counts,
+                     fold_hists, targets, hist_targets, max_passes=200):
+    """Split repair as one objective() call per candidate step, in place.
+
+    Scans every move (identity by identity, target folds ascending; a fold
+    keeps at least one identity) and then every swap of identities i < j in
+    different folds, row by row, and takes the best step of the scan: a
+    candidate replaces the running best only when better() says so, so ties
+    go to the earliest. One step per pass, until no step improves.
+    assignment maps identity -> fold and is updated, as are fold_counts and
+    fold_hists; groups[k] needs only a length (the identity's sample count)
+    and ident_hist[k] is its age histogram.
+    """
+    total = float(fold_counts.sum())
+    global_norm = hist_targets.sum(axis=0) / total
+
+    def objective() -> tuple[float, float, float]:
+        return reference_objective(fold_counts, fold_hists, targets, hist_targets, global_norm)
+
+    def better(new: tuple[float, float, float], old: tuple[float, float, float]) -> bool:
+        for a, b in zip(new, old):
+            if a < b - 1e-9:
+                return True
+            if a > b + 1e-9:
+                return False
+        return False
+
+    fold_members = [sum(1 for f in assignment.values() if f == k) for k in range(3)]
+
+    def apply_move(ident: str, f1: int) -> None:
+        f0 = assignment[ident]
+        c, h = len(groups[ident]), ident_hist[ident]
+        fold_counts[f0] -= c
+        fold_counts[f1] += c
+        fold_hists[f0] -= h
+        fold_hists[f1] += h
+        assignment[ident] = f1
+        fold_members[f0] -= 1
+        fold_members[f1] += 1
+
+    def apply_swap(a: str, b: str) -> None:
+        fa, fb = assignment[a], assignment[b]
+        ca, ha = len(groups[a]), ident_hist[a]
+        cb, hb = len(groups[b]), ident_hist[b]
+        fold_counts[fa] += cb - ca
+        fold_counts[fb] += ca - cb
+        fold_hists[fa] += hb - ha
+        fold_hists[fb] += ha - hb
+        assignment[a], assignment[b] = fb, fa
+
+    for _ in range(max_passes):
+        current = objective()
+        best_step = None
+        best_obj = current
+        for ident in idents:
+            f0 = assignment[ident]
+            if fold_members[f0] <= 1:
+                continue  # never empty a fold
+            c = len(groups[ident])
+            h = ident_hist[ident]
+            for f1 in range(3):
+                if f1 == f0:
+                    continue
+                fold_counts[f0] -= c
+                fold_counts[f1] += c
+                fold_hists[f0] -= h
+                fold_hists[f1] += h
+                cand = objective()
+                fold_counts[f0] += c
+                fold_counts[f1] -= c
+                fold_hists[f0] += h
+                fold_hists[f1] -= h
+                if better(cand, best_obj):
+                    best_obj = cand
+                    best_step = ("move", ident, f1)
+        for i, a in enumerate(idents):
+            fa = assignment[a]
+            ca, ha = len(groups[a]), ident_hist[a]
+            for b in idents[i + 1:]:
+                fb = assignment[b]
+                if fa == fb:
+                    continue
+                cb, hb = len(groups[b]), ident_hist[b]
+                fold_counts[fa] += cb - ca
+                fold_counts[fb] += ca - cb
+                fold_hists[fa] += hb - ha
+                fold_hists[fb] += ha - hb
+                cand = objective()
+                fold_counts[fa] -= cb - ca
+                fold_counts[fb] -= ca - cb
+                fold_hists[fa] -= hb - ha
+                fold_hists[fb] -= ha - hb
+                if better(cand, best_obj):
+                    best_obj = cand
+                    best_step = ("swap", a, b)
+        if best_step is None:
+            break
+        if best_step[0] == "move":
+            apply_move(best_step[1], best_step[2])
+        else:
+            apply_swap(best_step[1], best_step[2])

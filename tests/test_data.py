@@ -52,6 +52,15 @@ def test_label_set_lookup_and_normalization():
         ls.index_of(101)
 
 
+def test_label_set_indices_of_matches_index_of():
+    ls = LabelSet((16, 18, 19, 25, 40, 41, 80))
+    ages = np.array([16, 80, 18.0, 19.9, 25.5, 41, 40, 16.2, 80.5, 18])
+    np.testing.assert_array_equal(ls.indices_of(ages), [ls.index_of(int(a)) for a in ages])
+    for outside in (17, 15.5, 81, 24.9, -16):
+        with pytest.raises(ValidationError, match="not in the label set"):
+            ls.indices_of(np.append(ages, outside))
+
+
 def test_label_set_contains_and_array():
     ls = LabelSet((1, 3, 9))
     assert 3 in ls and 2 not in ls

@@ -1,11 +1,15 @@
 """Split construction, stratification quality, audits, and the JSON sidecar."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from oracles import reference_objective, reference_repair
+
+from ordibench import splitting
 from ordibench.data import LabelSet, ParseError, Sample, DatasetTable, ValidationError
 from ordibench.splitting import (
     FOLD_NAMES,
@@ -222,3 +226,143 @@ def test_load_split_malformed_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ParseError):
         load_split(p)
+
+
+def repair_table(n_idents, seed, ages=(20, 40), sizes=(1, 8)):
+    """n_idents identities of sizes[0]..sizes[1] rows each, ages clustered per
+    identity within the label set ages[0]..ages[1]."""
+    rng = np.random.default_rng(seed)
+    lo, hi = ages
+    samples = []
+    for i in range(n_idents):
+        base = int(rng.integers(lo, hi + 1))
+        for j in range(int(rng.integers(sizes[0], sizes[1] + 1))):
+            age = int(np.clip(base + rng.integers(-2, 3), lo, hi))
+            samples.append(Sample(sample_id=f"s{i}_{j}", identity_id=f"p{i}", age=age,
+                                  features=np.zeros(2)))
+    return DatasetTable(name="repair", label_set=LabelSet(tuple(range(lo, hi + 1))),
+                        dimension=2, samples=tuple(samples))
+
+
+def oracle_repair(sizes, hists, fold, targets, hist_targets, max_passes=200):
+    """reference_repair behind the array signature of _repair_assignment."""
+    idents = [f"i{k}" for k in range(len(sizes))]
+    groups = {k: range(int(c)) for k, c in zip(idents, sizes)}
+    ident_hist = dict(zip(idents, hists))
+    assignment = dict(zip(idents, fold.tolist()))
+    fold_counts = np.zeros(3)
+    fold_hists = np.zeros_like(hist_targets)
+    for k, f in assignment.items():
+        fold_counts[f] += len(groups[k])
+        fold_hists[f] += ident_hist[k]
+    reference_repair(assignment, idents, groups, ident_hist, fold_counts, fold_hists,
+                     targets, hist_targets, max_passes)
+    fold[:] = [assignment[k] for k in idents]
+
+
+def _repair_cases():
+    """(table, split seed, fractions): exact bins (<= 32 labels) and coarse
+    bins, sizes 1-8 and all equal, tables of 3-5 identities (folds of one
+    identity, which no move may empty), and two tables of 120 identities."""
+    thirds = (1 / 3, 1 / 3, 1 / 3)
+    # in the first three, moving a fold's only identity out would improve the
+    # objective: only the guard keeps the fold
+    tiny = [repair_table(3, 303), repair_table(3, 310, ages=(16, 80)),
+            repair_table(4, 411, ages=(16, 80), sizes=(2, 8))]
+    tiny += [repair_table(n, 100 * n + t, ages=(20, 40) if t % 2 else (16, 80), sizes=(2, 8))
+             for n in (3, 4, 5) for t in range(3)]
+    for tab in tiny:
+        for seed in range(3):
+            yield tab, seed, FRACTIONS
+            yield tab, seed, thirds
+    for n in (8, 14, 24, 36):
+        for t, (ages, sizes) in enumerate([((20, 40), (1, 8)), ((16, 80), (1, 8)),
+                                           ((20, 51), (3, 3)), ((16, 80), (2, 2))]):
+            tab = repair_table(n, 1000 * n + t, ages=ages, sizes=sizes)
+            for seed in range(8):
+                yield tab, seed, FRACTIONS if seed % 2 else thirds
+    yield repair_table(120, 7, ages=(16, 80)), 1000, FRACTIONS
+    yield repair_table(120, 8, ages=(20, 40)), 1001, FRACTIONS
+
+
+@pytest.mark.parametrize("n_bins", [1, 5, 10, 17, 32])
+def test_candidate_objectives_are_bitwise_those_of_one_state(n_bins):
+    rng = np.random.default_rng(n_bins)
+    n = 40
+    sizes = rng.integers(1, 9, n).astype(float)
+    hists = np.zeros((n, n_bins))
+    for i, c in enumerate(sizes):
+        np.add.at(hists[i], rng.integers(0, n_bins, int(c)), 1.0)
+    fold = rng.integers(0, 3, n)
+    targets = np.array([60.0, 50.0, 70.0])
+    hist_targets = np.outer([0.3, 0.25, 0.45], hists.sum(axis=0) + 0.1)
+    global_norm = hist_targets.sum(axis=0) / sizes.sum()
+    fold_counts = np.bincount(fold, weights=sizes, minlength=3)
+    fold_hists = np.zeros((3, n_bins))
+    np.add.at(fold_hists, fold, hists)
+    for a, b, dst in splitting._candidate_chunks(fold):
+        counts, cand = splitting._candidate_states(sizes, hists, fold, a, b, dst,
+                                                   fold_counts, fold_hists)
+        states = list(zip(counts.copy(), cand.copy()))
+        objs = splitting._objectives(counts, cand, targets, hist_targets, global_norm)
+        for k, (c, h) in enumerate(states):
+            got = tuple(float(v[k]) for v in objs)
+            assert got == reference_objective(c, h, targets, hist_targets, global_norm)
+
+
+@pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")
+def test_repair_matches_one_step_per_scan_oracle(monkeypatch):
+    """The array repair picks the same step as scoring each candidate in a
+    loop, on every pass: equal assignments and equal splits."""
+    new_repair = splitting._repair_assignment
+    n_cases = 0
+    for tab, seed, fr in _repair_cases():
+        seen = []
+
+        def oracle(sizes, hists, fold, targets, hist_targets):
+            seen.append((sizes, hists, fold.copy(), targets, hist_targets))
+            oracle_repair(sizes, hists, fold, targets, hist_targets)
+            seen.append(fold.copy())
+
+        monkeypatch.setattr(splitting, "_repair_assignment", oracle)
+        expected = make_split(tab, MODE_SUBJECT_EXCLUSIVE, fr, seed)
+        monkeypatch.setattr(splitting, "_repair_assignment", new_repair)
+        assert make_split(tab, MODE_SUBJECT_EXCLUSIVE, fr, seed) == expected, (len(tab), seed)
+
+        (sizes, hists, fold, targets, hist_targets), oracle_fold = seen
+        new_repair(sizes, hists, fold, targets, hist_targets)
+        np.testing.assert_array_equal(fold, oracle_fold)
+        n_cases += 1
+    assert n_cases >= 200
+
+
+def test_repair_respects_max_passes(monkeypatch):
+    """Pass budget as in the oracle: each pass takes at most one step."""
+    repair = splitting._repair_assignment
+    captured = []
+    monkeypatch.setattr(splitting, "_repair_assignment", lambda *args: captured.append(args))
+    make_split(repair_table(24, 5, ages=(20, 40)), MODE_SUBJECT_EXCLUSIVE, FRACTIONS, 3)
+    sizes, hists, greedy, targets, hist_targets = captured[0]
+    for passes in (0, 1, 2, 5):
+        fold, ref = greedy.copy(), greedy.copy()
+        repair(sizes, hists, fold, targets, hist_targets, max_passes=passes)
+        oracle_repair(sizes, hists, ref, targets, hist_targets, max_passes=passes)
+        np.testing.assert_array_equal(fold, ref)
+        assert (fold != greedy).sum() <= 2 * passes
+
+
+@pytest.mark.parametrize("n_idents,ages,limit_mb", [
+    (120, (20, 51), 2.0),   # 32 labels: one bin per label, the widest candidate rows
+    (600, (16, 80), 3.0),   # an n x n float array alone would be 2.9 MB
+])
+def test_split_peak_memory_is_bounded(n_idents, ages, limit_mb):
+    """The repair scores candidates in fixed-size chunks, so a split's peak
+    allocation does not grow with the square of the identity count."""
+    tab = repair_table(n_idents, 0, ages=ages)
+    tracemalloc.start()
+    try:
+        make_split(tab, MODE_SUBJECT_EXCLUSIVE, FRACTIONS, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6, peak

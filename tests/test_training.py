@@ -292,6 +292,28 @@ def test_one_loss_call_per_minibatch_and_one_decode_per_fold(call_counts, family
     assert call_counts == {"loss": 1 + cfg.epochs * batches, "decode": 1 + cfg.epochs}
 
 
+def test_in_place_adam_is_bitwise_the_textbook_update():
+    cfg = TrainConfig(learning_rate=3e-3, beta1=0.85, beta2=0.995, adam_eps=1e-7)
+    model = init_model(5, (7, 4), 3, seed=2)
+    ref = model.copy()
+    params = ref.weights + ref.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    adam = training._Adam(model, cfg)
+    rng = np.random.default_rng(0)
+    for t in range(1, 31):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape) for p in params]
+        adam.step(model, grads[:3], grads[3:])
+        bc1 = 1.0 - cfg.beta1 ** t
+        bc2 = 1.0 - cfg.beta2 ** t
+        for i, (p, g) in enumerate(zip(params, grads)):
+            m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
+            v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
+            p -= cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.adam_eps)
+    for got, want in zip(model.weights + model.biases, params):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_train_rejects_empty_folds():
     tab, _ = clean_split_table()
     ids = tab.sample_ids
