@@ -52,6 +52,18 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
         raise ValidationError(f"could not parse fractions {text!r}") from None
 
 
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer (from --jobs or ORDIBENCH_JOBS), got {text!r}"
+        )
+    return jobs
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = SynthSpec(
         n_identities=args.identities,
@@ -181,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="experiment config JSON")
     p.add_argument(
         "--jobs",
-        type=int,
-        default=int(os.environ.get("ORDIBENCH_JOBS", "1")),
-        help="parallel cell workers (default: ORDIBENCH_JOBS or 1)",
+        type=_parse_jobs,
+        default=os.environ.get("ORDIBENCH_JOBS", "1"),
+        help="parallel cell workers, at most one per cell (default: ORDIBENCH_JOBS or 1)",
     )
     p.add_argument("--output-dir", default=None, help="override the config's output_dir")
     p.set_defaults(func=_cmd_run)

@@ -247,23 +247,44 @@ def _run_cell(table: DatasetTable, split: SplitSpec, split_index: int,
     return records, wall
 
 
-def _cell_worker(args):
+def _run_isolated(cell) -> tuple:
+    key, *args = cell
     try:
-        records, wall = _run_cell(*args[1:])
-        return args[0], records, wall, None
+        records, wall = _run_cell(*args)
+        return key, records, wall, None
     except Exception as exc:  # isolate cell failures; the collector reports them
-        return args[0], [], 0.0, f"{type(exc).__name__}: {exc}"
+        return key, [], 0.0, f"{type(exc).__name__}: {exc}"
+
+
+# A pool worker's copy of the grid's cells, set once by the pool initializer;
+# tasks then name a cell by its index. The parent process never sets it.
+_CELLS: list = []
+
+
+def _set_cells(cells: list) -> None:
+    global _CELLS
+    _CELLS = cells
+
+
+def _pool_task(index: int) -> tuple:
+    return _run_isolated(_CELLS[index])
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Execute the full grid and write records and matrices to output_dir.
 
-    Cells are independent; with jobs > 1 they run in worker processes. The
-    collected records are sorted before writing, so reruns of the same
+    Cells are independent. With jobs > 1 they run in a pool of
+    min(jobs, cells) worker processes. The cell list, tables and splits
+    included, reaches each worker once, through the pool's initializer
+    (inherited under fork, pickled once per worker otherwise); a task is a
+    cell index. Both paths run a cell and isolate its failure the same way.
+    The collected records are sorted before writing, so reruns of the same
     config produce byte-identical record and matrix files regardless of
     jobs. Per-cell wall times go to a separate timings file, which is the
     one output that legitimately varies between reruns.
     """
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -288,12 +309,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
                 key = _cell_key(table.name, method.display_name, s_idx)
                 cells.append((key, table, split, s_idx, method, cell_cfg, holdouts))
 
-    results = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, cells))
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_cells,
+                                 initargs=(cells,)) as pool:
+            results = list(pool.map(_pool_task, range(len(cells))))
     else:
-        results = [_cell_worker(c) for c in cells]
+        results = [_run_isolated(c) for c in cells]
 
     records: list[RunRecord] = []
     timings: list[tuple[str, float]] = []

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ordibench.cli import main
+from ordibench.cli import build_parser, main
 from ordibench.data import load_dataset
 from ordibench.splitting import load_split
 
@@ -176,6 +176,32 @@ def test_run_reports_failures_with_exit_1(tmp_path, capsys):
 def test_run_missing_config_exit_2(tmp_path, capsys):
     assert run_cli("run", tmp_path / "none.json") == 2
     assert capsys.readouterr().err.strip()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_run_rejects_bad_jobs_exit_2(tmp_path, capsys, jobs):
+    cfg = write_run_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", cfg, "--jobs", jobs)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_rejects_bad_jobs_env_exit_2(tmp_path, capsys, monkeypatch):
+    cfg = write_run_config(tmp_path)
+    monkeypatch.setenv("ORDIBENCH_JOBS", "two")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", cfg)
+    assert exc.value.code == 2
+    assert "ORDIBENCH_JOBS" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_jobs_env_sets_the_default(monkeypatch):
+    monkeypatch.setenv("ORDIBENCH_JOBS", "3")
+    assert build_parser().parse_args(["run", "c.json"]).jobs == 3
+    assert build_parser().parse_args(["run", "c.json", "--jobs", "2"]).jobs == 2
 
 
 def test_compare_forced_matrix_reports_chi2(tmp_path, capsys):

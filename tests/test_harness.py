@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -205,16 +207,75 @@ def test_cross_rows_decode_with_the_training_label_set(tmp_path, monkeypatch):
         assert rec.test_mae == err / len(held_out.ages), rec
 
 
+LR_OVERFLOW = {"train": {"epochs": 2, "seed": 0, "hidden_dims": [16], "learning_rate": 1e200}}
+
+
 def test_failed_cell_is_isolated(tmp_path):
-    cfg = config_for(tmp_path, {"train": {"epochs": 2, "seed": 0,
-                                          "hidden_dims": [16],
-                                          "learning_rate": 1e200}})
+    """Failed cells come back alike from this process and through the pool."""
     with np.errstate(over="ignore", invalid="ignore"):
-        result = run_experiment(cfg, jobs=1)
-    assert result.failures
-    assert result.mean_matrix is None
-    assert (tmp_path / "runs" / "failures.txt").exists()
-    assert not (tmp_path / "runs" / "mae_mean.csv").exists()
+        serial = run_experiment(config_for(tmp_path, LR_OVERFLOW, out="s"), jobs=1)
+        pooled = run_experiment(config_for(tmp_path, LR_OVERFLOW, out="p"), jobs=2)
+    assert serial.failures
+    assert pooled.failures == serial.failures
+    assert pooled.records == serial.records
+    for result, out in ((serial, tmp_path / "s"), (pooled, tmp_path / "p")):
+        assert result.mean_matrix is None
+        assert (out / "failures.txt").exists()
+        assert not (out / "mae_mean.csv").exists()
+    assert (tmp_path / "p" / "failures.txt").read_bytes() == (tmp_path / "s" / "failures.txt").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 1.5])
+def test_jobs_must_be_a_positive_integer(tmp_path, jobs):
+    with pytest.raises(ValidationError, match="jobs"):
+        run_experiment(config_for(tmp_path), jobs=jobs)
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("jobs, workers", [(64, 4), (3, 3)])
+def test_pool_is_capped_at_the_cell_count(tmp_path, monkeypatch, jobs, workers):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for the process pool: records its size and starts no process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            self.initializer, self.initargs = initializer, initargs
+
+        def __enter__(self):
+            self.initializer(*self.initargs)
+            return self
+
+        def __exit__(self, *exc):
+            self.initializer([])  # a worker's copy of the cells ends with the worker
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    result = run_experiment(config_for(tmp_path), jobs=jobs)  # 2 methods x 2 splits
+    assert sizes == [workers]
+    assert len(result.records) == 4 and not result.failures
+
+
+def test_cells_reach_workers_as_indices(tmp_path, monkeypatch):
+    """A pool task pickles to a few bytes; the tables reach each worker once."""
+    task_bytes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            task_bytes.append(len(pickle.dumps(args)))
+            return super().submit(fn, *args, **kwargs)
+
+    serial = run_experiment(config_for(tmp_path, out="s"), jobs=1)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    pooled = run_experiment(config_for(tmp_path, out="p"), jobs=2)
+    assert len(task_bytes) == 4
+    assert max(task_bytes) < 1024, task_bytes
+    assert pooled.records == serial.records
+    assert harness._CELLS == []  # the parent holds no table after the run
 
 
 @pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")
