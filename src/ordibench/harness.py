@@ -96,6 +96,9 @@ class ExperimentConfig:
         mnames = [m.display_name for m in self.methods]
         if len(set(mnames)) != len(mnames):
             raise ValidationError("method names must be unique; set 'name' on duplicates")
+        for name in names + mnames:  # names become fields and rows of the CSV outputs
+            if "," in name or name.splitlines() != [name]:
+                raise ValidationError(f"name {name!r} must not contain ',' or a line break")
         if self.split_mode not in (MODE_SUBJECT_EXCLUSIVE, MODE_RANDOM):
             raise ValidationError(f"unknown split mode {self.split_mode!r}")
         if self.n_splits < 1:

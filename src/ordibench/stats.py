@@ -6,6 +6,10 @@ differ at all, the less conservative Iman-Davenport F form supplies the
 p-value, and the Nemenyi critical difference says how far two average ranks
 must be apart before the difference counts as significant.
 
+Rule: scipy is imported inside the function that needs it, never at module
+level. Importing scipy takes about a second, every command, demo and pool
+worker imports this module, and only f_cdf and chi2_cdf use scipy.
+
 References
 ----------
 Demsar, "Statistical comparisons of classifiers over multiple data sets",
@@ -21,8 +25,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc, gammainc
-from scipy.stats import rankdata
 
 from .util import fmt_float
 
@@ -78,17 +80,24 @@ class ResultMatrix:
 
 
 def rank_rows(mae) -> np.ndarray:
-    """Per-row ranks, 1 = best (lowest error); ties get averaged ranks."""
+    """Per-row ranks, 1 = best (lowest error); ties get averaged ranks.
+
+    rank = (entries below) + (entries tied, itself included, + 1) / 2 is an
+    exact half-integer, bitwise equal to scipy's rankdata(method="average").
+    """
     mat = np.asarray(mae, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 2:
         raise ValueError("need a 2-d matrix with at least 2 columns")
     if not np.all(np.isfinite(mat)):
         raise ValueError("errors must be finite")
-    return np.vstack([rankdata(row, method="average") for row in mat])
+    below = (mat[:, None, :] < mat[:, :, None]).sum(axis=2)
+    tied = (mat[:, None, :] == mat[:, :, None]).sum(axis=2)
+    return below + (tied + 1) / 2
 
 
 def f_cdf(x: float, d1: float, d2: float) -> float:
     """CDF of the F distribution via the regularized incomplete beta."""
+    from scipy.special import betainc
     if d1 <= 0 or d2 <= 0:
         raise ValueError("degrees of freedom must be positive")
     x = float(x)
@@ -101,6 +110,7 @@ def f_cdf(x: float, d1: float, d2: float) -> float:
 
 def chi2_cdf(x: float, df: float) -> float:
     """CDF of the chi-squared distribution via the regularized lower gamma."""
+    from scipy.special import gammainc
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
     x = float(x)

@@ -1,10 +1,16 @@
 """End-to-end command line flows and their exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import f
 
+import ordibench
 from ordibench.cli import build_parser, main
 from ordibench.data import load_dataset
 from ordibench.splitting import load_split
@@ -173,6 +179,16 @@ def test_run_reports_failures_with_exit_1(tmp_path, capsys):
     assert "FAILED" in err
 
 
+def test_run_rejects_a_name_that_breaks_the_csv_outputs(tmp_path, capsys):
+    cfg_path = write_run_config(tmp_path)
+    payload = json.loads(cfg_path.read_text())
+    payload["methods"][0]["name"] = "ce,soft"
+    cfg_path.write_text(json.dumps(payload))
+    assert run_cli("run", cfg_path) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_missing_config_exit_2(tmp_path, capsys):
     assert run_cli("run", tmp_path / "none.json") == 2
     assert capsys.readouterr().err.strip()
@@ -216,6 +232,32 @@ def test_compare_forced_matrix_reports_chi2(tmp_path, capsys):
     assert run_cli("compare", matrix) == 0
     out = capsys.readouterr().out
     assert "chi2_F=8.0" in out
+
+
+IMPORT_GUARD = """
+import sys
+import ordibench, ordibench.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, f"importing ordibench loaded {loaded}"
+sys.exit(ordibench.cli.main(["compare", sys.argv[1]]))
+"""
+
+
+def test_import_loads_no_scipy_and_compare_still_works(tmp_path):
+    """Only the rank statistics load scipy, from inside the functions that use it."""
+    matrix = tmp_path / "m.csv"
+    # Rankings that disagree, so the p-value comes from the F distribution.
+    matrix.write_text("dataset,a,b,c\nd0,1.0,2.0,3.0\nd1,1.1,2.1,3.1\n"
+                      "d2,1.9,0.9,2.9\nd3,1.2,3.2,2.2\n")
+    src = Path(ordibench.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(matrix)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert "chi2_F=4.5" in proc.stdout
+    report = json.loads((tmp_path / "rank_report.json").read_text())
+    assert report["iman_davenport_f"] == pytest.approx(27 / 7, rel=1e-12)
+    assert report["p_value"] == pytest.approx(f.sf(27 / 7, 2, 6), rel=1e-9)
 
 
 def test_compare_all_tied_keeps_null(tmp_path, capsys):

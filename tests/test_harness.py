@@ -3,8 +3,12 @@
 import csv
 import dataclasses
 import json
+import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,17 @@ def test_config_rejects_unknown_keys_and_few_methods(tmp_path):
                                           {"family": "sord"}]})
 
 
+@pytest.mark.parametrize("overrides", [
+    {"methods": [{"family": "cross-entropy", "name": "ce,soft"}, {"family": "regression"}]},
+    {"methods": [{"family": "cross-entropy", "name": "ce\nsoft"}, {"family": "regression"}]},
+    {"datasets": [{**BASE_CONFIG["datasets"][0], "name": "synth,A"}]},
+    {"datasets": [{**BASE_CONFIG["datasets"][0], "name": "synth\r\nA"}]},
+])
+def test_config_rejects_names_that_break_the_csv_outputs(tmp_path, overrides):
+    with pytest.raises(ValidationError, match="',' or a line break"):
+        config_for(tmp_path, overrides)
+
+
 def test_config_from_json_resolves_relative_paths(tmp_path):
     payload = json.loads(json.dumps(BASE_CONFIG))
     payload["output_dir"] = "out"
@@ -133,6 +148,30 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert serial.records == parallel.records
     a = (tmp_path / "s" / "run_records.csv").read_bytes()
     b = (tmp_path / "p" / "run_records.csv").read_bytes()
+    assert a == b
+
+
+SPAWN_RUN = """
+import multiprocessing, sys
+from ordibench.harness import ExperimentConfig, run_experiment
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn", force=True)
+    run_experiment(ExperimentConfig.from_json(sys.argv[1]), jobs=2)
+"""
+
+
+def test_spawned_pool_matches_serial(tmp_path):
+    """Workers that start from a fresh import write the records of jobs=1."""
+    run_experiment(config_for(tmp_path, out="s"), jobs=1)
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["output_dir"] = str(tmp_path / "spawn")
+    cfg = tmp_path / "spawn.json"
+    cfg.write_text(json.dumps(payload))
+    src = Path(harness.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", SPAWN_RUN, str(cfg)], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+    a = (tmp_path / "s" / "run_records.csv").read_bytes()
+    b = (tmp_path / "spawn" / "run_records.csv").read_bytes()
     assert a == b
 
 

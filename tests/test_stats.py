@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from ordibench.stats import (
     ResultMatrix,
@@ -36,6 +37,26 @@ def test_rank_rows_hand_cases():
     np.testing.assert_array_equal(rank_rows([[2.0, 3.0, 1.0]]), [[2, 3, 1]])
     np.testing.assert_array_equal(rank_rows([[5.0, 5.0, 7.0]]), [[1.5, 1.5, 3]])
     np.testing.assert_array_equal(rank_rows([[4.0] * 4]), [[2.5] * 4])
+
+
+def test_rank_rows_equals_scipy_rankdata_bitwise():
+    rng = rng_from_seed(606)
+    mats = []
+    for k in range(2, 13):
+        mats.append(rng.uniform(0.0, 10.0, size=(7, k)))
+        mats.append(rng.integers(0, 3, size=(9, k)).astype(float))  # many ties
+        mats.append(np.full((3, k), 2.5))  # all tied
+    for mat in mats:
+        got = rank_rows(mat)
+        want = np.vstack([rankdata(row, method="average") for row in mat])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank_rows_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        rank_rows([[1.0, bad, 2.0]])
 
 
 def test_matrix_validation():
