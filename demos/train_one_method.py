@@ -36,7 +36,7 @@ def main():
         print(f"epoch {ep:>3}: train loss {train_loss:7.4f}  "
               f"val MAE {val_mae:6.3f}{marker}")
 
-    test_mae = evaluate_mae(result.best_model, table, split.test, method)
+    test_mae = evaluate_mae(result, table, split.test)
     print()
     print(f"selected epoch {result.selected_epoch}, "
           f"val MAE {result.best_val_mae:.3f}, test MAE {test_mae:.3f}")

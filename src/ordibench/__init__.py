@@ -46,7 +46,6 @@ from .training import (
     evaluate_mae,
     forward,
     init_model,
-    reset_head,
     train,
 )
 from .stats import (

@@ -2,10 +2,12 @@
 error matrices, plus the split-leakage demonstration.
 
 The harness owns the protocol sequencing: per dataset it builds a series of
-splits, per split it initializes one backbone, per method it swaps in a
-fresh head and trains. The trainer only ever sees the train and val folds;
-the single test-fold pass happens here, after model selection, and held-out
-datasets are scored in full as cross-dataset rows.
+splits, and per split and method it trains one model. The trainer builds
+every model from the split's seed, so all methods on a split start from the
+same hidden layers. The trainer only ever sees the train and val folds; the
+single test-fold pass happens here, after model selection, and held-out
+datasets are scored in full as cross-dataset rows, decoded with the label
+set the model was trained on.
 """
 
 from __future__ import annotations
@@ -29,14 +31,7 @@ from .splitting import (
     make_split_series,
 )
 from .stats import ResultMatrix, aggregate_splits, save_result_matrix
-from .training import (
-    TrainConfig,
-    evaluate_mae,
-    head_kind_for,
-    init_model,
-    reset_head,
-    train,
-)
+from .training import TrainConfig, evaluate_mae, train
 from .util import fmt_float
 
 __all__ = [
@@ -99,6 +94,9 @@ class ExperimentConfig:
         for name in names + mnames:  # names become fields and rows of the CSV outputs
             if "," in name or name.splitlines() != [name]:
                 raise ValidationError(f"name {name!r} must not contain ',' or a line break")
+        for name in names:  # "a->b" names the rows of a model trained on a, scored on b
+            if "->" in name:
+                raise ValidationError(f"dataset name {name!r} must not contain '->'")
         if self.split_mode not in (MODE_SUBJECT_EXCLUSIVE, MODE_RANDOM):
             raise ValidationError(f"unknown split mode {self.split_mode!r}")
         if self.n_splits < 1:
@@ -215,17 +213,10 @@ def _run_cell(table: DatasetTable, split: SplitSpec, split_index: int,
               method: MethodConfig, cfg: TrainConfig,
               holdouts: list[DatasetTable]) -> tuple[list[RunRecord], float]:
     """Train one cell and score it on the test fold plus any held-out tables."""
-    n_labels = len(table.label_set)
-    backbone = init_model(
-        table.dimension, cfg.hidden_dims, n_labels, seed=cfg.seed, head_kind="dense"
-    )
-    model0 = reset_head(
-        backbone, method.head_size(n_labels), seed=cfg.seed, head_kind=head_kind_for(method)
-    )
     started = time.perf_counter()
-    run = train(table, split, method, cfg, initial_model=model0)
+    run = train(table, split, method, cfg)
     wall = time.perf_counter() - started
-    test_mae = evaluate_mae(run.best_model, table, split.test, method)
+    test_mae = evaluate_mae(run, table, split.test)
     records = [RunRecord(
         dataset=table.name,
         method=method.display_name,
@@ -236,8 +227,7 @@ def _run_cell(table: DatasetTable, split: SplitSpec, split_index: int,
         selected_epoch=run.selected_epoch,
     )]
     for other in holdouts:
-        cross = evaluate_mae(run.best_model, other, other.sample_ids, method,
-                             label_set=table.label_set)
+        cross = evaluate_mae(run, other, other.sample_ids)
         records.append(RunRecord(
             dataset=f"{table.name}->{other.name}",
             method=method.display_name,
@@ -520,7 +510,7 @@ def leakage_demo(params: LeakageParams = LeakageParams()) -> LeakageReport:
         for mode, sink in ((MODE_RANDOM, random_mae), (MODE_SUBJECT_EXCLUSIVE, se_mae)):
             split = make_split(table, mode, params.fractions, seed)
             run = train(table, split, method, cfg)
-            sink.append(float(evaluate_mae(run.best_model, table, split.test, method)))
+            sink.append(float(evaluate_mae(run, table, split.test)))
     return LeakageReport(
         params=params,
         seeds=seeds,

@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .data import DatasetTable, LabelSet
-from .methods import MethodConfig, loss_eval
+from .methods import MethodConfig, ebc_encode, loss_eval
 from .prediction import decode_output
 from .splitting import SplitSpec
 from .util import rng_from_seed
@@ -30,7 +29,6 @@ __all__ = [
     "forward",
     "batch_loss_and_grads",
     "train",
-    "reset_head",
     "evaluate_mae",
     "save_model",
     "load_model",
@@ -185,30 +183,6 @@ def init_model(dimension: int, hidden_dims, head_size: int, seed: int,
     return MlpModel(weights=weights, biases=biases, head_kind=head_kind)
 
 
-def reset_head(model: MlpModel, new_head_size: int, seed: int,
-               head_kind: str = HEAD_DENSE) -> MlpModel:
-    """Fresh head of the requested shape on top of copied hidden layers.
-
-    The hidden parameters of the returned model are bitwise equal to the
-    input model's; only the last layer is re-initialized.
-    """
-    if new_head_size < 1:
-        raise ValueError("new_head_size must be positive")
-    rng = rng_from_seed(seed)
-    weights = [w.copy() for w in model.weights[:-1]]
-    biases = [b.copy() for b in model.biases[:-1]]
-    fan_in = model.weights[-1].shape[0]
-    if head_kind == HEAD_SHARED_SCORE:
-        w, _ = _init_affine(rng, fan_in, 1)
-        weights.append(w)
-        biases.append(np.zeros(new_head_size))
-    else:
-        w, b = _init_affine(rng, fan_in, new_head_size)
-        weights.append(w)
-        biases.append(b)
-    return MlpModel(weights=weights, biases=biases, head_kind=head_kind)
-
-
 def _forward_cached(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Returns (layer inputs a_0..a_{L-1}, head outputs)."""
     acts = [x]
@@ -326,12 +300,16 @@ class TrainedRun:
 
     history holds one (train_loss, val_mae) pair per epoch; selected_epoch
     is 1-based and points at the first epoch achieving the minimum
-    validation MAE, whose parameter snapshot is best_model.
+    validation MAE, whose parameter snapshot is best_model. method and
+    label_set are those the model was trained with, so the run alone knows
+    how to decode its outputs into ages.
     """
 
     best_model: MlpModel
     history: tuple[tuple[float, float], ...]
     selected_epoch: int
+    method: MethodConfig
+    label_set: LabelSet
 
     @property
     def best_val_mae(self) -> float:
@@ -348,30 +326,30 @@ def _fold_mae(model: MlpModel, x: np.ndarray, ages: np.ndarray,
     return _sum_in_order(np.abs(pred.age - ages)) / len(ages)
 
 
-def evaluate_mae(model: MlpModel, table: DatasetTable, fold_ids,
-                 method: MethodConfig, label_set: Optional[LabelSet] = None) -> float:
-    """Mean absolute error in years of decoded predictions over a fold.
+def evaluate_mae(run: TrainedRun, table: DatasetTable, fold_ids) -> float:
+    """Mean absolute error in years of the run's selected model over a fold.
 
-    Outputs are decoded with label_set, the labels the model was trained
-    on; it defaults to the table's own. Errors are taken against the
-    table's true ages, so a model can be scored on a table whose label set
-    differs from its own.
+    Outputs are decoded with the run's method and label set, the labels the
+    model was trained on. Errors are taken against the table's true ages,
+    so a run can be scored on a table whose label set differs from its own.
     """
     ids = tuple(fold_ids)
     if not ids:
         raise ValueError("cannot evaluate an empty fold")
-    if label_set is None:
-        label_set = table.label_set
-    return _fold_mae(model, table.features_for(ids), table.ages_for(ids), method, label_set)
+    return _fold_mae(run.best_model, table.features_for(ids), table.ages_for(ids),
+                     run.method, run.label_set)
 
 
 def train(table: DatasetTable, split: SplitSpec, method: MethodConfig,
-          cfg: TrainConfig, initial_model: Optional[MlpModel] = None) -> TrainedRun:
+          cfg: TrainConfig) -> TrainedRun:
     """Fit a model on the split's train fold, selecting by val-fold MAE.
 
     Only the train and val folds are ever read; the test fold stays
     untouched. Given equal inputs the result is bitwise reproducible: the
-    seed drives both initialization and the per-epoch shuffles.
+    seed drives both initialization and the per-epoch shuffles. A
+    shared-score (CORAL) head starts with bias k at the logit of the train
+    fold's P(label index > k), as Cao, Mirjalili & Raschka (2020) do;
+    from zero biases Adam cannot spread the thresholds within a short run.
     """
     if not split.train:
         raise ValueError("split has an empty train fold")
@@ -383,20 +361,17 @@ def train(table: DatasetTable, split: SplitSpec, method: MethodConfig,
     x_val = table.features_for(split.val)
     ages_val = table.ages_for(split.val)
 
-    if initial_model is None:
-        model = init_model(
-            table.dimension,
-            cfg.hidden_dims,
-            method.head_size(len(label_set)),
-            seed=cfg.seed,
-            head_kind=head_kind_for(method),
-        )
-    else:
-        model = initial_model.copy()
-        if model.input_dim != table.dimension:
-            raise ValueError("initial model does not match the feature width")
-        if model.head_size != method.head_size(len(label_set)):
-            raise ValueError("initial model head does not match the method")
+    model = init_model(
+        table.dimension,
+        cfg.hidden_dims,
+        method.head_size(len(label_set)),
+        seed=cfg.seed,
+        head_kind=head_kind_for(method),
+    )
+    if model.head_kind == HEAD_SHARED_SCORE:
+        above = ebc_encode(label_set.indices_of(ages_train), len(label_set)).mean(axis=0)
+        p = np.clip(above, 1e-3, 1 - 1e-3)
+        model.biases[-1][:] = np.log(p / (1 - p))
 
     shuffle_rng = rng_from_seed(cfg.seed, 1)
     adam = _Adam(model, cfg)
@@ -427,7 +402,8 @@ def train(table: DatasetTable, split: SplitSpec, method: MethodConfig,
             best_epoch = epoch
             best_model = model.copy()
 
-    return TrainedRun(best_model=best_model, history=tuple(history), selected_epoch=best_epoch)
+    return TrainedRun(best_model=best_model, history=tuple(history), selected_epoch=best_epoch,
+                      method=method, label_set=label_set)
 
 
 _CHECKPOINT_VERSION = 1

@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from gradcheck import fd_grad, flatten_params, rel_err, set_params
 from oracles import grid_search_alignment_residual
@@ -32,7 +33,7 @@ from ordibench.methods import (
     sord_target,
 )
 from ordibench.prediction import bayes_mae_predict, brute_force_bayes
-from ordibench.splitting import MODE_SUBJECT_EXCLUSIVE, audit_split, make_split
+from ordibench.splitting import MODE_SUBJECT_EXCLUSIVE, audit_split, make_split, make_split_series
 from ordibench.stats import (
     ResultMatrix,
     chi2_cdf,
@@ -402,28 +403,35 @@ def test_criterion_9_determinism_and_test_fold_isolation(tmp_path):
 
 # ---------------------------------------------------------------- 10
 
-def test_criterion_10_full_grid_and_rank_report(tmp_path):
+@pytest.fixture(scope="module")
+def grid_10(tmp_path_factory):
+    """The criterion-10 grid, run once: (config, result, seconds, output dir)."""
+    out = tmp_path_factory.mktemp("grid10") / "grid"
+    cfg = ExperimentConfig.from_dict({
+        "datasets": [{
+            "name": "synthA",
+            "synth": {"n_identities": 60, "samples_per_identity": 4,
+                      "dimension": 16, "age_range": [20, 60],
+                      "sigma_id": 2.0, "sigma_obs": 0.5, "seed": 11},
+        }],
+        "methods": [{"family": f} for f in FAMILIES],
+        "split": {"mode": "se", "n_splits": 5,
+                  "fractions": [0.6, 0.2, 0.2], "base_seed": 0},
+        "train": {"epochs": 40, "seed": 0},
+        "output_dir": str(out),
+    })
+    t0 = time.time()
+    result = run_experiment(cfg, jobs=1)
+    return cfg, result, time.time() - t0, out
+
+
+def test_criterion_10_full_grid_and_rank_report(grid_10):
     label = "9-method grid completes under budget and yields a full rank report"
     with _criterion(10, label):
-        cfg = ExperimentConfig.from_dict({
-            "datasets": [{
-                "name": "synthA",
-                "synth": {"n_identities": 60, "samples_per_identity": 4,
-                          "dimension": 16, "age_range": [20, 60],
-                          "sigma_id": 2.0, "sigma_obs": 0.5, "seed": 11},
-            }],
-            "methods": [{"family": f} for f in FAMILIES],
-            "split": {"mode": "se", "n_splits": 5,
-                      "fractions": [0.6, 0.2, 0.2], "base_seed": 0},
-            "train": {"epochs": 40, "seed": 0},
-            "output_dir": str(tmp_path / "grid"),
-        }, base_dir=tmp_path)
-        t0 = time.time()
-        result = run_experiment(cfg, jobs=1)
-        elapsed = time.time() - t0
+        _, result, elapsed, out = grid_10
 
         complete = not result.failures and len(result.records) == 45
-        splits = load_result_matrix(tmp_path / "grid" / "mae_splits.csv")
+        splits = load_result_matrix(out / "mae_splits.csv")
         summary = friedman_test(splits, alpha=0.05)
         report_ok = (
             len(summary.avg_ranks) == 9
@@ -436,3 +444,21 @@ def test_criterion_10_full_grid_and_rank_report(tmp_path):
         _finish(10, label, ok,
                 f"45 records in {elapsed:.0f}s, p={summary.p_value:.4f}, "
                 f"null {verdict}, CD={summary.cd:.2f}")
+
+
+def test_every_family_beats_the_train_fold_median_on_the_grid(grid_10):
+    """Mean test MAE per family over the 5 splits, against predicting the
+    train fold's median age for every test sample of the same splits."""
+    cfg, result, _, _ = grid_10
+    table = cfg.datasets[0].load()
+    splits = make_split_series(table, cfg.split_mode, cfg.fractions, cfg.base_seed,
+                               cfg.n_splits)
+    median = np.mean([
+        np.mean(np.abs(table.ages_for(s.test) - np.median(table.ages_for(s.train))))
+        for s in splits
+    ])
+    means = {m: np.mean([r.test_mae for r in result.records if r.method == m])
+             for m in result.methods}
+    assert len(means) == 9 and len(result.records) == 45
+    losers = {m: round(v, 3) for m, v in means.items() if not v < median}
+    assert not losers, f"no better than the train-fold median ({median:.3f}): {losers}"

@@ -189,6 +189,18 @@ def test_run_rejects_a_name_that_breaks_the_csv_outputs(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_run_rejects_a_dataset_name_with_an_arrow(tmp_path, capsys):
+    cfg_path = write_run_config(tmp_path)
+    payload = json.loads(cfg_path.read_text())
+    first = payload["datasets"][0]
+    payload["datasets"] = [{**first, "name": n} for n in ("a", "b", "a->b")]
+    cfg_path.write_text(json.dumps(payload))
+    assert run_cli("run", cfg_path) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'->'" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_missing_config_exit_2(tmp_path, capsys):
     assert run_cli("run", tmp_path / "none.json") == 2
     assert capsys.readouterr().err.strip()

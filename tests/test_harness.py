@@ -24,11 +24,11 @@ from ordibench.harness import (
     run_experiment,
     save_run_records,
 )
-from ordibench.splitting import MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE
+from ordibench.splitting import MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE, make_split_series
 from ordibench.methods import MethodConfig
 from ordibench.prediction import decode_output
 from ordibench.stats import load_result_matrix
-from ordibench.training import forward
+from ordibench.training import evaluate_mae, forward, train
 
 BASE_CONFIG = {
     "datasets": [{
@@ -89,6 +89,14 @@ def test_config_rejects_names_that_break_the_csv_outputs(tmp_path, overrides):
         config_for(tmp_path, overrides)
 
 
+def test_config_rejects_arrow_in_dataset_names(tmp_path):
+    """With datasets a and b, a dataset named a->b would share a's cross rows' name."""
+    datasets = [{**BASE_CONFIG["datasets"][0], "name": n} for n in ("a", "b", "a->b")]
+    with pytest.raises(ValidationError, match="'->'"):
+        config_for(tmp_path, {"datasets": datasets})
+    assert not (tmp_path / "runs").exists()
+
+
 def test_config_from_json_resolves_relative_paths(tmp_path):
     payload = json.loads(json.dumps(BASE_CONFIG))
     payload["output_dir"] = "out"
@@ -131,6 +139,22 @@ def test_small_grid_end_to_end(tmp_path):
     splits = load_result_matrix(out / "mae_splits.csv")
     assert splits.datasets == ("synthA/split0", "synthA/split1")
     assert np.all(splits.mae >= 0)
+
+
+def test_grid_cells_are_the_models_train_builds(tmp_path):
+    """A grid cell scores exactly what a direct train() call with its seed scores."""
+    cfg = config_for(tmp_path, {"methods": [{"family": "coral"}, {"family": "regression"}]})
+    result = run_experiment(cfg, jobs=1)
+    table = cfg.datasets[0].load()
+    splits = make_split_series(table, cfg.split_mode, cfg.fractions, cfg.base_seed,
+                               cfg.n_splits)
+    assert len(result.records) == 4
+    for rec in result.records:
+        split = splits[rec.split_index]
+        run = train(table, split, MethodConfig(family=rec.method),
+                    dataclasses.replace(cfg.train, seed=rec.seed))
+        assert (rec.val_mae, rec.test_mae, rec.selected_epoch) == \
+            (run.best_val_mae, evaluate_mae(run, table, split.test), run.selected_epoch)
 
 
 def test_grid_rerun_is_byte_identical(tmp_path):
@@ -221,8 +245,8 @@ def test_cross_rows_decode_with_the_training_label_set(tmp_path, monkeypatch):
     runs, tables = {}, {}
     original_train = harness.train
 
-    def capturing_train(table, split, method, train_cfg, **kwargs):
-        run = original_train(table, split, method, train_cfg, **kwargs)
+    def capturing_train(table, split, method, train_cfg):
+        run = original_train(table, split, method, train_cfg)
         runs[(table.name, method.display_name)] = run
         tables[table.name] = table
         return run

@@ -12,6 +12,7 @@ from ordibench.training import (
     HEAD_SHARED_SCORE,
     MlpModel,
     TrainConfig,
+    TrainedRun,
     TrainingDiverged,
     batch_loss_and_grads,
     evaluate_mae,
@@ -19,7 +20,6 @@ from ordibench.training import (
     head_kind_for,
     init_model,
     load_model,
-    reset_head,
     save_model,
     train,
 )
@@ -65,24 +65,6 @@ def test_hidden_layers_shared_across_head_sizes():
     for other in (thresh, scalar):
         for wa, wb in zip(full.weights[:-1], other.weights[:-1]):
             assert np.array_equal(wa, wb)
-
-
-def test_reset_head_keeps_hidden_bitwise():
-    m = init_model(6, (12,), 5, seed=7)
-    r = reset_head(m, 5, seed=7)
-    assert np.array_equal(m.weights[0], r.weights[0])
-    assert np.array_equal(m.biases[0], r.biases[0])
-    assert not np.array_equal(m.weights[-1], r.weights[-1])
-    again = reset_head(m, 5, seed=7)
-    assert np.array_equal(r.weights[-1], again.weights[-1])
-
-
-def test_reset_head_to_threshold_width_feeds_ebc():
-    m = init_model(6, (12,), 5, seed=7)
-    r = reset_head(m, 4, seed=0)
-    z = forward(r, np.zeros(6))
-    out = ebc_loss(z, ebc_encode(2, 5))
-    assert np.isfinite(out.value)
 
 
 def test_shared_score_head_is_rank_one():
@@ -156,13 +138,20 @@ def hand_table():
     return DatasetTable(name="hand", label_set=ls, dimension=2, samples=samples)
 
 
+def run_of(model, method, label_set):
+    """A one-epoch TrainedRun around a hand-made model, to score it."""
+    return TrainedRun(best_model=model, history=((0.0, 0.0),), selected_epoch=1,
+                      method=method, label_set=label_set)
+
+
 def test_evaluate_mae_perfect_and_constant():
     tab = hand_table()
     # weights reading off the normalized age exactly
     perfect = MlpModel(weights=[np.array([[1.0], [0.0]])],
                        biases=[np.zeros(1)], head_kind=HEAD_DENSE)
     reg = MethodConfig(family="regression")
-    assert evaluate_mae(perfect, tab, tab.sample_ids, reg) == pytest.approx(0.0)
+    assert evaluate_mae(run_of(perfect, reg, tab.label_set), tab, tab.sample_ids) == \
+        pytest.approx(0.0)
 
     # constant head pinned at label 2 predicts 2 everywhere
     const = MlpModel(weights=[np.zeros((2, 5))],
@@ -170,9 +159,10 @@ def test_evaluate_mae_perfect_and_constant():
                      head_kind=HEAD_DENSE)
     ce = MethodConfig(family="cross-entropy")
     # |0-2|, |1-2|, |2-2|, |4-2| -> mean 5/4
-    assert evaluate_mae(const, tab, tab.sample_ids, ce) == pytest.approx(1.25)
+    const_run = run_of(const, ce, tab.label_set)
+    assert evaluate_mae(const_run, tab, tab.sample_ids) == pytest.approx(1.25)
     with pytest.raises(ValueError):
-        evaluate_mae(const, tab, (), ce)
+        evaluate_mae(const_run, tab, ())
 
 
 def clean_split_table(seed=5):
@@ -283,7 +273,7 @@ def test_one_loss_call_per_minibatch_and_one_decode_per_fold(call_counts, family
     batch_loss_and_grads(model, tab.features_for(rows), tab.ages_for(rows), method,
                          tab.label_set)
     assert call_counts == {"loss": 1, "decode": 0}
-    evaluate_mae(model, tab, split.val, method)
+    evaluate_mae(run_of(model, method, tab.label_set), tab, split.val)
     assert call_counts == {"loss": 1, "decode": 1}
 
     cfg = TrainConfig(epochs=3, batch_size=16, seed=0, hidden_dims=(8,))
@@ -323,12 +313,16 @@ def test_train_rejects_empty_folds():
         train(tab, bad, MethodConfig(family="cross-entropy"), TrainConfig(epochs=1))
 
 
-def test_train_validates_initial_model_shape():
+def test_coral_thresholds_start_at_the_train_fold_logits():
+    """Bias k starts at logit(P(label index > k)) over the train fold, clipped."""
     tab, split = clean_split_table()
-    wrong = init_model(tab.dimension, (8,), 3, seed=0)
-    with pytest.raises(ValueError):
-        train(tab, split, MethodConfig(family="cross-entropy"),
-              TrainConfig(epochs=1), initial_model=wrong)
+    run = train(tab, split, MethodConfig(family="coral"),
+                TrainConfig(learning_rate=1e-9, epochs=1, seed=0))
+    idx = [tab.label_set.index_of(a) for a in tab.ages_for(split.train)]
+    above = [np.mean([i > k for i in idx]) for k in range(len(tab.label_set) - 1)]
+    p = np.clip(above, 1e-3, 1 - 1e-3)
+    assert p.min() == 1e-3 or p.max() == 1 - 1e-3  # the clip is exercised
+    np.testing.assert_allclose(run.best_model.biases[-1], np.log(p / (1 - p)), rtol=0, atol=1e-6)
 
 
 def test_head_kind_selection():
