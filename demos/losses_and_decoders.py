@@ -15,10 +15,9 @@ from ordibench.data import LabelSet
 from ordibench.methods import (
     FAMILIES,
     MethodConfig,
-    dldl_target,
     loss_eval,
+    soft_targets,
     softmax,
-    sord_target,
 )
 from ordibench.prediction import bayes_mae_predict, brute_force_bayes, decode_output
 from ordibench.util import rng_from_seed
@@ -40,10 +39,10 @@ def main():
 
     print()
     print("=== Soft targets for age 23 ===")
-    d = dldl_target(labels.index_of(23), labels, sigma=1.0)
-    s = sord_target(labels.index_of(23), labels, alpha=1.0)
-    print("normal-shaped:", np.round(d.probs, 3))
-    print("exp-distance :", np.round(s.probs, 3))
+    d = soft_targets(MethodConfig(family="dldl", sigma=1.0), labels.index_of(23), labels)
+    s = soft_targets(MethodConfig(family="sord", alpha=1.0), labels.index_of(23), labels)
+    print("normal-shaped:", np.round(d, 3))
+    print("exp-distance :", np.round(s, 3))
 
     print()
     print("=== Median decoder vs brute force ===")

@@ -27,7 +27,6 @@ from .methods import (
     FAMILIES,
     LossEval,
     MethodConfig,
-    TargetDistribution,
     loss_eval,
 )
 from .prediction import (

@@ -16,30 +16,10 @@ from pathlib import Path
 
 from .data import ParseError, SynthSpec, ValidationError, generate_synthetic, load_dataset, save_dataset
 from .harness import ExperimentConfig, LeakageParams, leakage_demo, run_experiment
-from .splitting import (
-    MODE_RANDOM,
-    MODE_SUBJECT_EXCLUSIVE,
-    audit_split,
-    load_split,
-    make_split_series,
-    save_split,
-)
+from .splitting import audit_split, load_split, make_split_series, parse_mode, save_split
 from .stats import friedman_test, load_result_matrix, write_rank_report
 
 __all__ = ["main"]
-
-
-def _parse_mode(text: str) -> str:
-    aliases = {
-        "se": MODE_SUBJECT_EXCLUSIVE,
-        "subject-exclusive": MODE_SUBJECT_EXCLUSIVE,
-        "rs": MODE_RANDOM,
-        "random": MODE_RANDOM,
-    }
-    mode = aliases.get(text.lower())
-    if mode is None:
-        raise ValidationError(f"unknown mode {text!r}; use se or rs")
-    return mode
 
 
 def _parse_fractions(text: str) -> tuple[float, float, float]:
@@ -82,7 +62,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_split(args: argparse.Namespace) -> int:
     table = load_dataset(args.dataset)
-    mode = _parse_mode(args.mode)
+    mode = parse_mode(args.mode)
     fractions = _parse_fractions(args.fractions)
     splits = make_split_series(table, mode, fractions, args.base_seed, args.n)
     out_dir = Path(args.out_dir)

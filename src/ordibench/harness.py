@@ -12,6 +12,7 @@ set the model was trained on.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,8 +28,10 @@ from .splitting import (
     MODE_RANDOM,
     MODE_SUBJECT_EXCLUSIVE,
     SplitSpec,
+    _check_fractions,
     make_split,
     make_split_series,
+    parse_mode,
 )
 from .stats import ResultMatrix, aggregate_splits, save_result_matrix
 from .training import TrainConfig, evaluate_mae, train
@@ -45,6 +48,12 @@ __all__ = [
     "LeakageReport",
     "leakage_demo",
 ]
+
+
+def _check_keys(section: str, given, allowed: set) -> None:
+    unknown = set(given) - allowed
+    if unknown:
+        raise ValidationError(f"unknown {section} key(s): {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +108,7 @@ class ExperimentConfig:
                 raise ValidationError(f"dataset name {name!r} must not contain '->'")
         if self.split_mode not in (MODE_SUBJECT_EXCLUSIVE, MODE_RANDOM):
             raise ValidationError(f"unknown split mode {self.split_mode!r}")
+        object.__setattr__(self, "fractions", _check_fractions(self.fractions))
         if self.n_splits < 1:
             raise ValidationError("n_splits must be >= 1")
         if not self.output_dir:
@@ -106,18 +116,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict, base_dir: Path | None = None) -> "ExperimentConfig":
-        allowed = {"datasets", "methods", "split", "train", "output_dir"}
-        unknown = set(payload) - allowed
-        if unknown:
-            raise ValidationError(f"unknown config key(s): {sorted(unknown)}")
+        _check_keys("config", payload, {"datasets", "methods", "split", "train", "output_dir"})
         base = Path(base_dir) if base_dir is not None else Path(".")
 
         entries = []
         for item in payload.get("datasets", []):
+            _check_keys("dataset entry", item, {"name", "path", "synth"})
             synth = None
             path = None
             if "synth" in item:
                 s = dict(item["synth"])
+                fields = dataclasses.fields(SynthSpec)
+                _check_keys("synth", s, {f.name for f in fields})
+                missing = [f.name for f in fields
+                           if f.default is dataclasses.MISSING and f.name not in s]
+                if missing:
+                    raise ValidationError(f"synth recipe lacks key(s): {missing}")
                 if "age_range" in s:
                     s["age_range"] = tuple(s["age_range"])
                 synth = SynthSpec(**s)
@@ -128,11 +142,8 @@ class ExperimentConfig:
         methods = tuple(MethodConfig.from_dict(m) for m in payload.get("methods", []))
 
         split = payload.get("split", {})
-        mode = split.get("mode", MODE_SUBJECT_EXCLUSIVE)
-        if mode in ("se", "subject-exclusive"):
-            mode = MODE_SUBJECT_EXCLUSIVE
-        elif mode in ("rs", "random"):
-            mode = MODE_RANDOM
+        _check_keys("split", split, {"mode", "fractions", "n_splits", "base_seed"})
+        mode = parse_mode(split.get("mode", MODE_SUBJECT_EXCLUSIVE))
         fractions = tuple(split.get("fractions", (0.6, 0.2, 0.2)))
         n_splits = int(split.get("n_splits", 5))
         base_seed = int(split.get("base_seed", 0))
@@ -358,9 +369,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
             for j, m in enumerate(method_names):
                 vals = [by_cell[(ctx, m)][s] for s in range(config.n_splits)]
                 mean[i, j], std[i, j] = aggregate_splits(vals)
-        mean_matrix = ResultMatrix(
-            datasets=tuple(contexts), methods=method_names, mae=mean, std=std
-        )
+        mean_matrix = ResultMatrix(datasets=tuple(contexts), methods=method_names, mae=mean)
         files["mae_mean"] = str(save_result_matrix(mean_matrix, out_dir / "mae_mean.csv"))
         std_matrix = ResultMatrix(datasets=tuple(contexts), methods=method_names, mae=std)
         files["mae_std"] = str(save_result_matrix(std_matrix, out_dir / "mae_std.csv"))

@@ -14,6 +14,10 @@ finite-difference check in the test suite.
 Every loss takes either one head-output row or an (n, head) batch of rows
 (with one label index or age per row). There is one implementation: a
 single row runs the same array code as a batch, on its last axis.
+
+The soft targets of dldl, dldl-v2 and sord come from soft_targets alone:
+loss_eval trains on them and the acceptance gate checks them, so the
+targets that are tested are the targets that are used.
 """
 
 from __future__ import annotations
@@ -31,18 +35,13 @@ __all__ = [
     "THRESHOLD_FAMILIES",
     "MethodConfig",
     "LossEval",
-    "TargetDistribution",
     "softmax",
-    "log_softmax",
     "sigmoid",
     "ce_loss",
     "l1_regression_loss",
     "ebc_encode",
     "ebc_loss",
-    "coral_scores",
-    "one_hot_target",
-    "dldl_target",
-    "sord_target",
+    "soft_targets",
     "soft_ce_loss",
     "dldlv2_loss",
     "meanvar_loss",
@@ -160,28 +159,6 @@ class LossEval:
         self.value = _unwrap(self.value)
 
 
-@dataclass(frozen=True)
-class TargetDistribution:
-    """A normalized soft label over the label set."""
-
-    probs: np.ndarray
-    origin: str
-    param: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or len(p) < 1:
-            raise ValueError("target must be a 1-d probability vector")
-        if np.any(p < 0):
-            raise ValueError("target has negative mass")
-        s = p.sum()
-        if not np.isfinite(s) or s <= 0:
-            raise ValueError("target mass must be positive and finite")
-        p = p / s
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
-
-
 def _as_logits(logits) -> np.ndarray:
     """One head-output row (head,) or a batch of rows (n, head), all finite."""
     z = np.asarray(logits, dtype=float)
@@ -210,12 +187,6 @@ def softmax(logits) -> np.ndarray:
     z = _as_logits(logits)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(logits) -> np.ndarray:
-    z = _as_logits(logits)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
@@ -286,64 +257,30 @@ def ebc_loss(head_logits, targets) -> LossEval:
     return LossEval(_bce_with_logits(z, t).sum(axis=-1), sigmoid(z) - t)
 
 
-def coral_scores(shared_score: float, biases) -> np.ndarray:
-    """Threshold probabilities from one shared score and per-threshold biases.
+def soft_targets(config: MethodConfig, true_index, label_set: LabelSet) -> np.ndarray:
+    """Soft label distribution of the dldl, dldl-v2 and sord families.
 
-    Because every threshold shares the same score, the resulting
-    probabilities are ordered exactly like the biases, which makes the
-    decoded rank consistent by construction.
+    dldl and dldl-v2 use a discretized normal of standard deviation sigma
+    around the true label (Gao et al., IJCAI 2018); sord decays as
+    exp(-alpha |label distance|) (Diaz & Marathe, CVPR 2019). One label
+    index gives a (K,) row, n indices an (n, K) batch; every row sums to one.
     """
-    b = np.asarray(biases, dtype=float)
-    if b.ndim != 1 or len(b) < 1:
-        raise ValueError("biases must be a non-empty 1-d vector")
-    return sigmoid(float(shared_score) + b)
-
-
-def one_hot_target(true_index: int, n_labels: int) -> TargetDistribution:
-    return TargetDistribution(probs=_one_hot(_check_index(true_index, n_labels), n_labels),
-                              origin="one-hot")
-
-
-def _target_weights(origin: str, t: np.ndarray, y: np.ndarray, width: float) -> np.ndarray:
-    """Unnormalized soft-label weights around label index t, peak 1 per row.
-
-    origin "normal" is a discretized normal of standard deviation width;
-    "double-exponential" decays at rate width with label distance.
-    """
-    dist = y - y[t][..., None]
-    if origin == "normal":
-        expo = -(dist ** 2) / (2.0 * width * width)
+    if config.family not in ("dldl", "dldl-v2", "sord"):
+        raise ValueError(f"family {config.family!r} has no soft targets")
+    y = label_set.as_array()
+    dist = y - y[_check_index(true_index, len(y))][..., None]
+    if config.family == "sord":
+        expo = -config.alpha * np.abs(dist)
     else:
-        expo = -width * np.abs(dist)
-    return np.exp(expo - expo.max(axis=-1, keepdims=True))
-
-
-def dldl_target(true_index: int, label_set: LabelSet, sigma: float) -> TargetDistribution:
-    """Discretized normal target centred on the true label (width sigma)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    y = label_set.as_array()
-    w = _target_weights("normal", _check_index(true_index, len(y)), y, sigma)
-    return TargetDistribution(probs=w, origin="normal", param=float(sigma))
-
-
-def sord_target(true_index: int, label_set: LabelSet, alpha: float) -> TargetDistribution:
-    """Double-exponential target decaying with label distance (rate alpha)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    y = label_set.as_array()
-    w = _target_weights("double-exponential", _check_index(true_index, len(y)), y, alpha)
-    return TargetDistribution(probs=w, origin="double-exponential", param=float(alpha))
-
-
-def _target_probs(target) -> np.ndarray:
-    return np.asarray(getattr(target, "probs", target), dtype=float)
+        expo = -(dist ** 2) / (2.0 * config.sigma * config.sigma)
+    w = np.exp(expo - expo.max(axis=-1, keepdims=True))  # peak 1 per row
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def soft_ce_loss(logits, target) -> LossEval:
     """Cross-entropy against a soft target distribution (one per row)."""
     z = _as_logits(logits)
-    q = _target_probs(target)
+    q = np.asarray(target, dtype=float)
     if q.shape != z.shape:
         raise ValueError(f"target shape {q.shape} != logits shape {z.shape}")
     return LossEval(_logsumexp(z) - _rowdot(q, z), softmax(z) - q)
@@ -484,10 +421,7 @@ def loss_eval(config: MethodConfig, head_out, ages, label_set: LabelSet) -> Loss
     if family == "unimodal":
         return unimodal_loss(head_out, t, config.lambda_uni)
     if family in ("dldl", "dldl-v2", "sord"):
-        origin, width = (("double-exponential", config.alpha) if family == "sord"
-                         else ("normal", config.sigma))
-        w = _target_weights(origin, t, label_set.as_array(), width)
-        q = w / w.sum(axis=-1, keepdims=True)
+        q = soft_targets(config, t, label_set)
         if family == "dldl-v2":
             return dldlv2_loss(head_out, q, label_set, ages, config.lambda_expect)
         return soft_ce_loss(head_out, q)

@@ -23,6 +23,7 @@ __all__ = [
     "MODE_SUBJECT_EXCLUSIVE",
     "MODE_RANDOM",
     "FOLD_NAMES",
+    "parse_mode",
     "SplitSpec",
     "AuditReport",
     "make_split",
@@ -36,6 +37,8 @@ __all__ = [
 MODE_SUBJECT_EXCLUSIVE = "subject-exclusive"
 MODE_RANDOM = "random"
 _MODES = (MODE_SUBJECT_EXCLUSIVE, MODE_RANDOM)
+_MODE_ALIASES = {"se": MODE_SUBJECT_EXCLUSIVE, MODE_SUBJECT_EXCLUSIVE: MODE_SUBJECT_EXCLUSIVE,
+                 "rs": MODE_RANDOM, MODE_RANDOM: MODE_RANDOM}
 FOLD_NAMES = ("train", "val", "test")
 
 # One bin per distinct label while the label set is small; coarse fixed-width
@@ -43,6 +46,14 @@ FOLD_NAMES = ("train", "val", "test")
 _MAX_EXACT_BINS = 32
 _COARSE_BINS = 10
 _FRACTION_WARN_TOL = 0.02
+
+
+def parse_mode(text) -> str:
+    """The split mode named by se, rs or a full mode name, in any case."""
+    mode = _MODE_ALIASES.get(str(text).lower())
+    if mode is None:
+        raise ValidationError(f"unknown mode {text!r}; use se or rs")
+    return mode
 
 
 def _check_fractions(fractions) -> tuple[float, float, float]:

@@ -22,7 +22,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -52,7 +51,6 @@ class ResultMatrix:
     datasets: tuple[str, ...]
     methods: tuple[str, ...]
     mae: np.ndarray
-    std: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         mae = np.asarray(self.mae, dtype=float)
@@ -70,13 +68,6 @@ class ResultMatrix:
         mae = mae.copy()
         mae.flags.writeable = False
         object.__setattr__(self, "mae", mae)
-        if self.std is not None:
-            std = np.asarray(self.std, dtype=float)
-            if std.shape != mae.shape:
-                raise ValueError("std shape does not match the matrix")
-            std = std.copy()
-            std.flags.writeable = False
-            object.__setattr__(self, "std", std)
 
 
 def rank_rows(mae) -> np.ndarray:

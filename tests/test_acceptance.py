@@ -26,11 +26,10 @@ from ordibench.harness import ExperimentConfig, LeakageParams, leakage_demo, run
 from ordibench.methods import (
     FAMILIES,
     MethodConfig,
-    dldl_target,
     expectation,
     loss_eval,
+    soft_targets,
     softmax,
-    sord_target,
 )
 from ordibench.prediction import bayes_mae_predict, brute_force_bayes
 from ordibench.splitting import MODE_SUBJECT_EXCLUSIVE, audit_split, make_split, make_split_series
@@ -179,9 +178,10 @@ def test_criterion_3_target_encodings():
                 ls = LabelSet(tuple(range(k)))
                 t = int(rng.integers(0, k))
                 if kind == "dldl":
-                    q = dldl_target(t, ls, float(rng.uniform(0.2, 6.0))).probs
+                    cfg = MethodConfig(family="dldl", sigma=float(rng.uniform(0.2, 6.0)))
                 else:
-                    q = sord_target(t, ls, float(rng.uniform(0.1, 4.0))).probs
+                    cfg = MethodConfig(family="sord", alpha=float(rng.uniform(0.1, 4.0)))
+                q = soft_targets(cfg, t, ls)
                 worst_sum = max(worst_sum, abs(float(q.sum()) - 1.0))
                 if int(q.argmax()) != t:
                     bad_mode += 1

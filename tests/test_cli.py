@@ -201,6 +201,32 @@ def test_run_rejects_a_dataset_name_with_an_arrow(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("section, key", [
+    ("split", "n_split"), ("dataset", "pathh"), ("synth", "n_identity"),
+])
+def test_run_rejects_an_unknown_config_key_exit_2(tmp_path, capsys, section, key):
+    cfg_path = write_run_config(tmp_path)
+    payload = json.loads(cfg_path.read_text())
+    target = {"split": payload["split"], "dataset": payload["datasets"][0],
+              "synth": payload["datasets"][0]["synth"]}[section]
+    target[key] = 1
+    cfg_path.write_text(json.dumps(payload))
+    assert run_cli("run", cfg_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_rejects_bad_fractions_before_writing(tmp_path, capsys):
+    cfg_path = write_run_config(tmp_path)
+    payload = json.loads(cfg_path.read_text())
+    payload["split"]["fractions"] = [0.5, 0.5]
+    cfg_path.write_text(json.dumps(payload))
+    assert run_cli("run", cfg_path) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_missing_config_exit_2(tmp_path, capsys):
     assert run_cli("run", tmp_path / "none.json") == 2
     assert capsys.readouterr().err.strip()

@@ -97,6 +97,48 @@ def test_config_rejects_arrow_in_dataset_names(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+def _with_synth(**synth):
+    entry = {**BASE_CONFIG["datasets"][0]}
+    entry["synth"] = {**entry["synth"], **synth}
+    return entry
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"split": {**BASE_CONFIG["split"], "n_split": 1}}, "n_split"),
+    ({"datasets": [{**BASE_CONFIG["datasets"][0], "pathh": "d.csv"}]}, "pathh"),
+    ({"datasets": [_with_synth(n_identity=30)]}, "n_identity"),
+])
+def test_config_rejects_unknown_keys_in_every_section(tmp_path, overrides, named):
+    with pytest.raises(ValidationError, match=named):
+        config_for(tmp_path, overrides)
+
+
+def test_config_names_missing_synth_keys(tmp_path):
+    entry = _with_synth()
+    del entry["synth"]["dimension"]
+    with pytest.raises(ValidationError, match="dimension"):
+        config_for(tmp_path, {"datasets": [entry]})
+
+
+@pytest.mark.parametrize("fractions", [[0.5, 0.5], [0.6, 0.3, 0.3], [1.0, 0.0, 0.0]])
+def test_config_checks_fractions(tmp_path, fractions):
+    with pytest.raises(ValidationError, match="fraction"):
+        config_for(tmp_path, {"split": {**BASE_CONFIG["split"], "fractions": fractions}})
+
+
+@pytest.mark.parametrize("mode, want", [
+    ("Subject-Exclusive", MODE_SUBJECT_EXCLUSIVE), ("RS", MODE_RANDOM),
+])
+def test_config_split_mode_is_parsed_like_the_cli_mode(tmp_path, mode, want):
+    cfg = config_for(tmp_path, {"split": {**BASE_CONFIG["split"], "mode": mode}})
+    assert cfg.split_mode == want
+
+
+def test_config_rejects_unknown_split_mode(tmp_path):
+    with pytest.raises(ValidationError, match="unknown mode 'loo'"):
+        config_for(tmp_path, {"split": {**BASE_CONFIG["split"], "mode": "loo"}})
+
+
 def test_config_from_json_resolves_relative_paths(tmp_path):
     payload = json.loads(json.dumps(BASE_CONFIG))
     payload["output_dir"] = "out"

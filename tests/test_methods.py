@@ -13,21 +13,17 @@ from ordibench.methods import (
     THRESHOLD_FAMILIES,
     MethodConfig,
     ce_loss,
-    coral_scores,
-    dldl_target,
     dldlv2_loss,
     ebc_encode,
     ebc_loss,
     expectation,
     l1_regression_loss,
-    log_softmax,
     loss_eval,
     meanvar_loss,
-    one_hot_target,
     sigmoid,
-    softmax,
     soft_ce_loss,
-    sord_target,
+    soft_targets,
+    softmax,
     unimodal_loss,
     unimodal_penalty,
     variance,
@@ -49,8 +45,6 @@ def test_softmax_extreme_logits_stay_finite():
     p = softmax([1000.0, 0.0, -1000.0])
     assert np.all(np.isfinite(p))
     np.testing.assert_allclose(p, [1.0, 0.0, 0.0], atol=1e-12)
-    lp = log_softmax([1000.0, 0.0, -1000.0])
-    assert np.all(np.isfinite(lp[:1]))
 
 
 def test_sigmoid_matches_closed_form():
@@ -101,44 +95,44 @@ def test_ebc_loss_saturates_to_zero():
     assert ebc_loss(z, t).value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_coral_scores_monotone():
-    p = coral_scores(0.3, np.array([3.0, 1.0, -1.0]))
-    assert np.all(np.diff(p) < 0)
-    flat = coral_scores(0.3, np.zeros(3))
-    assert np.allclose(flat, flat[0])
-    assert np.allclose(coral_scores(80.0, np.array([1.0, -1.0])), 1.0)
-
-
 # --------------------------------------------------------- soft targets
 
+def dldl(sigma):
+    return MethodConfig(family="dldl", sigma=sigma)
+
+
+def sord(alpha):
+    return MethodConfig(family="sord", alpha=alpha)
+
+
 def test_dldl_target_normalized_and_centered():
-    q = dldl_target(4, LS10, sigma=2.0)
-    assert abs(q.probs.sum() - 1.0) < 1e-12
-    assert int(q.probs.argmax()) == 4
+    q = soft_targets(dldl(2.0), 4, LS10)
+    assert abs(q.sum() - 1.0) < 1e-12
+    assert int(q.argmax()) == 4
 
 
 def test_dldl_target_tiny_sigma_is_one_hot():
-    q = dldl_target(3, LS10, sigma=1e-6)
-    np.testing.assert_allclose(q.probs, one_hot_target(3, 10).probs, atol=1e-12)
+    q = soft_targets(dldl(1e-6), 3, LS10)
+    np.testing.assert_allclose(q, np.eye(10)[3], atol=1e-12)
 
 
 def test_dldl_target_symmetry():
-    q = dldl_target(4, LabelSet(tuple(range(0, 9))), sigma=1.5).probs
+    q = soft_targets(dldl(1.5), 4, LabelSet(tuple(range(0, 9))))
     np.testing.assert_allclose(q, q[::-1], atol=1e-15)
 
 
 def test_sord_hand_value():
-    q = sord_target(1, LS3, alpha=math.log(2)).probs
+    q = soft_targets(sord(math.log(2)), 1, LS3)
     np.testing.assert_allclose(q, [0.25, 0.5, 0.25], atol=1e-15)
 
 
 def test_sord_huge_alpha_is_one_hot():
-    q = sord_target(5, LS10, alpha=1e4)
-    np.testing.assert_allclose(q.probs, one_hot_target(5, 10).probs, atol=1e-12)
+    q = soft_targets(sord(1e4), 5, LS10)
+    np.testing.assert_allclose(q, np.eye(10)[5], atol=1e-12)
 
 
 def test_sord_symmetry():
-    q = sord_target(2, LabelSet((0, 1, 2, 3, 4)), alpha=0.7).probs
+    q = soft_targets(sord(0.7), 2, LabelSet((0, 1, 2, 3, 4)))
     np.testing.assert_allclose(q, q[::-1], atol=1e-15)
 
 
@@ -150,11 +144,47 @@ def test_soft_targets_random_sweep():
         t = int(rng.integers(0, k))
         sig = float(rng.uniform(0.2, 6.0))
         alp = float(rng.uniform(0.1, 4.0))
-        for q in (dldl_target(t, ls, sig).probs, sord_target(t, ls, alp).probs):
+        for q in (soft_targets(dldl(sig), t, ls), soft_targets(sord(alp), t, ls)):
             assert abs(q.sum() - 1.0) < 1e-12
             assert int(q.argmax()) == t
             assert np.all(np.diff(q[: t + 1]) >= -1e-15)
             assert np.all(np.diff(q[t:]) <= 1e-15)
+
+
+def test_soft_targets_batch_rows_and_dldl_v2():
+    ls = LabelSet((20, 21, 23, 30))
+    t = np.array([0, 3, 2, 2])
+    for cfg in (dldl(1.3), sord(0.6), MethodConfig(family="dldl-v2", sigma=1.3)):
+        batch = soft_targets(cfg, t, ls)
+        assert batch.shape == (4, 4)
+        np.testing.assert_array_equal(batch, [soft_targets(cfg, i, ls) for i in t])
+    np.testing.assert_array_equal(soft_targets(MethodConfig(family="dldl-v2", sigma=1.3), t, ls),
+                                  soft_targets(dldl(1.3), t, ls))
+    with pytest.raises(IndexError):
+        soft_targets(dldl(1.0), 4, ls)
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f not in ("dldl", "dldl-v2", "sord")])
+def test_soft_targets_reject_other_families(family):
+    with pytest.raises(ValueError, match="no soft targets"):
+        soft_targets(MethodConfig(family=family), 0, LS3)
+
+
+@pytest.mark.parametrize("family", ["dldl", "dldl-v2", "sord"])
+def test_loss_eval_trains_on_soft_targets(family):
+    """The soft-target families' loss is exactly their loss on soft_targets."""
+    cfg = MethodConfig(family=family, sigma=1.7, alpha=0.4, lambda_expect=0.8)
+    rng = rng_from_seed(303)
+    for _ in range(20):
+        ls, z, ages = _random_batch(rng, cfg)
+        q = soft_targets(cfg, ls.indices_of(ages), ls)
+        if family == "dldl-v2":
+            want = dldlv2_loss(z, q, ls, ages, cfg.lambda_expect)
+        else:
+            want = soft_ce_loss(z, q)
+        got = loss_eval(cfg, z, ages, ls)
+        np.testing.assert_array_equal(got.value, want.value)
+        np.testing.assert_array_equal(got.grad, want.grad)
 
 
 # ----------------------------------------------------- composite losses
@@ -170,7 +200,7 @@ def test_soft_ce_fixed_point():
 
 def test_soft_ce_one_hot_reduces_to_ce():
     z = np.array([0.3, -0.7, 0.2])
-    a = soft_ce_loss(z, one_hot_target(1, 3))
+    a = soft_ce_loss(z, np.eye(3)[1])
     b = ce_loss(z, 1)
     assert a.value == pytest.approx(b.value)
     np.testing.assert_allclose(a.grad, b.grad, atol=1e-15)
@@ -178,7 +208,7 @@ def test_soft_ce_one_hot_reduces_to_ce():
 
 def test_dldlv2_lambda_zero_reduces_to_soft_ce():
     z = np.array([0.1, 0.5, -0.3])
-    q = dldl_target(1, LS3, sigma=1.0)
+    q = soft_targets(dldl(1.0), 1, LS3)
     a = dldlv2_loss(z, q, LS3, true_age=1.0, lambda_expect=0.0)
     b = soft_ce_loss(z, q)
     assert a.value == pytest.approx(b.value)
@@ -187,7 +217,7 @@ def test_dldlv2_lambda_zero_reduces_to_soft_ce():
 
 def test_dldlv2_concentrated_anchor_vanishes():
     z = np.array([-40.0, 40.0, -40.0])
-    q = dldl_target(1, LS3, sigma=0.5)
+    q = soft_targets(dldl(0.5), 1, LS3)
     with_anchor = dldlv2_loss(z, q, LS3, true_age=1.0, lambda_expect=5.0)
     without = dldlv2_loss(z, q, LS3, true_age=1.0, lambda_expect=0.0)
     assert with_anchor.value == pytest.approx(without.value, abs=1e-12)
