@@ -15,6 +15,7 @@ from ordibench.data import LabelSet
 from ordibench.methods import (
     FAMILIES,
     MethodConfig,
+    encode_targets,
     loss_eval,
     soft_targets,
     softmax,
@@ -33,7 +34,7 @@ def main():
     for family in FAMILIES:
         cfg = MethodConfig(family=family)
         z = rng.normal(size=cfg.head_size(k))
-        ev = loss_eval(cfg, z, true_age, labels)
+        ev = loss_eval(cfg, z, encode_targets(cfg, true_age, labels), labels)
         print(f"{cfg.display_name:<22} head size {cfg.head_size(k):>2}  "
               f"loss {ev.value:8.4f}")
 

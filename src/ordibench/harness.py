@@ -2,12 +2,12 @@
 error matrices, plus the split-leakage demonstration.
 
 The harness owns the protocol sequencing: per dataset it builds a series of
-splits, and per split and method it trains one model. The trainer builds
-every model from the split's seed, so all methods on a split start from the
-same hidden layers. The trainer only ever sees the train and val folds; the
-single test-fold pass happens here, after model selection, and held-out
-datasets are scored in full as cross-dataset rows, decoded with the label
-set the model was trained on.
+splits, and per split one train() call fits every method, in lockstep. The
+trainer builds every model from the split's seed, so all methods on a split
+start from the same hidden layers. The trainer only ever sees the train and
+val folds; the single test-fold pass happens here, after model selection,
+and held-out datasets are scored in full as cross-dataset rows, decoded
+with the label set the model was trained on.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .splitting import (
     parse_mode,
 )
 from .stats import ResultMatrix, aggregate_splits, save_result_matrix
-from .training import TrainConfig, evaluate_mae, train
+from .training import TrainConfig, TrainedRun, evaluate_mae, train
 from .util import fmt_float
 
 __all__ = [
@@ -54,6 +54,51 @@ def _check_keys(section: str, given, allowed: set) -> None:
     unknown = set(given) - allowed
     if unknown:
         raise ValidationError(f"unknown {section} key(s): {sorted(unknown)}")
+
+
+_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+               "str": (str, "a string"), "object": (dict, "an object"), "list": (list, "a list")}
+
+
+def _is_kind(value, kind: str) -> bool:
+    """Whether a config value has the type a field annotation names: int,
+    float (any number), str, object, list, Optional[...] or tuple[...], a
+    list of the tuple's length (any length for tuple[x, ...])."""
+    if kind.startswith("Optional["):
+        kind = kind[len("Optional["):-1]
+    if kind.startswith("tuple["):
+        items = [k.strip() for k in kind[len("tuple["):-1].split(",")]
+        return (isinstance(value, (list, tuple))
+                and (items[-1] == "..." or len(value) == len(items))
+                and all(_is_kind(v, items[0]) for v in value))
+    return isinstance(value, _JSON_TYPES[kind][0]) and not isinstance(value, bool)
+
+
+def _kind_text(kind: str) -> str:
+    if kind.startswith("Optional["):
+        return _kind_text(kind[len("Optional["):-1])
+    if kind.startswith("tuple["):
+        items = [k.strip() for k in kind[len("tuple["):-1].split(",")]
+        count = "" if items[-1] == "..." else f"{len(items)} "
+        return f"a list of {count}{_JSON_TYPES[items[0]][1].split()[-1]}s"
+    return _JSON_TYPES[kind][1]
+
+
+def _check_types(section: str, payload: dict, kinds: dict[str, str]) -> None:
+    """Refuse, naming the key, a value whose type differs from its kind."""
+    for key, value in payload.items():
+        if key in kinds and not _is_kind(value, kinds[key]):
+            raise ValidationError(
+                f"{section} key {key!r} must be {_kind_text(kinds[key])}, got {value!r}")
+
+
+def _check_entry(section: str, item) -> None:
+    if not _is_kind(item, "object"):
+        raise ValidationError(f"each {section} entry must be an object, got {item!r}")
+
+
+def _field_kinds(cls) -> dict[str, str]:
+    return {f.name: f.type for f in dataclasses.fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -116,18 +161,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict, base_dir: Path | None = None) -> "ExperimentConfig":
+        if not _is_kind(payload, "object"):
+            raise ValidationError("a config must be a JSON object")
         _check_keys("config", payload, {"datasets", "methods", "split", "train", "output_dir"})
+        _check_types("config", payload, {"datasets": "list", "methods": "list", "split": "object",
+                                         "train": "object", "output_dir": "str"})
         base = Path(base_dir) if base_dir is not None else Path(".")
 
         entries = []
         for item in payload.get("datasets", []):
+            _check_entry("datasets", item)
             _check_keys("dataset entry", item, {"name", "path", "synth"})
+            _check_types("dataset entry", item, {"name": "str", "path": "str", "synth": "object"})
             synth = None
             path = None
             if "synth" in item:
                 s = dict(item["synth"])
                 fields = dataclasses.fields(SynthSpec)
                 _check_keys("synth", s, {f.name for f in fields})
+                _check_types("synth", s, _field_kinds(SynthSpec))
                 missing = [f.name for f in fields
                            if f.default is dataclasses.MISSING and f.name not in s]
                 if missing:
@@ -139,15 +191,21 @@ class ExperimentConfig:
                 path = str((base / item["path"]).resolve()) if not Path(item["path"]).is_absolute() else item["path"]
             entries.append(DatasetEntry(name=item.get("name", ""), path=path, synth=synth))
 
+        for m in payload.get("methods", []):
+            _check_entry("methods", m)
+            _check_types("method", m, _field_kinds(MethodConfig))
         methods = tuple(MethodConfig.from_dict(m) for m in payload.get("methods", []))
 
         split = payload.get("split", {})
         _check_keys("split", split, {"mode", "fractions", "n_splits", "base_seed"})
+        _check_types("split", split, {"mode": "str", "fractions": "tuple[float, float, float]",
+                                      "n_splits": "int", "base_seed": "int"})
         mode = parse_mode(split.get("mode", MODE_SUBJECT_EXCLUSIVE))
         fractions = tuple(split.get("fractions", (0.6, 0.2, 0.2)))
         n_splits = int(split.get("n_splits", 5))
         base_seed = int(split.get("base_seed", 0))
 
+        _check_types("train", payload.get("train", {}), _field_kinds(TrainConfig))
         train_cfg = TrainConfig.from_dict(payload.get("train", {}))
         out_dir = payload.get("output_dir", "runs")
         out_path = Path(out_dir)
@@ -220,123 +278,132 @@ def _cell_key(dataset: str, method: str, split_index: int) -> str:
     return f"{dataset}/{method}/split{split_index}"
 
 
-def _run_cell(table: DatasetTable, split: SplitSpec, split_index: int,
-              method: MethodConfig, cfg: TrainConfig,
-              holdouts: list[DatasetTable]) -> tuple[list[RunRecord], float]:
-    """Train one cell and score it on the test fold plus any held-out tables."""
-    started = time.perf_counter()
-    run = train(table, split, method, cfg)
-    wall = time.perf_counter() - started
-    test_mae = evaluate_mae(run, table, split.test)
-    records = [RunRecord(
-        dataset=table.name,
-        method=method.display_name,
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _records(run: TrainedRun, table: DatasetTable, split: SplitSpec, split_index: int,
+             cfg: TrainConfig, holdouts: list[DatasetTable]) -> list[RunRecord]:
+    """Score one trained cell on the test fold plus any held-out tables."""
+    scored = [(table.name, evaluate_mae(run, table, split.test))]
+    scored += [(f"{table.name}->{other.name}", evaluate_mae(run, other, other.sample_ids))
+               for other in holdouts]
+    return [RunRecord(
+        dataset=dataset,
+        method=run.method.display_name,
         split_index=split_index,
         seed=cfg.seed,
         val_mae=run.best_val_mae,
-        test_mae=float(test_mae),
+        test_mae=float(mae),
         selected_epoch=run.selected_epoch,
-    )]
-    for other in holdouts:
-        cross = evaluate_mae(run, other, other.sample_ids)
-        records.append(RunRecord(
-            dataset=f"{table.name}->{other.name}",
-            method=method.display_name,
-            split_index=split_index,
-            seed=cfg.seed,
-            val_mae=run.best_val_mae,
-            test_mae=float(cross),
-            selected_epoch=run.selected_epoch,
-        ))
-    return records, wall
+    ) for dataset, mae in scored]
 
 
-def _run_isolated(cell) -> tuple:
-    key, *args = cell
+def _run_task(table: DatasetTable, split: SplitSpec, split_index: int,
+              methods: tuple[MethodConfig, ...], cfg: TrainConfig,
+              holdouts: list[DatasetTable]) -> tuple[list[RunRecord], list, list]:
+    """Train every method of one split in one train() call and score each cell.
+
+    Returns the records, the (cell, error) failures and the task's
+    (key, train wall time), if train returned. A cell that fails, in
+    training or in scoring, is reported alone; an error that stops the whole
+    task fails each of its cells with the same message.
+    """
+    keys = [_cell_key(table.name, m.display_name, split_index) for m in methods]
     try:
-        records, wall = _run_cell(*args)
-        return key, records, wall, None
-    except Exception as exc:  # isolate cell failures; the collector reports them
-        return key, [], 0.0, f"{type(exc).__name__}: {exc}"
+        started = time.perf_counter()
+        outcomes = train(table, split, methods, cfg)
+        wall = time.perf_counter() - started
+    except Exception as exc:  # isolate task failures; the collector reports them
+        return [], [(key, _describe(exc)) for key in keys], []
+    records: list[RunRecord] = []
+    failures: list[tuple[str, str]] = []
+    for key, run in zip(keys, outcomes):
+        if isinstance(run, Exception):
+            failures.append((key, _describe(run)))
+            continue
+        try:
+            records.extend(_records(run, table, split, split_index, cfg, holdouts))
+        except Exception as exc:  # isolate cell failures; the collector reports them
+            failures.append((key, _describe(exc)))
+    return records, failures, [(f"{table.name}/split{split_index}", wall)]
 
 
-# A pool worker's copy of the grid's cells, set once by the pool initializer;
-# tasks then name a cell by its index. The parent process never sets it.
-_CELLS: list = []
+# A pool worker's copy of the grid's tasks, set once by the pool initializer;
+# a task is then named by its index. The parent process never sets it.
+_TASKS: list = []
 
 
-def _set_cells(cells: list) -> None:
-    global _CELLS
-    _CELLS = cells
+def _set_tasks(tasks: list) -> None:
+    global _TASKS
+    _TASKS = tasks
 
 
 def _pool_task(index: int) -> tuple:
-    return _run_isolated(_CELLS[index])
+    return _run_task(*_TASKS[index])
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Execute the full grid and write records and matrices to output_dir.
 
-    Cells are independent. With jobs > 1 they run in a pool of
-    min(jobs, cells) worker processes. The cell list, tables and splits
-    included, reaches each worker once, through the pool's initializer
-    (inherited under fork, pickled once per worker otherwise); a task is a
-    cell index. Both paths run a cell and isolate its failure the same way.
-    The collected records are sorted before writing, so reruns of the same
-    config produce byte-identical record and matrix files regardless of
-    jobs. Per-cell wall times go to a separate timings file, which is the
-    one output that legitimately varies between reruns.
+    A task is one split of one dataset: one train() call fits every method
+    on it in lockstep, then each cell is scored. Tasks are independent. With
+    jobs > 1 they run in a pool of min(jobs, tasks) worker processes. The
+    task list, tables and splits included, reaches each worker once,
+    through the pool's initializer (inherited under fork, pickled once per
+    worker otherwise); a task sent to a worker is an index. Both paths run a
+    task and isolate a cell's failure the same way. The collected records
+    are sorted before writing, so reruns of the same config produce
+    byte-identical record and matrix files regardless of jobs. Per-task wall
+    times go to a separate timings file, which is the one output that
+    legitimately varies between reruns. The tables are loaded and checked
+    before the output directory is made.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     tables = [entry.load() for entry in config.datasets]
     dims = {t.dimension for t in tables}
     if len(dims) > 1:
         raise ValidationError(
             f"cross-dataset evaluation needs one shared feature width, got {sorted(dims)}"
         )
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = []
+    tasks = []
     for d_idx, table in enumerate(tables):
         splits = make_split_series(
             table, config.split_mode, config.fractions, config.base_seed, config.n_splits
         )
         holdouts = [t for i, t in enumerate(tables) if i != d_idx]
         for s_idx, split in enumerate(splits):
-            cell_cfg = TrainConfig.from_dict(
+            task_cfg = TrainConfig.from_dict(
                 {**config.train.to_dict(), "seed": config.train.seed + s_idx}
             )
-            for method in config.methods:
-                key = _cell_key(table.name, method.display_name, s_idx)
-                cells.append((key, table, split, s_idx, method, cell_cfg, holdouts))
+            tasks.append((table, split, s_idx, config.methods, task_cfg, holdouts))
 
-    workers = min(jobs, len(cells))
+    workers = min(jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_cells,
-                                 initargs=(cells,)) as pool:
-            results = list(pool.map(_pool_task, range(len(cells))))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_tasks,
+                                 initargs=(tasks,)) as pool:
+            results = list(pool.map(_pool_task, range(len(tasks))))
     else:
-        results = [_run_isolated(c) for c in cells]
+        results = [_run_task(*t) for t in tasks]
 
     records: list[RunRecord] = []
     timings: list[tuple[str, float]] = []
     failures: list[tuple[str, str]] = []
-    for key, recs, wall, error in results:
-        if error is not None:
-            failures.append((key, error))
-        else:
-            records.extend(recs)
-            timings.append((key, wall))
+    for recs, fails, walls in results:
+        records.extend(recs)
+        failures.extend(fails)
+        timings.extend(walls)
 
     records.sort(key=lambda r: (r.dataset, r.method, r.split_index))
     files: dict[str, str] = {}
     rec_path = save_run_records(records, out_dir / "run_records.csv")
     files["records"] = str(rec_path)
 
-    timing_lines = ["cell,wall_time_s"]
+    timing_lines = ["task,wall_time_s"]
     for key, wall in sorted(timings):
         timing_lines.append(f"{key},{wall:.3f}")
     (out_dir / "run_timings.csv").write_text("\n".join(timing_lines) + "\n")

@@ -15,9 +15,12 @@ Every loss takes either one head-output row or an (n, head) batch of rows
 (with one label index or age per row). There is one implementation: a
 single row runs the same array code as a batch, on its last axis.
 
-The soft targets of dldl, dldl-v2 and sord come from soft_targets alone:
-loss_eval trains on them and the acceptance gate checks them, so the
-targets that are tested are the targets that are used.
+loss_eval is the one family dispatch. It takes the targets encode_targets
+built, not ages: a run encodes and validates its train fold's targets once,
+and each minibatch indexes their rows. The soft targets of dldl, dldl-v2 and
+sord come from soft_targets alone: encode_targets builds them and the
+acceptance gate checks them, so the targets that are tested are the targets
+that are used.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "THRESHOLD_FAMILIES",
     "MethodConfig",
     "LossEval",
+    "Targets",
     "softmax",
     "sigmoid",
     "ce_loss",
@@ -49,6 +53,7 @@ __all__ = [
     "unimodal_loss",
     "expectation",
     "variance",
+    "encode_targets",
     "loss_eval",
 ]
 
@@ -189,9 +194,17 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _logsumexp(z: np.ndarray) -> np.ndarray:
+def _soft_ce(z: np.ndarray, q: np.ndarray) -> tuple[LossEval, np.ndarray]:
+    """Cross-entropy of finite logit rows against target rows, and the softmax.
+
+    The log-sum-exp and the softmax share one exp; each takes the values
+    that softmax() and a separate log-sum-exp would give.
+    """
     m = z.max(axis=-1)
-    return m + np.log(np.exp(z - m[..., None]).sum(axis=-1))
+    e = np.exp(z - m[..., None])
+    s = e.sum(axis=-1)
+    p = e / s[..., None]
+    return LossEval(m + np.log(s) - _rowdot(q, z), p - q), p
 
 
 def sigmoid(x):
@@ -254,6 +267,10 @@ def ebc_loss(head_logits, targets) -> LossEval:
         raise ValueError(f"targets shape {t.shape} != logits shape {z.shape}")
     if np.any((t < 0) | (t > 1)):
         raise ValueError("threshold targets must lie in [0, 1]")
+    return _ebc(z, t)
+
+
+def _ebc(z: np.ndarray, t: np.ndarray) -> LossEval:
     return LossEval(_bce_with_logits(z, t).sum(axis=-1), sigmoid(z) - t)
 
 
@@ -280,10 +297,14 @@ def soft_targets(config: MethodConfig, true_index, label_set: LabelSet) -> np.nd
 def soft_ce_loss(logits, target) -> LossEval:
     """Cross-entropy against a soft target distribution (one per row)."""
     z = _as_logits(logits)
+    return _soft_ce(z, _target_rows(target, z))[0]
+
+
+def _target_rows(target, z: np.ndarray) -> np.ndarray:
     q = np.asarray(target, dtype=float)
     if q.shape != z.shape:
         raise ValueError(f"target shape {q.shape} != logits shape {z.shape}")
-    return LossEval(_logsumexp(z) - _rowdot(q, z), softmax(z) - q)
+    return q
 
 
 def _moments(probs, label_set: LabelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,10 +335,14 @@ def dldlv2_loss(logits, target, label_set: LabelSet, true_age,
     scalar prediction it implies; its subgradient at a zero residual is 0.
     """
     z = _as_logits(logits)
-    base = soft_ce_loss(z, target)
-    p = softmax(z)
+    return _dldlv2(z, _target_rows(target, z), label_set, np.asarray(true_age, dtype=float),
+                   lambda_expect)
+
+
+def _dldlv2(z, q, label_set, true_age, lambda_expect) -> LossEval:
+    base, p = _soft_ce(z, q)
     e, _, dev = _moments(p, label_set)
-    diff = e - np.asarray(true_age, dtype=float)
+    diff = e - true_age
     value = base.value + lambda_expect * np.abs(diff)
     grad = base.grad + (lambda_expect * np.sign(diff))[..., None] * p * dev
     return LossEval(value, grad)
@@ -332,8 +357,11 @@ def meanvar_loss(logits, true_index, label_set: LabelSet,
     """
     z = _as_logits(logits)
     t = _check_index(true_index, z.shape[-1])
-    base = ce_loss(z, t)
-    p = softmax(z)
+    return _meanvar(z, _one_hot(t, z.shape[-1]), t, label_set, lambda_mean, lambda_var)
+
+
+def _meanvar(z, one_hot, t, label_set, lambda_mean, lambda_var) -> LossEval:
+    base, p = _soft_ce(z, one_hot)
     e, var, dev = _moments(p, label_set)
     miss = e - label_set.as_array()[t]
     value = base.value + 0.5 * lambda_mean * miss ** 2 + lambda_var * var
@@ -378,8 +406,11 @@ def unimodal_loss(logits, true_index, lambda_uni: float = 1.0) -> LossEval:
     """
     z = _as_logits(logits)
     t = _check_index(true_index, z.shape[-1])
-    base = ce_loss(z, t)
-    p = softmax(z)
+    return _unimodal(z, _one_hot(t, z.shape[-1]), t, lambda_uni)
+
+
+def _unimodal(z, one_hot, t, lambda_uni) -> LossEval:
+    base, p = _soft_ce(z, one_hot)
     penalty, g = _unimodal_hinges(p, t)
     value = base.value + lambda_uni * penalty
     # softmax Jacobian applied to d(penalty)/d(probs)
@@ -397,32 +428,69 @@ def _regression_outputs(head_out) -> np.ndarray:
     return out[..., 0]
 
 
-def loss_eval(config: MethodConfig, head_out, ages, label_set: LabelSet) -> LossEval:
-    """Loss of one head-output row and its age, or of an (n, head) batch.
+@dataclass(frozen=True)
+class Targets:
+    """The training targets of one loss family for n ages, or for one age.
 
-    A single row (with a scalar age) gives a float value and a (head,)
-    gradient; a batch (with an (n,) age array) gives per-row values (n,) and
-    gradients (n, head). For regression the target is the age normalized to
-    [0, 1] over the label range; for every other family the integer label
-    index is used.
+    index holds each age's label index (None for regression, whose loss
+    needs no label). row is what the loss compares a head-output row with:
+    a one-hot or soft distribution over the K labels, the K-1 threshold
+    answers, or the age normalised to [0, 1]. Indexing with row positions
+    selects those rows.
+    """
+
+    index: Optional[np.ndarray]
+    row: np.ndarray
+
+    def __getitem__(self, rows) -> "Targets":
+        return Targets(None if self.index is None else self.index[rows], self.row[rows])
+
+
+def encode_targets(config: MethodConfig, ages, label_set: LabelSet) -> Targets:
+    """Encode ages (an (n,) array, or one age) into the targets of config's loss.
+
+    Every family but regression needs each age, truncated to whole years,
+    in the label set, and raises ValidationError otherwise. The row is
+    one-hot for cross-entropy, mean-variance and unimodal, soft_targets for
+    dldl, dldl-v2 and sord, ebc_encode for the threshold families, and the
+    age normalised over the label range for regression.
+    """
+    ages = np.asarray(ages, dtype=float)
+    if config.family == "regression":
+        return Targets(None, np.asarray(label_set.normalize(ages)))
+    t = label_set.indices_of(ages)
+    if config.family in THRESHOLD_FAMILIES:
+        row = ebc_encode(t, len(label_set))
+    elif config.family in ("dldl", "dldl-v2", "sord"):
+        row = soft_targets(config, t, label_set)
+    else:
+        row = _one_hot(t, len(label_set))
+    return Targets(t, row)
+
+
+def loss_eval(config: MethodConfig, head_out, targets: Targets, label_set: LabelSet) -> LossEval:
+    """Loss of one head-output row, or of an (n, head) batch, against its targets.
+
+    The targets come from encode_targets, for one age or for the n ages of
+    the batch, and are not checked again. A single row gives a float value
+    and a (head,) gradient; a batch gives per-row values (n,) and gradients
+    (n, head). dldl-v2 anchors its expectation on the label at the target
+    index, which is the age itself for whole-year ages.
     """
     family = config.family
-    ages = np.asarray(ages, dtype=float)
     if family == "regression":
-        return l1_regression_loss(_regression_outputs(head_out), label_set.normalize(ages))
-
-    t = label_set.indices_of(ages)
-    if family == "cross-entropy":
-        return ce_loss(head_out, t)
+        return l1_regression_loss(_regression_outputs(head_out), targets.row)
+    z = _as_logits(head_out)
+    if family in ("cross-entropy", "dldl", "sord"):
+        return _soft_ce(z, targets.row)[0]
     if family in THRESHOLD_FAMILIES:
-        return ebc_loss(head_out, ebc_encode(t, len(label_set)))
+        return _ebc(z, targets.row)
     if family == "mean-variance":
-        return meanvar_loss(head_out, t, label_set, config.lambda_mean, config.lambda_var)
+        return _meanvar(z, targets.row, targets.index, label_set,
+                        config.lambda_mean, config.lambda_var)
     if family == "unimodal":
-        return unimodal_loss(head_out, t, config.lambda_uni)
-    if family in ("dldl", "dldl-v2", "sord"):
-        q = soft_targets(config, t, label_set)
-        if family == "dldl-v2":
-            return dldlv2_loss(head_out, q, label_set, ages, config.lambda_expect)
-        return soft_ce_loss(head_out, q)
+        return _unimodal(z, targets.row, targets.index, config.lambda_uni)
+    if family == "dldl-v2":
+        return _dldlv2(z, targets.row, label_set, label_set.as_array()[targets.index],
+                       config.lambda_expect)
     raise ValueError(f"unknown method family {family!r}")

@@ -26,6 +26,7 @@ from ordibench.harness import ExperimentConfig, LeakageParams, leakage_demo, run
 from ordibench.methods import (
     FAMILIES,
     MethodConfig,
+    encode_targets,
     expectation,
     loss_eval,
     soft_targets,
@@ -41,6 +42,7 @@ from ordibench.stats import (
     load_result_matrix,
 )
 from ordibench.training import (
+    ModelStack,
     TrainConfig,
     batch_loss_and_grads,
     forward,
@@ -101,8 +103,8 @@ def test_criterion_1_gradient_suite():
                 cfg, ls, age, z = _random_head_point(rng, family)
                 if _near_kink(cfg, ls, age, z):
                     continue
-                got = loss_eval(cfg, z, age, ls)
-                fd = fd_grad(lambda v: loss_eval(cfg, v, age, ls).value, z)
+                got = loss_eval(cfg, z, encode_targets(cfg, age, ls), ls)
+                fd = fd_grad(lambda v: loss_eval(cfg, v, encode_targets(cfg, age, ls), ls).value, z)
                 worst_head = max(worst_head, rel_err(got.grad, fd))
                 done += 1
 
@@ -115,14 +117,16 @@ def test_criterion_1_gradient_suite():
             cfg = MethodConfig(family=family)
             model = init_model(5, (8,), cfg.head_size(k), seed=3,
                                head_kind=head_kind_for(cfg))
-            _, gw, gb = batch_loss_and_grads(model, xs, ages, cfg, ls)
+            stack = ModelStack([model])
+            batch_loss_and_grads(stack, xs, [encode_targets(cfg, ages, ls)], [cfg], ls)
+            gw, gb = stack.grads[0].weights, stack.grads[0].biases
             analytic = np.concatenate([g.ravel() for g in gw]
                                       + [g.ravel() for g in gb])
 
             def batch_value(vec):
                 m = set_params(model, vec)
                 out = forward(m, xs)
-                return sum(loss_eval(cfg, out[r], float(ages[r]), ls).value
+                return sum(loss_eval(cfg, out[r], encode_targets(cfg, float(ages[r]), ls), ls).value
                            for r in range(len(xs))) / len(xs)
 
             fd = fd_grad(batch_value, flatten_params(model))

@@ -227,6 +227,30 @@ def test_run_rejects_bad_fractions_before_writing(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("synth", "n_identities", "20"), ("split", "fractions", 0.5),
+])
+def test_run_names_a_value_of_the_wrong_type_exit_2(tmp_path, capsys, section, key, value):
+    cfg_path = write_run_config(tmp_path)
+    payload = json.loads(cfg_path.read_text())
+    {"split": payload["split"], "synth": payload["datasets"][0]["synth"]}[section][key] = value
+    cfg_path.write_text(json.dumps(payload))
+    assert run_cli("run", cfg_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{section} key {key!r}" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_missing_dataset_file_exit_2_without_output(tmp_path, capsys):
+    cfg_path = write_run_config(tmp_path)
+    payload = json.loads(cfg_path.read_text())
+    payload["datasets"].append({"name": "a", "path": "missing.csv"})
+    cfg_path.write_text(json.dumps(payload))
+    assert run_cli("run", cfg_path) == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_missing_config_exit_2(tmp_path, capsys):
     assert run_cli("run", tmp_path / "none.json") == 2
     assert capsys.readouterr().err.strip()

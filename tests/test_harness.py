@@ -120,6 +120,32 @@ def test_config_names_missing_synth_keys(tmp_path):
         config_for(tmp_path, {"datasets": [entry]})
 
 
+@pytest.mark.parametrize("overrides, named", [
+    ({"datasets": [_with_synth(n_identities="20")]}, "synth key 'n_identities'"),
+    ({"datasets": [_with_synth(age_range=[20])]}, "synth key 'age_range'"),
+    ({"split": {**BASE_CONFIG["split"], "fractions": 0.5}}, "split key 'fractions'"),
+    ({"split": {**BASE_CONFIG["split"], "n_splits": "2"}}, "split key 'n_splits'"),
+    ({"train": {**BASE_CONFIG["train"], "epochs": 6.0}}, "train key 'epochs'"),
+    ({"train": {**BASE_CONFIG["train"], "hidden_dims": 16}}, "train key 'hidden_dims'"),
+    ({"methods": [{"family": "sord", "alpha": "1"}, {"family": "dldl"}]}, "method key 'alpha'"),
+    ({"methods": ["sord", "dldl"]}, "methods entry"),
+    ({"output_dir": 3}, "config key 'output_dir'"),
+], ids=["n_identities", "age_range", "fractions", "n_splits", "epochs", "hidden_dims", "alpha",
+        "method_entry", "output_dir"])
+def test_config_names_a_value_of_the_wrong_type(tmp_path, overrides, named):
+    payload = {**json.loads(json.dumps(BASE_CONFIG)), "output_dir": "runs", **overrides}
+    with pytest.raises(ValidationError, match=named):
+        ExperimentConfig.from_dict(payload, base_dir=tmp_path)
+
+
+def test_a_missing_dataset_file_leaves_no_output_directory(tmp_path):
+    cfg = config_for(tmp_path, {"datasets": [BASE_CONFIG["datasets"][0],
+                                             {"name": "a", "path": "missing.csv"}]})
+    with pytest.raises(FileNotFoundError):
+        run_experiment(cfg, jobs=1)
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("fractions", [[0.5, 0.5], [0.6, 0.3, 0.3], [1.0, 0.0, 0.0]])
 def test_config_checks_fractions(tmp_path, fractions):
     with pytest.raises(ValidationError, match="fraction"):
@@ -287,11 +313,12 @@ def test_cross_rows_decode_with_the_training_label_set(tmp_path, monkeypatch):
     runs, tables = {}, {}
     original_train = harness.train
 
-    def capturing_train(table, split, method, train_cfg):
-        run = original_train(table, split, method, train_cfg)
-        runs[(table.name, method.display_name)] = run
+    def capturing_train(table, split, methods, train_cfg):
+        outcomes = original_train(table, split, methods, train_cfg)
+        for method, run in zip(methods, outcomes):
+            runs[(table.name, method.display_name)] = run
         tables[table.name] = table
-        return run
+        return outcomes
 
     monkeypatch.setattr(harness, "train", capturing_train)
     result = run_experiment(cfg, jobs=1)
@@ -330,6 +357,27 @@ def test_failed_cell_is_isolated(tmp_path):
     assert (tmp_path / "p" / "failures.txt").read_bytes() == (tmp_path / "s" / "failures.txt").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_diverging_family_leaves_the_others_bitwise_unchanged(tmp_path, jobs):
+    """Lockstep training shares one optimizer buffer: a family that diverges
+    on its first step must not reach the records of the others."""
+    methods = [{"family": f} for f in ("cross-entropy", "coral", "regression")]
+    diverging = methods + [{"family": "mean-variance", "lambda_mean": 1e308}]
+    clean = run_experiment(config_for(tmp_path, {"methods": methods}, out="clean"), jobs=jobs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = run_experiment(config_for(tmp_path, {"methods": diverging}, out="mixed"),
+                               jobs=jobs)
+        serial = run_experiment(config_for(tmp_path, {"methods": diverging}, out="serial"),
+                                jobs=1)
+    assert not clean.failures and len(clean.records) == 6
+    assert mixed.records == clean.records
+    assert mixed.failures == serial.failures == tuple(
+        (f"synthA/mean-variance/split{s}", "TrainingDiverged: training diverged at epoch 1")
+        for s in range(2))
+    assert (tmp_path / "mixed" / "failures.txt").read_bytes() == \
+        (tmp_path / "serial" / "failures.txt").read_bytes()
+
+
 @pytest.mark.parametrize("jobs", [0, -1, 1.5])
 def test_jobs_must_be_a_positive_integer(tmp_path, jobs):
     with pytest.raises(ValidationError, match="jobs"):
@@ -337,8 +385,8 @@ def test_jobs_must_be_a_positive_integer(tmp_path, jobs):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("jobs, workers", [(64, 4), (3, 3)])
-def test_pool_is_capped_at_the_cell_count(tmp_path, monkeypatch, jobs, workers):
+@pytest.mark.parametrize("jobs, workers", [(64, 3), (2, 2)])
+def test_pool_is_capped_at_the_task_count(tmp_path, monkeypatch, jobs, workers):
     sizes = []
 
     class InProcessPool:
@@ -353,19 +401,20 @@ def test_pool_is_capped_at_the_cell_count(tmp_path, monkeypatch, jobs, workers):
             return self
 
         def __exit__(self, *exc):
-            self.initializer([])  # a worker's copy of the cells ends with the worker
+            self.initializer([])  # a worker's copy of the tasks ends with the worker
             return False
 
         def map(self, fn, iterable):
             return map(fn, iterable)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-    result = run_experiment(config_for(tmp_path), jobs=jobs)  # 2 methods x 2 splits
+    split = {**BASE_CONFIG["split"], "n_splits": 3}
+    result = run_experiment(config_for(tmp_path, {"split": split}), jobs=jobs)  # 3 tasks
     assert sizes == [workers]
-    assert len(result.records) == 4 and not result.failures
+    assert len(result.records) == 6 and not result.failures
 
 
-def test_cells_reach_workers_as_indices(tmp_path, monkeypatch):
+def test_tasks_reach_workers_as_indices(tmp_path, monkeypatch):
     """A pool task pickles to a few bytes; the tables reach each worker once."""
     task_bytes = []
 
@@ -377,10 +426,10 @@ def test_cells_reach_workers_as_indices(tmp_path, monkeypatch):
     serial = run_experiment(config_for(tmp_path, out="s"), jobs=1)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     pooled = run_experiment(config_for(tmp_path, out="p"), jobs=2)
-    assert len(task_bytes) == 4
+    assert len(task_bytes) == 2  # one task per split
     assert max(task_bytes) < 1024, task_bytes
     assert pooled.records == serial.records
-    assert harness._CELLS == []  # the parent holds no table after the run
+    assert harness._TASKS == []  # the parent holds no table after the run
 
 
 @pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")

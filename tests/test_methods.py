@@ -18,6 +18,7 @@ from ordibench.methods import (
     ebc_loss,
     expectation,
     l1_regression_loss,
+    encode_targets,
     loss_eval,
     meanvar_loss,
     sigmoid,
@@ -182,7 +183,7 @@ def test_loss_eval_trains_on_soft_targets(family):
             want = dldlv2_loss(z, q, ls, ages, cfg.lambda_expect)
         else:
             want = soft_ce_loss(z, q)
-        got = loss_eval(cfg, z, ages, ls)
+        got = loss_eval(cfg, z, encode_targets(cfg, ages, ls), ls)
         np.testing.assert_array_equal(got.value, want.value)
         np.testing.assert_array_equal(got.grad, want.grad)
 
@@ -289,8 +290,8 @@ def test_gradients_match_finite_differences(family):
         cfg, ls, age, z = _random_point(rng, family)
         if _kink_adjacent(cfg, ls, age, z):
             continue
-        out = loss_eval(cfg, z, age, ls)
-        fd = fd_grad(lambda v: loss_eval(cfg, v, age, ls).value, z)
+        out = loss_eval(cfg, z, encode_targets(cfg, age, ls), ls)
+        fd = fd_grad(lambda v: loss_eval(cfg, v, encode_targets(cfg, age, ls), ls).value, z)
         assert rel_err(out.grad, fd) <= 1e-5, (family, checked)
         checked += 1
 
@@ -315,8 +316,8 @@ def test_batched_loss_equals_stacked_rows(family):
     rng = rng_from_seed(202)
     for _ in range(30):
         ls, z, ages = _random_batch(rng, cfg)
-        batch = loss_eval(cfg, z, ages, ls)
-        rows = [loss_eval(cfg, z[i], ages[i], ls) for i in range(len(z))]
+        batch = loss_eval(cfg, z, encode_targets(cfg, ages, ls), ls)
+        rows = [loss_eval(cfg, z[i], encode_targets(cfg, ages[i], ls), ls) for i in range(len(z))]
         assert batch.value.shape == (len(z),) and batch.grad.shape == z.shape
         assert all(isinstance(r.value, float) for r in rows)
         np.testing.assert_allclose(batch.value, [r.value for r in rows], rtol=0, atol=1e-12)
@@ -330,9 +331,9 @@ def test_batched_loss_rejects_age_outside_label_set(family):
     ls = LabelSet((20, 21, 23))
     z = np.zeros((3, cfg.head_size(3)))
     with pytest.raises(ValidationError):
-        loss_eval(cfg, z, np.array([20.0, 22.0, 23.0]), ls)
+        loss_eval(cfg, z, encode_targets(cfg, np.array([20.0, 22.0, 23.0]), ls), ls)
     with pytest.raises(ValidationError):
-        loss_eval(cfg, z[0], 24.0, ls)
+        loss_eval(cfg, z[0], encode_targets(cfg, 24.0, ls), ls)
 
 
 def test_unimodal_penalty_batch_matches_rows():

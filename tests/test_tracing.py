@@ -6,6 +6,8 @@ from pathlib import Path
 
 import ordibench
 import ordibench.cli  # noqa: F401  (the tracer wraps a cli name too)
+from ordibench.harness import ExperimentConfig
+from ordibench.splitting import make_split_series
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -26,3 +28,38 @@ def test_bench_tracer_installs_and_uninstalls_on_the_package(tmp_path, monkeypat
         t.uninstall()
     assert wrapped == set(originals)
     assert all(getattr(getattr(ordibench, m), a) is fn for (m, a), fn in originals.items())
+
+
+def test_bench_tracer_sees_the_training_hot_path(tmp_path, monkeypatch):
+    """One traced train() span per (dataset, split) task; the summed loss and
+    decode calls are those of every method's minibatches and folds."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    epochs, batch_size = 3, 16
+    cfg = ExperimentConfig.from_dict({
+        "datasets": [{"name": "synthA", "synth": {
+            "n_identities": 30, "samples_per_identity": 4, "dimension": 8,
+            "age_range": [20, 40], "sigma_id": 1.5, "sigma_obs": 0.4, "seed": 5}}],
+        "methods": [{"family": "cross-entropy"}, {"family": "coral"}],
+        "split": {"mode": "se", "n_splits": 2, "fractions": [0.6, 0.2, 0.2], "base_seed": 0},
+        "train": {"epochs": epochs, "batch_size": batch_size, "seed": 0, "hidden_dims": [16]},
+        "output_dir": str(tmp_path / "runs"),
+    })
+    t = tracer.Tracer(tmp_path / "trace")
+    t.install(ordibench)
+    try:
+        result = ordibench.harness.run_experiment(cfg, jobs=1)
+    finally:
+        t.uninstall()
+    assert not result.failures
+    layers = tracer.layer_metrics(*t.merged(), jobs=1)
+
+    table = cfg.datasets[0].load()
+    splits = make_split_series(table, cfg.split_mode, cfg.fractions, cfg.base_seed, cfg.n_splits)
+    methods = len(cfg.methods)
+    minibatches = sum(epochs * -(-len(s.train) // batch_size) for s in splits)
+    assert layers["harness.cells"] == len(splits)  # one training.train span per task
+    assert layers["methods.loss_calls"] == methods * minibatches
+    assert layers["prediction.decode_calls"] == methods * (epochs + 1) * len(splits)
+    assert layers["training.steps"] > 0

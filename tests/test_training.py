@@ -5,12 +5,13 @@ import pytest
 
 from gradcheck import fd_grad, flatten_params, rel_err, set_params
 from ordibench.data import LabelSet, Sample, DatasetTable, SynthSpec, generate_synthetic
-from ordibench.methods import MethodConfig, ebc_encode, ebc_loss
+from ordibench.methods import FAMILIES, MethodConfig, ebc_encode, ebc_loss, encode_targets
 from ordibench.splitting import MODE_SUBJECT_EXCLUSIVE, SplitSpec, make_split
 from ordibench.training import (
     HEAD_DENSE,
     HEAD_SHARED_SCORE,
     MlpModel,
+    ModelStack,
     TrainConfig,
     TrainedRun,
     TrainingDiverged,
@@ -24,7 +25,6 @@ from ordibench.training import (
     train,
 )
 from ordibench import training
-from ordibench.training import _backprop, _forward_cached
 from ordibench.util import rng_from_seed
 
 
@@ -95,13 +95,14 @@ def test_backprop_jacobian_small_model():
     model = init_model(3, (2,), 2, seed=13)
     x = rng_from_seed(14).normal(size=(1, 3))
     theta = flatten_params(model)
+    stack = ModelStack([model])
 
     for j in range(2):
-        acts, out = _forward_cached(model, x)
+        acts, heads_in = stack._layers(x)
         basis = np.zeros((1, 2))
         basis[0, j] = 1.0
-        gw, gb = _backprop(model, acts, basis)
-        analytic = np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb])
+        stack.backward(acts, heads_in, [basis])
+        analytic = flatten_params(stack.grads[0])
         fd = fd_grad(lambda v: forward(set_params(model, v), x)[0, j], theta)
         assert rel_err(analytic, fd) <= 1e-5
 
@@ -112,12 +113,13 @@ def test_shared_score_backprop_matches_fd():
     x = rng_from_seed(22).normal(size=(3, 4))
     ages = np.array([0.0, 3.0, 5.0])
     cfg = MethodConfig(family="coral")
-    _, gw, gb = batch_loss_and_grads(model, x, ages, cfg, ls)
-    analytic = np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb])
+    stack = ModelStack([model])
+    batch_loss_and_grads(stack, x, [encode_targets(cfg, ages, ls)], [cfg], ls)
+    analytic = flatten_params(stack.grads[0])
 
     def value(v):
         m = set_params(model, v)
-        out = _forward_cached(m, x)[1]
+        out = forward(m, x)
         total = 0.0
         for r in range(3):
             total += ebc_loss(out[r], ebc_encode(ls.index_of(int(ages[r])), 6)).value
@@ -270,7 +272,8 @@ def test_one_loss_call_per_minibatch_and_one_decode_per_fold(call_counts, family
     model = init_model(tab.dimension, (8,), method.head_size(len(tab.label_set)), seed=0,
                        head_kind=head_kind_for(method))
     rows = split.train[:32]
-    batch_loss_and_grads(model, tab.features_for(rows), tab.ages_for(rows), method,
+    batch_loss_and_grads(ModelStack([model]), tab.features_for(rows),
+                         [encode_targets(method, tab.ages_for(rows), tab.label_set)], [method],
                          tab.label_set)
     assert call_counts == {"loss": 1, "decode": 0}
     evaluate_mae(run_of(model, method, tab.label_set), tab, split.val)
@@ -282,6 +285,73 @@ def test_one_loss_call_per_minibatch_and_one_decode_per_fold(call_counts, family
     assert call_counts == {"loss": 1 + cfg.epochs * batches, "decode": 1 + cfg.epochs}
 
 
+def _member_arrays(model):
+    return [a.tobytes() for a in model.weights + model.biases]
+
+
+@pytest.mark.parametrize("hidden_dims", [(16, 8), ()], ids=["two_hidden", "no_hidden"])
+def test_a_stack_is_bitwise_its_stacks_of_one(hidden_dims):
+    """Every family in one stack (dense, shared-score and scalar heads) gets
+    the gradients and the run it gets alone, ragged minibatches included."""
+    tab, split = clean_split_table()
+    methods = [MethodConfig(family=f) for f in FAMILIES]
+    ls = tab.label_set
+    models = [init_model(tab.dimension, hidden_dims, m.head_size(len(ls)), seed=7,
+                         head_kind=head_kind_for(m)) for m in methods]
+    rng = rng_from_seed(8)
+    for model in models:  # move every member off the shared initial hidden layers
+        for a in model.weights + model.biases:
+            a += rng.normal(scale=0.1, size=a.shape)
+    stack = ModelStack(models)
+    for rows in (list(split.train[:13]), [split.train[0]]):
+        x, ages = tab.features_for(rows), tab.ages_for(rows)
+        targets = [encode_targets(m, ages, ls) for m in methods]
+        values = batch_loss_and_grads(stack, x, targets, methods, ls)
+        for k, (model, method) in enumerate(zip(models, methods)):
+            alone = ModelStack([model])
+            assert batch_loss_and_grads(alone, x, [targets[k]], [method], ls) == [values[k]]
+            assert _member_arrays(alone.grads[0]) == _member_arrays(stack.grads[k]), method
+
+    n = len(split.train)
+    for batch_size in (n - 1, 10):  # last minibatches of 1 and of n % 10 = 6 rows
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=2, hidden_dims=hidden_dims)
+        runs = train(tab, split, methods, cfg)
+        for method, run in zip(methods, runs):
+            alone = train(tab, split, method, cfg)
+            assert run.history == alone.history, method
+            assert run.selected_epoch == alone.selected_epoch
+            assert _member_arrays(run.best_model) == _member_arrays(alone.best_model)
+
+
+def test_a_failing_method_leaves_the_stack_and_the_others_go_on():
+    tab, split = clean_split_table()
+    cfg = TrainConfig(epochs=3, seed=0, hidden_dims=(8,))
+    methods = [MethodConfig(family="sord"),
+               MethodConfig(family="mean-variance", lambda_mean=1e308),
+               MethodConfig(family="coral")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = train(tab, split, methods, cfg)
+        with pytest.raises(TrainingDiverged):
+            train(tab, split, methods[1], cfg)
+    assert isinstance(runs[1], TrainingDiverged) and runs[1].epoch == 1
+    for method, run in zip(methods[::2], runs[::2]):
+        alone = train(tab, split, method, cfg)
+        assert run.history == alone.history
+        assert _member_arrays(run.best_model) == _member_arrays(alone.best_model)
+
+
+def test_selecting_members_keeps_their_parameters_and_gradients():
+    models = [init_model(4, (6, 5), k, seed=k) for k in (3, 1, 2)]
+    stack = ModelStack(models)
+    stack.grad[...] = rng_from_seed(1).normal(size=stack.grad.size)
+    kept, mask = stack.select([0, 2])
+    np.testing.assert_array_equal(kept.theta, stack.theta[mask])
+    np.testing.assert_array_equal(kept.grad, stack.grad[mask])
+    for k, j in ((0, 0), (1, 2)):
+        assert _member_arrays(kept.models[k]) == _member_arrays(models[j])
+        assert _member_arrays(kept.grads[k]) == _member_arrays(stack.grads[j])
+
+
 def test_in_place_adam_is_bitwise_the_textbook_update():
     cfg = TrainConfig(learning_rate=3e-3, beta1=0.85, beta2=0.995, adam_eps=1e-7)
     model = init_model(5, (7, 4), 3, seed=2)
@@ -289,11 +359,15 @@ def test_in_place_adam_is_bitwise_the_textbook_update():
     params = ref.weights + ref.biases
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
-    adam = training._Adam(model, cfg)
+    stack = ModelStack([model])
+    model, grad_views = stack.models[0], stack.grads[0].weights + stack.grads[0].biases
+    adam = training._Adam(stack.theta.size, cfg)
     rng = np.random.default_rng(0)
     for t in range(1, 31):
         grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape) for p in params]
-        adam.step(model, grads[:3], grads[3:])
+        for view, g in zip(grad_views, grads):
+            view[...] = g
+        adam.step(stack.theta, stack.grad)
         bc1 = 1.0 - cfg.beta1 ** t
         bc2 = 1.0 - cfg.beta2 ** t
         for i, (p, g) in enumerate(zip(params, grads)):
