@@ -180,34 +180,37 @@ def make_split(table: DatasetTable, mode: str, fractions, seed: int) -> SplitSpe
     idents.sort(key=lambda k: -len(groups[k]))  # stable: seeded order breaks ties
 
     sizes = np.array([len(groups[k]) for k in idents], dtype=float)
-    hists = np.array(
-        [np.bincount(bin_idx[list(groups[k])], minlength=n_bins) for k in idents], dtype=float
-    )
+    position = {k: i for i, k in enumerate(idents)}
+    owner = np.array([position[s.identity_id] for s in table.samples])
+    hists = np.bincount(owner * n_bins + bin_idx, minlength=len(idents) * n_bins)
+    hists = hists.reshape(len(idents), n_bins).astype(float)
     count_targets = np.asarray(targets, dtype=float)
     hist_targets = np.outer(fr, global_hist)
     fold_counts = np.zeros(3)
     fold_hists = np.zeros((3, n_bins))
+    # each fold's count gap and histogram gap so far; an assignment changes
+    # only the chosen fold's, to its *_next value
+    count_now = np.abs(fold_counts - count_targets)
+    gap_now = np.abs(fold_hists - hist_targets).sum(axis=1)
     fold = np.empty(len(idents), dtype=np.intp)
     for i, (c, h) in enumerate(zip(sizes, hists)):
         # marginal change of each fold's count gap: -c while below target,
         # +c once the identity would overshoot it
-        count_now = np.abs(fold_counts - count_targets)
         count_next = np.abs(fold_counts + c - count_targets)
         # marginal change of each fold's histogram gap: negative while the
         # identity's age bins still have room under the fold's target
-        gap_now = np.abs(fold_hists - hist_targets).sum(axis=1)
         gap_next = np.abs(fold_hists + h - hist_targets).sum(axis=1)
         f = int(np.argmin((count_next - count_now) + (gap_next - gap_now)))
         fold[i] = f
         fold_counts[f] += c
         fold_hists[f] += h
+        count_now[f] = count_next[f]
+        gap_now[f] = gap_next[f]
 
     _repair_assignment(sizes, hists, fold, count_targets, hist_targets)
-    assignment = dict(zip(idents, fold.tolist()))
-
-    fold_ids: list[list[str]] = [[], [], []]
-    for s in table.samples:
-        fold_ids[assignment[s.identity_id]].append(s.sample_id)
+    sample_fold = fold[owner]
+    ids = table.sample_ids
+    fold_ids = [[ids[r] for r in np.flatnonzero(sample_fold == f).tolist()] for f in range(3)]
 
     achieved = [len(f) / n for f in fold_ids]
     worst = max(abs(a - f) for a, f in zip(achieved, fr))
@@ -240,15 +243,24 @@ def _repair_assignment(sizes: np.ndarray, hists: np.ndarray, fold: np.ndarray,
     """Hill-climb the greedy assignment with moves and swaps, in place.
 
     sizes (n,) and hists (n, bins) are the identities' sample counts and age
-    histograms; fold (n,) is the fold of each and is updated. A step is
-    accepted when it lexicographically improves (total count gap, worst
-    normalized bin deviation, total histogram gap) by more than 1e-9;
-    equal-size swaps leave counts untouched and exist purely to trade ages
-    between folds. Each pass scores every move (identity by identity, target
-    folds ascending, never emptying a fold) and then every swap of
-    identities i < j in different folds (row by row), and takes the best
-    improving step; ties go to the earliest in that scan order, so the
-    result is deterministic.
+    histograms; fold (n,) is the fold of each and is updated; targets (3,)
+    are whole-number fold sizes. A step is accepted when it
+    lexicographically improves (total count gap, worst normalized bin
+    deviation, total histogram gap) by more than 1e-9; equal-size swaps
+    leave counts untouched and exist purely to trade ages between folds.
+    Each pass scores every move (identity by identity, target folds
+    ascending, never emptying a fold) and then every swap of identities
+    i < j in different folds (row by row), and takes the best improving
+    step; ties go to the earliest in that scan order, so the result is
+    deterministic.
+
+    Only candidates that can still win are scored in full. A candidate's
+    count gap comes first, from the two fold counts it changes; its
+    histograms are built and scored only when that gap is at most the
+    running best's gap + 1e-9. This drops nothing that could be taken:
+    counts and targets are whole numbers, so every count gap is exact, a
+    new best never has a larger gap than the old one, and a candidate whose
+    gap exceeds the best's loses on the first key whatever its histograms.
     """
     goals = (targets, hist_targets, hist_targets.sum(axis=0) / float(sizes.sum()))
     for _ in range(max_passes):
@@ -258,9 +270,21 @@ def _repair_assignment(sizes: np.ndarray, hists: np.ndarray, fold: np.ndarray,
         np.add.at(fold_hists, fold, hists)
         current = _objectives(fold_counts[None], fold_hists[None].copy(), *goals)
         best = tuple(float(v[0]) for v in current)
+        gap_now, fold_gaps = best[0], np.abs(fold_counts - targets)
         step = None
         for a, b, dst in _candidate_chunks(fold):
-            states = _candidate_states(sizes, hists, fold, a, b, dst, fold_counts, fold_hists)
+            src = fold[a]
+            dc = sizes[a] if b is None else sizes[a] - sizes[b]
+            src_count, dst_count = fold_counts[src] - dc, fold_counts[dst] + dc
+            count_gap = (gap_now - fold_gaps[src] - fold_gaps[dst]
+                         + np.abs(src_count - targets[src]) + np.abs(dst_count - targets[dst]))
+            keep = np.flatnonzero(count_gap <= best[0] + _TOL)
+            if keep.size == 0:
+                continue
+            a, src, dst = a[keep], src[keep], dst[keep]
+            b = None if b is None else b[keep]
+            states = _candidate_states(hists, fold_counts, fold_hists, a, b, src, dst,
+                                       src_count[keep], dst_count[keep])
             objs = _objectives(*states, *goals)
             k = _first_better(objs, best, 0)
             while k >= 0:
@@ -301,15 +325,14 @@ def _candidate_chunks(fold: np.ndarray):
             yield i[cross], j[cross], fold[j[cross]]
 
 
-def _candidate_states(sizes, hists, fold, a, b, dst, fold_counts, fold_hists):
-    """Fold counts (m, 3) and histograms (m, 3, bins) after each candidate step."""
-    dc = sizes[a] if b is None else sizes[a] - sizes[b]
-    dh = hists[a] if b is None else hists[a] - hists[b]
+def _candidate_states(hists, fold_counts, fold_hists, a, b, src, dst, src_count, dst_count):
+    """Fold counts (m, 3) and histograms (m, 3, bins) after each candidate
+    step, given the new counts of the two folds it changes."""
     rows = np.arange(len(a))
-    src = fold[a]
     counts = np.repeat(fold_counts[None], len(a), axis=0)
-    counts[rows, src] -= dc
-    counts[rows, dst] += dc
+    counts[rows, src] = src_count
+    counts[rows, dst] = dst_count
+    dh = hists[a] if b is None else hists[a] - hists[b]
     cand = np.repeat(fold_hists[None], len(a), axis=0)
     cand[rows, src] -= dh
     cand[rows, dst] += dh

@@ -301,8 +301,10 @@ def test_candidate_objectives_are_bitwise_those_of_one_state(n_bins):
     fold_hists = np.zeros((3, n_bins))
     np.add.at(fold_hists, fold, hists)
     for a, b, dst in splitting._candidate_chunks(fold):
-        counts, cand = splitting._candidate_states(sizes, hists, fold, a, b, dst,
-                                                   fold_counts, fold_hists)
+        src = fold[a]
+        dc = sizes[a] if b is None else sizes[a] - sizes[b]
+        counts, cand = splitting._candidate_states(hists, fold_counts, fold_hists, a, b, src, dst,
+                                                   fold_counts[src] - dc, fold_counts[dst] + dc)
         states = list(zip(counts.copy(), cand.copy()))
         objs = splitting._objectives(counts, cand, targets, hist_targets, global_norm)
         for k, (c, h) in enumerate(states):
@@ -366,3 +368,67 @@ def test_split_peak_memory_is_bounded(n_idents, ages, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mb * 1e6, peak
+
+
+def test_repair_scores_fewer_candidates_than_it_scans(monkeypatch):
+    """Once the folds sit at their target counts, every step that changes a
+    count loses on the first objective key: the repair scans it but never
+    builds or scores its histograms."""
+    objectives, chunks = splitting._objectives, splitting._candidate_chunks
+    scored, scanned = [], []
+
+    def counting_objectives(counts, *rest):
+        scored.append(len(counts))
+        return objectives(counts, *rest)
+
+    def counting_chunks(fold):
+        for a, b, dst in chunks(fold):
+            scanned.append(len(a))
+            yield a, b, dst
+
+    monkeypatch.setattr(splitting, "_objectives", counting_objectives)
+    monkeypatch.setattr(splitting, "_candidate_chunks", counting_chunks)
+    make_split(repair_table(120, 7, ages=(16, 80)), MODE_SUBJECT_EXCLUSIVE, FRACTIONS, 1000)
+    # 868 of 14419 here; without the count-gap filter every scanned step is scored
+    assert 0 < 4 * sum(scored) < sum(scanned)
+
+
+@pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")
+def test_repair_matches_the_oracle_while_counts_miss_their_targets(monkeypatch):
+    """Identities of 3 rows cannot meet fold sizes that are not multiples of
+    3, so the greedy assignment leaves a count gap, and the repair still
+    takes steps that change counts at an equal gap: the same steps as the
+    oracle's."""
+    repair = splitting._repair_assignment
+    captured = []
+    monkeypatch.setattr(splitting, "_repair_assignment", lambda *args: captured.append(args))
+    for n in (13, 15, 17):
+        for seed in range(4):
+            make_split(repair_table(n, 50 + n, sizes=(3, 3)), MODE_SUBJECT_EXCLUSIVE,
+                       (0.5, 0.25, 0.25), seed)
+    counts_changed = 0
+    for sizes, hists, greedy, targets, hist_targets in captured:
+        greedy_counts = np.bincount(greedy, weights=sizes, minlength=3)
+        assert np.abs(greedy_counts - targets).sum() > 0
+        fold, ref = greedy.copy(), greedy.copy()
+        repair(sizes, hists, fold, targets, hist_targets)
+        oracle_repair(sizes, hists, ref, targets, hist_targets)
+        np.testing.assert_array_equal(fold, ref)
+        counts_changed += not np.array_equal(np.bincount(fold, weights=sizes, minlength=3),
+                                             greedy_counts)
+    assert counts_changed >= 3
+
+
+def test_repair_closes_a_count_gap_that_only_moves_can_close():
+    """With equal sizes no swap changes a count: the moves into the folds
+    below target are the only steps that improve, and they are taken."""
+    sizes = np.full(10, 3.0)
+    hists = 3.0 * np.eye(5)[np.arange(10) % 5]  # identity k's rows all in bin k % 5
+    fold = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2])  # counts 12, 9, 9
+    targets = np.asarray(splitting._target_counts(30, FRACTIONS), dtype=float)  # 18, 6, 6
+    hist_targets = np.outer(FRACTIONS, hists.sum(axis=0))
+    ref = fold.copy()
+    splitting._repair_assignment(sizes, hists, fold, targets, hist_targets)
+    oracle_repair(sizes, hists, ref, targets, hist_targets)
+    np.testing.assert_array_equal(fold, ref)
+    np.testing.assert_array_equal(np.bincount(fold, weights=sizes, minlength=3), targets)
