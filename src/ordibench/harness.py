@@ -22,7 +22,15 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DatasetTable, SynthSpec, ValidationError, generate_synthetic, load_dataset
+from .data import (
+    DatasetTable,
+    SynthSpec,
+    ValidationError,
+    _check_types,
+    _is_kind,
+    generate_synthetic,
+    load_dataset,
+)
 from .methods import MethodConfig
 from .splitting import (
     MODE_RANDOM,
@@ -54,42 +62,6 @@ def _check_keys(section: str, given, allowed: set) -> None:
     unknown = set(given) - allowed
     if unknown:
         raise ValidationError(f"unknown {section} key(s): {sorted(unknown)}")
-
-
-_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-               "str": (str, "a string"), "object": (dict, "an object"), "list": (list, "a list")}
-
-
-def _is_kind(value, kind: str) -> bool:
-    """Whether a config value has the type a field annotation names: int,
-    float (any number), str, object, list, Optional[...] or tuple[...], a
-    list of the tuple's length (any length for tuple[x, ...])."""
-    if kind.startswith("Optional["):
-        kind = kind[len("Optional["):-1]
-    if kind.startswith("tuple["):
-        items = [k.strip() for k in kind[len("tuple["):-1].split(",")]
-        return (isinstance(value, (list, tuple))
-                and (items[-1] == "..." or len(value) == len(items))
-                and all(_is_kind(v, items[0]) for v in value))
-    return isinstance(value, _JSON_TYPES[kind][0]) and not isinstance(value, bool)
-
-
-def _kind_text(kind: str) -> str:
-    if kind.startswith("Optional["):
-        return _kind_text(kind[len("Optional["):-1])
-    if kind.startswith("tuple["):
-        items = [k.strip() for k in kind[len("tuple["):-1].split(",")]
-        count = "" if items[-1] == "..." else f"{len(items)} "
-        return f"a list of {count}{_JSON_TYPES[items[0]][1].split()[-1]}s"
-    return _JSON_TYPES[kind][1]
-
-
-def _check_types(section: str, payload: dict, kinds: dict[str, str]) -> None:
-    """Refuse, naming the key, a value whose type differs from its kind."""
-    for key, value in payload.items():
-        if key in kinds and not _is_kind(value, kinds[key]):
-            raise ValidationError(
-                f"{section} key {key!r} must be {_kind_text(kinds[key])}, got {value!r}")
 
 
 def _check_entry(section: str, item) -> None:

@@ -11,11 +11,12 @@ grad) where grad matches the head output elementwise; gradients are what
 the trainer backpropagates, so each formula here is paired with a
 finite-difference check in the test suite.
 
-Every loss takes either one head-output row or an (n, head) batch of rows
-(with one label index or age per row). There is one implementation: a
-single row runs the same array code as a batch, on its last axis.
-
-loss_eval is the one family dispatch. It takes the targets encode_targets
+loss_eval is the one public way to compute a loss, and the one family
+dispatch: the trainer, the demos and the gradient check all call it. It
+takes one head-output row or an (n, head) batch of rows, and a single row
+runs the same array code as a batch, on its last axis. Each family's
+formula is a private kernel (_soft_ce, _ebc, _l1, _dldlv2, _meanvar,
+_unimodal) that checks no input. loss_eval takes the targets encode_targets
 built, not ages: a run encodes and validates its train fold's targets once,
 and each minibatch indexes their rows. The soft targets of dldl, dldl-v2 and
 sord come from soft_targets alone: encode_targets builds them and the
@@ -41,16 +42,8 @@ __all__ = [
     "Targets",
     "softmax",
     "sigmoid",
-    "ce_loss",
-    "l1_regression_loss",
     "ebc_encode",
-    "ebc_loss",
     "soft_targets",
-    "soft_ce_loss",
-    "dldlv2_loss",
-    "meanvar_loss",
-    "unimodal_penalty",
-    "unimodal_loss",
     "expectation",
     "variance",
     "encode_targets",
@@ -226,17 +219,7 @@ def _check_index(index, n: int) -> np.ndarray:
     return idx
 
 
-def ce_loss(logits, true_index) -> LossEval:
-    """Categorical cross-entropy on softmax probabilities.
-
-    This is soft_ce_loss against a one-hot target; the target's dot product
-    with the logits picks out the true label's logit exactly.
-    """
-    z = _as_logits(logits)
-    return soft_ce_loss(z, _one_hot(_check_index(true_index, z.shape[-1]), z.shape[-1]))
-
-
-def l1_regression_loss(output, target) -> LossEval:
+def _l1(output, target) -> LossEval:
     """Absolute error of a scalar head against a (normalized) target age.
 
     The gradient is the sign of the residual; at zero residual the
@@ -257,17 +240,6 @@ def ebc_encode(true_index, n_labels: int) -> np.ndarray:
 def _bce_with_logits(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     # max(z,0) - z*t + log1p(exp(-|z|)) is exact and never overflows
     return np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-
-
-def ebc_loss(head_logits, targets) -> LossEval:
-    """Sum of binary cross-entropies over the K-1 threshold subproblems."""
-    z = _as_logits(head_logits)
-    t = np.asarray(targets, dtype=float)
-    if t.shape != z.shape:
-        raise ValueError(f"targets shape {t.shape} != logits shape {z.shape}")
-    if np.any((t < 0) | (t > 1)):
-        raise ValueError("threshold targets must lie in [0, 1]")
-    return _ebc(z, t)
 
 
 def _ebc(z: np.ndarray, t: np.ndarray) -> LossEval:
@@ -294,19 +266,6 @@ def soft_targets(config: MethodConfig, true_index, label_set: LabelSet) -> np.nd
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def soft_ce_loss(logits, target) -> LossEval:
-    """Cross-entropy against a soft target distribution (one per row)."""
-    z = _as_logits(logits)
-    return _soft_ce(z, _target_rows(target, z))[0]
-
-
-def _target_rows(target, z: np.ndarray) -> np.ndarray:
-    q = np.asarray(target, dtype=float)
-    if q.shape != z.shape:
-        raise ValueError(f"target shape {q.shape} != logits shape {z.shape}")
-    return q
-
-
 def _moments(probs, label_set: LabelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean and variance of the label under each posterior row, and label - mean."""
     p = np.asarray(probs, dtype=float)
@@ -327,19 +286,9 @@ def variance(probs, label_set: LabelSet):
     return _unwrap(_moments(probs, label_set)[1])
 
 
-def dldlv2_loss(logits, target, label_set: LabelSet, true_age,
-                lambda_expect: float = 1.0) -> LossEval:
-    """Soft cross-entropy plus an absolute anchor on the expected label.
-
-    The anchor term |E[label] - age| couples the whole distribution to the
-    scalar prediction it implies; its subgradient at a zero residual is 0.
-    """
-    z = _as_logits(logits)
-    return _dldlv2(z, _target_rows(target, z), label_set, np.asarray(true_age, dtype=float),
-                   lambda_expect)
-
-
 def _dldlv2(z, q, label_set, true_age, lambda_expect) -> LossEval:
+    """Soft cross-entropy plus lambda_expect |E[label] - age|; the anchor's
+    subgradient at a zero residual is 0."""
     base, p = _soft_ce(z, q)
     e, _, dev = _moments(p, label_set)
     diff = e - true_age
@@ -348,19 +297,8 @@ def _dldlv2(z, q, label_set, true_age, lambda_expect) -> LossEval:
     return LossEval(value, grad)
 
 
-def meanvar_loss(logits, true_index, label_set: LabelSet,
-                 lambda_mean: float = 0.2, lambda_var: float = 0.05) -> LossEval:
-    """Cross-entropy plus squared-mean and variance penalties.
-
-    value = ce + (lambda_mean / 2) (E[label] - y)^2 + lambda_var Var[label].
-    Both penalty gradients flow analytically through the softmax.
-    """
-    z = _as_logits(logits)
-    t = _check_index(true_index, z.shape[-1])
-    return _meanvar(z, _one_hot(t, z.shape[-1]), t, label_set, lambda_mean, lambda_var)
-
-
 def _meanvar(z, one_hot, t, label_set, lambda_mean, lambda_var) -> LossEval:
+    """ce + (lambda_mean / 2) (E[label] - y)^2 + lambda_var Var[label]."""
     base, p = _soft_ce(z, one_hot)
     e, var, dev = _moments(p, label_set)
     miss = e - label_set.as_array()[t]
@@ -387,29 +325,9 @@ def _unimodal_hinges(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.maximum(gap, 0.0).sum(axis=-1), g
 
 
-def unimodal_penalty(probs, mode_index):
-    """Total hinge violation of unimodality around the given mode.
-
-    Mass must be non-decreasing up to the mode and non-increasing after it;
-    every adjacent pair violating that contributes its gap.
-    """
-    p = np.asarray(probs, dtype=float)
-    return _unwrap(_unimodal_hinges(p, _check_index(mode_index, p.shape[-1]))[0])
-
-
-def unimodal_loss(logits, true_index, lambda_uni: float = 1.0) -> LossEval:
-    """Cross-entropy plus a hinge penalty on non-unimodal posteriors.
-
-    The penalty is piecewise linear in the probabilities, so the returned
-    gradient is a subgradient; at points where a hinge is exactly zero the
-    inactive branch is used.
-    """
-    z = _as_logits(logits)
-    t = _check_index(true_index, z.shape[-1])
-    return _unimodal(z, _one_hot(t, z.shape[-1]), t, lambda_uni)
-
-
 def _unimodal(z, one_hot, t, lambda_uni) -> LossEval:
+    """ce + lambda_uni times the hinge penalty; the penalty is piecewise
+    linear, so the gradient is a subgradient (inactive branch at a kink)."""
     base, p = _soft_ce(z, one_hot)
     penalty, g = _unimodal_hinges(p, t)
     value = base.value + lambda_uni * penalty
@@ -479,7 +397,7 @@ def loss_eval(config: MethodConfig, head_out, targets: Targets, label_set: Label
     """
     family = config.family
     if family == "regression":
-        return l1_regression_loss(_regression_outputs(head_out), targets.row)
+        return _l1(_regression_outputs(head_out), targets.row)
     z = _as_logits(head_out)
     if family in ("cross-entropy", "dldl", "sord"):
         return _soft_ce(z, targets.row)[0]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetTable, ParseError, ValidationError
+from .data import DatasetTable, ParseError, ValidationError, _check_types, _is_kind
 from .util import rng_from_seed
 
 __all__ = [
@@ -508,12 +508,17 @@ def load_split(path, table: DatasetTable | None = None) -> SplitSpec:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    for key in ("mode", "seed", "fractions", "train", "val", "test"):
+    if not _is_kind(payload, "object"):
+        raise ParseError(f"{path}: a split file must be a JSON object")
+    kinds = {"mode": "str", "seed": "int", "fractions": "tuple[float, float, float]",
+             **dict.fromkeys(FOLD_NAMES, "tuple[str, ...]")}
+    for key in kinds:
         if key not in payload:
             raise ParseError(f"{path}: missing key {key!r}")
+    _check_types(f"{path}: split", payload, kinds)
     split = SplitSpec(
-        mode=str(payload["mode"]),
-        seed=int(payload["seed"]),
+        mode=payload["mode"],
+        seed=payload["seed"],
         fractions=tuple(payload["fractions"]),
         train=tuple(payload["train"]),
         val=tuple(payload["val"]),

@@ -1,7 +1,9 @@
 """End-to-end command line flows and their exit codes."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +123,25 @@ def test_audit_unknown_ids_exit_2(tmp_path, capsys):
     p.write_text(json.dumps(payload))
     assert run_cli("audit", p, data) == 2
     assert capsys.readouterr().err.strip()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda payload: 5, "must be a JSON object"),
+    (lambda payload: " ".join(payload), "must be a JSON object"),
+    (lambda payload: {**payload, "fractions": 0.5}, "'fractions' must be a list of 3 finite numbers"),
+    (lambda payload: {**payload, "seed": None}, "'seed' must be an integer"),
+    (lambda payload: {**payload, "train": payload["train"][0]}, "'train' must be a list of strings"),
+], ids=["number", "string", "fractions", "seed", "fold_string"])
+def test_audit_split_file_of_the_wrong_type_exit_2(tmp_path, capsys, edit, named):
+    data = make_dataset(tmp_path)
+    assert run_cli("split", data, "--mode", "se", "--n", 1,
+                   "--out-dir", tmp_path / "s") == 0
+    p = tmp_path / "s" / "split_00.json"
+    p.write_text(json.dumps(edit(json.loads(p.read_text()))))
+    capsys.readouterr()
+    assert run_cli("audit", p, data) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def write_run_config(tmp_path, out_dir="runs", n_splits=2, epochs=5):
@@ -320,6 +341,14 @@ def test_import_loads_no_scipy_and_compare_still_works(tmp_path):
     report = json.loads((tmp_path / "rank_report.json").read_text())
     assert report["iman_davenport_f"] == pytest.approx(27 / 7, rel=1e-12)
     assert report["p_value"] == pytest.approx(f.sf(27 / 7, 2, 6), rel=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(ordibench.__path__)))
+def test_every_exported_name_exists(name):
+    """A name left in an __all__ after its definition is gone breaks `import *`."""
+    module = importlib.import_module(f"ordibench.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"ordibench.{name}.__all__ names missing {missing}"
 
 
 def test_compare_all_tied_keeps_null(tmp_path, capsys):

@@ -130,8 +130,13 @@ def test_config_names_missing_synth_keys(tmp_path):
     ({"methods": [{"family": "sord", "alpha": "1"}, {"family": "dldl"}]}, "method key 'alpha'"),
     ({"methods": ["sord", "dldl"]}, "methods entry"),
     ({"output_dir": 3}, "config key 'output_dir'"),
+    ({"train": {**BASE_CONFIG["train"], "learning_rate": float("nan")}},
+     "train key 'learning_rate' must be a finite number"),
+    ({"methods": [{"family": "sord", "alpha": float("inf")}, {"family": "dldl"}]},
+     "method key 'alpha'"),
+    ({"datasets": [_with_synth(sigma_id=float("nan"))]}, "synth key 'sigma_id'"),
 ], ids=["n_identities", "age_range", "fractions", "n_splits", "epochs", "hidden_dims", "alpha",
-        "method_entry", "output_dir"])
+        "method_entry", "output_dir", "learning_rate_nan", "alpha_inf", "sigma_id_nan"])
 def test_config_names_a_value_of_the_wrong_type(tmp_path, overrides, named):
     payload = {**json.loads(json.dumps(BASE_CONFIG)), "output_dir": "runs", **overrides}
     with pytest.raises(ValidationError, match=named):

@@ -12,27 +12,29 @@ from ordibench.methods import (
     FAMILIES,
     THRESHOLD_FAMILIES,
     MethodConfig,
-    ce_loss,
-    dldlv2_loss,
+    Targets,
     ebc_encode,
-    ebc_loss,
-    expectation,
-    l1_regression_loss,
     encode_targets,
+    expectation,
     loss_eval,
-    meanvar_loss,
     sigmoid,
-    soft_ce_loss,
     soft_targets,
     softmax,
-    unimodal_loss,
-    unimodal_penalty,
     variance,
 )
+from ordibench import methods
 from ordibench.util import rng_from_seed
 
 LS10 = LabelSet(tuple(range(0, 10)))
 LS3 = LabelSet((0, 1, 2))
+LS4 = LabelSet((0, 1, 2, 3))
+CE = MethodConfig(family="cross-entropy")
+CORAL = MethodConfig(family="coral")
+
+
+def loss_at(cfg, z, age, ls):
+    """loss_eval of head output z against the targets encode_targets builds for age."""
+    return loss_eval(cfg, np.asarray(z, dtype=float), encode_targets(cfg, age, ls), ls)
 
 
 # ---------------------------------------------------------------- softmax
@@ -56,27 +58,31 @@ def test_sigmoid_matches_closed_form():
 # ------------------------------------------------------------ plain losses
 
 def test_ce_uniform_case():
-    out = ce_loss(np.zeros(4), 1)
+    out = loss_at(CE, np.zeros(4), 1, LS4)
     assert out.value == pytest.approx(math.log(4))
     np.testing.assert_allclose(out.grad, [0.25, -0.75, 0.25, 0.25])
 
 
 def test_ce_perfect_prediction_limit():
     z = np.array([0.0, 40.0, 0.0])
-    assert ce_loss(z, 1).value == pytest.approx(0.0, abs=1e-12)
+    assert loss_at(CE, z, 1, LS3).value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ce_rejects_bad_index():
+def test_target_encoders_reject_bad_index():
     with pytest.raises(IndexError):
-        ce_loss(np.zeros(3), 3)
+        ebc_encode(3, 3)
+    with pytest.raises(IndexError):
+        soft_targets(dldl(1.0), 3, LS3)
 
 
 def test_l1_regression_hand_cases():
-    assert l1_regression_loss(5.0, 5.0).value == 0.0
-    up = l1_regression_loss(7.0, 5.0)
-    assert up.value == 2.0 and up.grad[0] == 1.0
-    down = l1_regression_loss(3.0, 5.0)
-    assert down.value == 2.0 and down.grad[0] == -1.0
+    reg = MethodConfig(family="regression")
+    ls = LabelSet(tuple(range(0, 9)))  # age 4 normalises to 0.5 exactly
+    assert loss_at(reg, 0.5, 4, ls).value == 0.0
+    up = loss_at(reg, 0.75, 4, ls)
+    assert up.value == 0.25 and up.grad[0] == 1.0
+    down = loss_at(reg, 0.25, 4, ls)
+    assert down.value == 0.25 and down.grad[0] == -1.0
 
 
 def test_ebc_encode_patterns():
@@ -86,14 +92,14 @@ def test_ebc_encode_patterns():
 
 
 def test_ebc_loss_zero_logits():
-    out = ebc_loss(np.zeros(3), ebc_encode(2, 4))
+    out = loss_at(CORAL, np.zeros(3), 2, LS4)
     assert out.value == pytest.approx(3 * math.log(2))
 
 
 def test_ebc_loss_saturates_to_zero():
     t = ebc_encode(2, 4).astype(float)
     z = np.where(t > 0.5, 50.0, -50.0)
-    assert ebc_loss(z, t).value == pytest.approx(0.0, abs=1e-12)
+    assert loss_at(CORAL, z, 2, LS4).value == pytest.approx(0.0, abs=1e-12)
 
 
 # --------------------------------------------------------- soft targets
@@ -180,9 +186,9 @@ def test_loss_eval_trains_on_soft_targets(family):
         ls, z, ages = _random_batch(rng, cfg)
         q = soft_targets(cfg, ls.indices_of(ages), ls)
         if family == "dldl-v2":
-            want = dldlv2_loss(z, q, ls, ages, cfg.lambda_expect)
+            want = methods._dldlv2(z, q, ls, ages, cfg.lambda_expect)
         else:
-            want = soft_ce_loss(z, q)
+            want = methods._soft_ce(z, q)[0]
         got = loss_eval(cfg, z, encode_targets(cfg, ages, ls), ls)
         np.testing.assert_array_equal(got.value, want.value)
         np.testing.assert_array_equal(got.grad, want.grad)
@@ -193,7 +199,7 @@ def test_loss_eval_trains_on_soft_targets(family):
 def test_soft_ce_fixed_point():
     z = np.array([0.4, -0.2, 1.1, 0.0])
     q = softmax(z)
-    out = soft_ce_loss(z, q)
+    out = loss_eval(dldl(1.0), z, Targets(np.int64(2), q), LS4)
     entropy = -float(q @ np.log(q))
     assert out.value == pytest.approx(entropy)
     np.testing.assert_allclose(out.grad, 0.0, atol=1e-15)
@@ -201,50 +207,56 @@ def test_soft_ce_fixed_point():
 
 def test_soft_ce_one_hot_reduces_to_ce():
     z = np.array([0.3, -0.7, 0.2])
-    a = soft_ce_loss(z, np.eye(3)[1])
-    b = ce_loss(z, 1)
+    a = loss_eval(dldl(1.0), z, Targets(np.int64(1), np.eye(3)[1]), LS3)
+    b = loss_at(CE, z, 1, LS3)
     assert a.value == pytest.approx(b.value)
     np.testing.assert_allclose(a.grad, b.grad, atol=1e-15)
 
 
 def test_dldlv2_lambda_zero_reduces_to_soft_ce():
     z = np.array([0.1, 0.5, -0.3])
-    q = soft_targets(dldl(1.0), 1, LS3)
-    a = dldlv2_loss(z, q, LS3, true_age=1.0, lambda_expect=0.0)
-    b = soft_ce_loss(z, q)
+    a = loss_at(MethodConfig(family="dldl-v2", sigma=1.0, lambda_expect=0.0), z, 1, LS3)
+    b = loss_at(dldl(1.0), z, 1, LS3)
     assert a.value == pytest.approx(b.value)
     np.testing.assert_allclose(a.grad, b.grad, atol=1e-15)
 
 
 def test_dldlv2_concentrated_anchor_vanishes():
     z = np.array([-40.0, 40.0, -40.0])
-    q = soft_targets(dldl(0.5), 1, LS3)
-    with_anchor = dldlv2_loss(z, q, LS3, true_age=1.0, lambda_expect=5.0)
-    without = dldlv2_loss(z, q, LS3, true_age=1.0, lambda_expect=0.0)
+    with_anchor = loss_at(MethodConfig(family="dldl-v2", sigma=0.5, lambda_expect=5.0), z, 1, LS3)
+    without = loss_at(MethodConfig(family="dldl-v2", sigma=0.5, lambda_expect=0.0), z, 1, LS3)
     assert with_anchor.value == pytest.approx(without.value, abs=1e-12)
 
 
 def test_meanvar_uniform_hand_value():
-    out = meanvar_loss(np.zeros(3), 1, LS3, lambda_mean=0.2, lambda_var=0.05)
+    cfg = MethodConfig(family="mean-variance", lambda_mean=0.2, lambda_var=0.05)
+    out = loss_at(cfg, np.zeros(3), 1, LS3)
     assert out.value == pytest.approx(math.log(3) + 0.05 * (2 / 3))
 
 
 def test_meanvar_one_hot_posterior():
     z = np.array([-60.0, 60.0, -60.0])
-    out = meanvar_loss(z, 1, LS3)
+    out = loss_at(MethodConfig(family="mean-variance"), z, 1, LS3)
     assert out.value == pytest.approx(0.0, abs=1e-10)
 
 
+def hinge_penalty(probs, mode):
+    """The unimodal loss with lambda_uni = 1 less the cross-entropy, at logits log(probs)."""
+    z = np.log(probs)
+    return (loss_at(MethodConfig(family="unimodal"), z, mode, LS3).value
+            - loss_at(CE, z, mode, LS3).value)
+
+
 def test_unimodal_penalty_hand_cases():
-    assert unimodal_penalty([0.5, 0.0, 0.5], 1) == pytest.approx(1.0)
-    assert unimodal_penalty([0.1, 0.6, 0.3], 1) == 0.0
-    assert unimodal_penalty([0.6, 0.1, 0.3], 0) == pytest.approx(0.2)
+    assert hinge_penalty([0.5, 1e-30, 0.5], 1) == pytest.approx(1.0)
+    assert hinge_penalty([0.1, 0.6, 0.3], 1) == 0.0
+    assert hinge_penalty([0.6, 0.1, 0.3], 0) == pytest.approx(0.2)
 
 
 def test_unimodal_loss_feasible_equals_ce():
     z = np.array([0.0, 2.0, 0.0])  # softmax is unimodal at 1
-    a = unimodal_loss(z, 1, lambda_uni=3.0)
-    b = ce_loss(z, 1)
+    a = loss_at(MethodConfig(family="unimodal", lambda_uni=3.0), z, 1, LS3)
+    b = loss_at(CE, z, 1, LS3)
     assert a.value == pytest.approx(b.value)
     np.testing.assert_allclose(a.grad, b.grad, atol=1e-15)
 
@@ -337,11 +349,13 @@ def test_batched_loss_rejects_age_outside_label_set(family):
 
 
 def test_unimodal_penalty_batch_matches_rows():
+    cfg = MethodConfig(family="unimodal")
+    ls = LabelSet(tuple(range(12)))
     rng = rng_from_seed(7)
-    p = rng.dirichlet(np.ones(12), size=9)
-    modes = rng.integers(0, 12, size=9)
-    np.testing.assert_allclose(unimodal_penalty(p, modes),
-                               [unimodal_penalty(p[i], modes[i]) for i in range(9)],
+    z = np.log(rng.dirichlet(np.ones(12), size=9))
+    modes = rng.integers(0, 12, size=9).astype(float)
+    np.testing.assert_allclose(loss_at(cfg, z, modes, ls).value,
+                               [loss_at(cfg, z[i], modes[i], ls).value for i in range(9)],
                                rtol=0, atol=1e-15)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from gradcheck import fd_grad, flatten_params, rel_err, set_params
 from ordibench.data import LabelSet, Sample, DatasetTable, SynthSpec, generate_synthetic
-from ordibench.methods import FAMILIES, MethodConfig, ebc_encode, ebc_loss, encode_targets
+from ordibench.methods import FAMILIES, MethodConfig, encode_targets, loss_eval
 from ordibench.splitting import MODE_SUBJECT_EXCLUSIVE, SplitSpec, make_split
 from ordibench.training import (
     HEAD_DENSE,
@@ -122,7 +122,7 @@ def test_shared_score_backprop_matches_fd():
         out = forward(m, x)
         total = 0.0
         for r in range(3):
-            total += ebc_loss(out[r], ebc_encode(ls.index_of(int(ages[r])), 6)).value
+            total += loss_eval(cfg, out[r], encode_targets(cfg, ages[r], ls), ls).value
         return total / 3
 
     fd = fd_grad(value, flatten_params(model))
