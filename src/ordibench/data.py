@@ -174,12 +174,15 @@ class DatasetTable:
             raise ValidationError("dimension must be positive")
         samples = tuple(self.samples)
         seen: set[str] = set()
+        codes: dict[str, int] = {}  # identity -> its first-appearance rank
+        row_codes = []
         for s in samples:
             if s.sample_id in seen:
                 raise ValidationError(f"duplicate sample_id {s.sample_id!r}")
             seen.add(s.sample_id)
             if not s.identity_id:
                 raise ValidationError(f"sample {s.sample_id!r} has an empty identity_id")
+            row_codes.append(codes.setdefault(s.identity_id, len(codes)))
             s.age = int(s.age)
             if s.age not in self.label_set:
                 raise ValidationError(
@@ -197,6 +200,11 @@ class DatasetTable:
             s.features = feats
         self.samples = samples
         self._row = {s.sample_id: i for i, s in enumerate(samples)}
+        self._sample_ids = tuple(s.sample_id for s in samples)
+        self._identities = tuple(codes)
+        identity_codes = np.array(row_codes, dtype=np.intp)
+        identity_codes.flags.writeable = False
+        self._identity_codes = identity_codes
         if samples:
             mat = np.stack([s.features for s in samples]).astype(float)
         else:
@@ -212,7 +220,13 @@ class DatasetTable:
 
     @property
     def sample_ids(self) -> tuple[str, ...]:
-        return tuple(s.sample_id for s in self.samples)
+        return self._sample_ids
+
+    @property
+    def identity_codes(self) -> np.ndarray:
+        """(n,) intp array, read-only: each row's identity as its index in
+        identities()."""
+        return self._identity_codes
 
     @property
     def feature_matrix(self) -> np.ndarray:
@@ -233,7 +247,10 @@ class DatasetTable:
             raise ValidationError(f"unknown sample_id {sample_id!r}") from None
 
     def rows_for(self, sample_ids) -> np.ndarray:
-        return np.asarray([self.row_of(sid) for sid in sample_ids], dtype=int)
+        try:
+            return np.asarray([self._row[sid] for sid in sample_ids], dtype=int)
+        except KeyError as exc:
+            raise ValidationError(f"unknown sample_id {exc.args[0]!r}") from None
 
     def features_for(self, sample_ids) -> np.ndarray:
         return self._features[self.rows_for(sample_ids)]
@@ -243,17 +260,14 @@ class DatasetTable:
 
     def identities(self) -> tuple[str, ...]:
         """Distinct identity ids in first-appearance order."""
-        out: dict[str, None] = {}
-        for s in self.samples:
-            out.setdefault(s.identity_id, None)
-        return tuple(out)
+        return self._identities
 
     def by_identity(self) -> dict[str, tuple[int, ...]]:
         """Row indices grouped by identity, identities in first-appearance order."""
-        groups: dict[str, list[int]] = {}
-        for i, s in enumerate(self.samples):
-            groups.setdefault(s.identity_id, []).append(i)
-        return {k: tuple(v) for k, v in groups.items()}
+        rows = np.argsort(self._identity_codes, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self._identity_codes, minlength=len(self._identities)))
+        starts = [0, *ends[:-1].tolist()]
+        return {k: tuple(rows[a:b]) for k, a, b in zip(self._identities, starts, ends.tolist())}
 
 
 @dataclass(frozen=True)

@@ -203,12 +203,8 @@ def _soft_ce(z: np.ndarray, q: np.ndarray) -> tuple[LossEval, np.ndarray]:
 def sigmoid(x):
     """Elementwise logistic function, stable for large |x|."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below: never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_index(index, n: int) -> np.ndarray:

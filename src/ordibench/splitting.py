@@ -83,15 +83,16 @@ class SplitSpec:
             raise ValidationError(f"unknown split mode {self.mode!r}")
         object.__setattr__(self, "fractions", _check_fractions(self.fractions))
         folds = [tuple(self.train), tuple(self.val), tuple(self.test)]
-        for name, fold in zip(FOLD_NAMES, folds):
-            if len(set(fold)) != len(fold):
+        members = [set(fold) for fold in folds]
+        for name, fold, seen in zip(FOLD_NAMES, folds, members):
+            if len(seen) != len(fold):
                 raise ValidationError(f"fold {name!r} contains duplicate sample ids")
         object.__setattr__(self, "train", folds[0])
         object.__setattr__(self, "val", folds[1])
         object.__setattr__(self, "test", folds[2])
         for i in range(3):
             for j in range(i + 1, 3):
-                both = set(folds[i]) & set(folds[j])
+                both = members[i] & members[j]
                 if both:
                     raise ValidationError(
                         f"folds {FOLD_NAMES[i]!r} and {FOLD_NAMES[j]!r} share sample ids: "
@@ -167,45 +168,30 @@ def make_split(table: DatasetTable, mode: str, fractions, seed: int) -> SplitSpe
             test=tuple(ids[i] for i in folds[2]),
         )
 
-    groups = table.by_identity()
-    if len(groups) < 3:
+    codes = table.identity_codes
+    n_idents = len(table.identities())
+    if n_idents < 3:
         raise ValidationError(
-            f"subject-exclusive split needs at least 3 identities, got {len(groups)}"
+            f"subject-exclusive split needs at least 3 identities, got {n_idents}"
         )
     bin_idx, n_bins = _bin_index_of_ages(table, table.ages)
     global_hist = np.bincount(bin_idx, minlength=n_bins).astype(float)
 
-    idents = list(groups)
+    counts = np.bincount(codes, minlength=n_idents)
+    size_of = counts.tolist()
+    idents = list(range(n_idents))
     rng.shuffle(idents)
-    idents.sort(key=lambda k: -len(groups[k]))  # stable: seeded order breaks ties
+    idents.sort(key=lambda k: -size_of[k])  # stable: seeded order breaks ties
 
-    sizes = np.array([len(groups[k]) for k in idents], dtype=float)
-    position = {k: i for i, k in enumerate(idents)}
-    owner = np.array([position[s.identity_id] for s in table.samples])
-    hists = np.bincount(owner * n_bins + bin_idx, minlength=len(idents) * n_bins)
-    hists = hists.reshape(len(idents), n_bins).astype(float)
+    sizes = counts[idents].astype(float)
+    position = np.empty(n_idents, dtype=np.intp)
+    position[idents] = np.arange(n_idents)
+    owner = position[codes]
+    hists = np.bincount(owner * n_bins + bin_idx, minlength=n_idents * n_bins)
+    hists = hists.reshape(n_idents, n_bins).astype(float)
     count_targets = np.asarray(targets, dtype=float)
     hist_targets = np.outer(fr, global_hist)
-    fold_counts = np.zeros(3)
-    fold_hists = np.zeros((3, n_bins))
-    # each fold's count gap and histogram gap so far; an assignment changes
-    # only the chosen fold's, to its *_next value
-    count_now = np.abs(fold_counts - count_targets)
-    gap_now = np.abs(fold_hists - hist_targets).sum(axis=1)
-    fold = np.empty(len(idents), dtype=np.intp)
-    for i, (c, h) in enumerate(zip(sizes, hists)):
-        # marginal change of each fold's count gap: -c while below target,
-        # +c once the identity would overshoot it
-        count_next = np.abs(fold_counts + c - count_targets)
-        # marginal change of each fold's histogram gap: negative while the
-        # identity's age bins still have room under the fold's target
-        gap_next = np.abs(fold_hists + h - hist_targets).sum(axis=1)
-        f = int(np.argmin((count_next - count_now) + (gap_next - gap_now)))
-        fold[i] = f
-        fold_counts[f] += c
-        fold_hists[f] += h
-        count_now[f] = count_next[f]
-        gap_now[f] = gap_next[f]
+    fold = _greedy_assignment(sizes, hists, count_targets, hist_targets)
 
     _repair_assignment(sizes, hists, fold, count_targets, hist_targets)
     sample_fold = fold[owner]
@@ -230,8 +216,51 @@ def make_split(table: DatasetTable, mode: str, fractions, seed: int) -> SplitSpe
     )
 
 
-# Candidate steps scored per array pass of the repair. Scratch memory is
-# about _REPAIR_CHUNK x 3 x bins floats, whatever the number of identities.
+def _greedy_assignment(sizes: np.ndarray, hists: np.ndarray, count_targets: np.ndarray,
+                       hist_targets: np.ndarray) -> np.ndarray:
+    """Fold of each identity, given in assignment order: the fold whose
+    count gap plus histogram gap grows least (drops most), the lowest fold on
+    a tie.
+
+    The histogram gaps are numpy sums over one (3, bins) scratch; the count
+    gaps and the choice are Python float arithmetic, the same IEEE
+    operations in the same order as the array form (np.argmin included).
+    """
+    targets = count_targets.tolist()
+    fold_counts = [0.0, 0.0, 0.0]
+    fold_hists = np.zeros_like(hist_targets)
+    scratch = np.empty_like(hist_targets)
+    # each fold's count gap and histogram gap so far, which for an empty
+    # fold are its targets; an assignment changes only the chosen fold's,
+    # to its *_next value
+    count_now = list(targets)
+    gap_now = hist_targets.sum(axis=1).tolist()
+    fold = np.empty(len(sizes), dtype=np.intp)
+    for i, c in enumerate(sizes.tolist()):
+        h = hists[i]
+        # marginal change of each fold's histogram gap: negative while the
+        # identity's age bins still have room under the fold's target
+        np.add(fold_hists, h, out=scratch)
+        scratch -= hist_targets
+        # np.add.reduce is ndarray.sum without its Python wrapper
+        gap_next = np.add.reduce(np.abs(scratch, out=scratch), axis=1).tolist()
+        # marginal change of each fold's count gap: -c while below target,
+        # +c once the identity would overshoot it
+        count_next = [abs(fold_counts[g] + c - targets[g]) for g in range(3)]
+        cost = [(count_next[g] - count_now[g]) + (gap_next[g] - gap_now[g]) for g in range(3)]
+        f = cost.index(min(cost))
+        fold[i] = f
+        fold_counts[f] += c
+        fold_hists[f] += h
+        count_now[f] = count_next[f]
+        gap_now[f] = gap_next[f]
+    return fold
+
+
+# Candidate steps enumerated per sweep of a repair pass (1-D index arrays
+# only), and candidate steps scored per block: a block's scratch is about
+# _REPAIR_CHUNK x 3 x bins floats, whatever the number of identities.
+_SCAN_CHUNK = 1 << 13
 _REPAIR_CHUNK = 1024
 _OTHER_FOLDS = np.array([[1, 2], [0, 2], [0, 1]])
 _TOL = 1e-9
@@ -254,13 +283,17 @@ def _repair_assignment(sizes: np.ndarray, hists: np.ndarray, fold: np.ndarray,
     step; ties go to the earliest in that scan order, so the result is
     deterministic.
 
-    Only candidates that can still win are scored in full. A candidate's
-    count gap comes first, from the two fold counts it changes; its
-    histograms are built and scored only when that gap is at most the
-    running best's gap + 1e-9. This drops nothing that could be taken:
-    counts and targets are whole numbers, so every count gap is exact, a
-    new best never has a larger gap than the old one, and a candidate whose
-    gap exceeds the best's loses on the first key whatever its histograms.
+    Only candidates that can still win are scored in full. A pass walks the
+    candidates in sweeps of up to _SCAN_CHUNK and computes each one's count
+    gap from the two fold counts it changes. The candidates of a sweep whose
+    gap is at most the running best's gap + 1e-9 survive; their histograms
+    are built and scored in blocks of up to _REPAIR_CHUNK, and each block
+    is filtered again against the best as it stands when the block is
+    reached. This drops nothing that could be taken: counts and targets are
+    whole numbers, so every count gap is exact, a new best never has a
+    larger gap than the old one, and a candidate whose gap exceeds the
+    best's loses on the first key whatever its histograms. Blocks keep scan
+    order, so the steps taken are those of scoring every candidate in turn.
     """
     goals = (targets, hist_targets, hist_targets.sum(axis=0) / float(sizes.sum()))
     for _ in range(max_passes):
@@ -278,19 +311,22 @@ def _repair_assignment(sizes: np.ndarray, hists: np.ndarray, fold: np.ndarray,
             src_count, dst_count = fold_counts[src] - dc, fold_counts[dst] + dc
             count_gap = (gap_now - fold_gaps[src] - fold_gaps[dst]
                          + np.abs(src_count - targets[src]) + np.abs(dst_count - targets[dst]))
-            keep = np.flatnonzero(count_gap <= best[0] + _TOL)
-            if keep.size == 0:
-                continue
-            a, src, dst = a[keep], src[keep], dst[keep]
-            b = None if b is None else b[keep]
-            states = _candidate_states(hists, fold_counts, fold_hists, a, b, src, dst,
-                                       src_count[keep], dst_count[keep])
-            objs = _objectives(*states, *goals)
-            k = _first_better(objs, best, 0)
-            while k >= 0:
-                best = tuple(float(v[k]) for v in objs)
-                step = (a[k], -1 if b is None else b[k], dst[k])
-                k = _first_better(objs, best, k + 1)
+            survivors = np.flatnonzero(count_gap <= best[0] + _TOL)
+            for s in range(0, len(survivors), _REPAIR_CHUNK):
+                keep = survivors[s:s + _REPAIR_CHUNK]
+                keep = keep[count_gap[keep] <= best[0] + _TOL]
+                if keep.size == 0:
+                    continue
+                ka, ksrc, kdst = a[keep], src[keep], dst[keep]
+                kb = None if b is None else b[keep]
+                states = _candidate_states(hists, fold_counts, fold_hists, ka, kb, ksrc, kdst,
+                                           src_count[keep], dst_count[keep])
+                objs = _objectives(*states, *goals)
+                k = _first_better(objs, best, 0)
+                while k >= 0:
+                    best = tuple(float(v[k]) for v in objs)
+                    step = (ka[k], -1 if kb is None else kb[k], kdst[k])
+                    k = _first_better(objs, best, k + 1)
         if step is None:
             break
         i, j, f1 = step
@@ -300,29 +336,35 @@ def _repair_assignment(sizes: np.ndarray, hists: np.ndarray, fold: np.ndarray,
 
 
 def _candidate_chunks(fold: np.ndarray):
-    """The steps of one repair pass in scan order, _REPAIR_CHUNK at a time.
+    """The steps of one repair pass in scan order, in sweeps of up to
+    _SCAN_CHUNK.
 
-    Yields (a, b, dst): identity a goes to fold dst; b is None for moves,
-    and for swaps the identity that goes the other way.
+    Yields (a, b, dst) index arrays: identity a goes to fold dst; b is None
+    for moves, and for swaps the identity that goes the other way.
     """
     members = np.bincount(fold, minlength=3)
     movable = np.flatnonzero(members[fold] > 1)
     a = np.repeat(movable, 2)
     dst = _OTHER_FOLDS[fold[movable]].ravel()
-    for s in range(0, len(a), _REPAIR_CHUNK):
-        yield a[s:s + _REPAIR_CHUNK], None, dst[s:s + _REPAIR_CHUNK]
+    for s in range(0, len(a), _SCAN_CHUNK):
+        yield a[s:s + _SCAN_CHUNK], None, dst[s:s + _SCAN_CHUNK]
     # pair p of the row-major upper triangle is (i, j) with
     # row_start[i] <= p < row_start[i + 1]
     n = len(fold)
-    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    row_len = np.arange(n - 1, 0, -1)
+    row_start = np.concatenate(([0], np.cumsum(row_len)))
     n_pairs = int(row_start[-1])
-    for p0 in range(0, n_pairs, _REPAIR_CHUNK):
-        p = np.arange(p0, min(p0 + _REPAIR_CHUNK, n_pairs))
-        i = np.searchsorted(row_start, p, side="right") - 1
-        j = p - row_start[i] + i + 1
-        cross = fold[i] != fold[j]
-        if cross.any():
-            yield i[cross], j[cross], fold[j[cross]]
+    for p0 in range(0, n_pairs, _SCAN_CHUNK):
+        p1 = min(p0 + _SCAN_CHUNK, n_pairs)
+        # the sweep's pairs lie in rows r0 .. r1
+        r0, r1 = np.searchsorted(row_start, [p0, p1 - 1], side="right") - 1
+        i = np.repeat(np.arange(r0, r1 + 1), row_len[r0:r1 + 1])
+        i = i[p0 - row_start[r0]:p1 - row_start[r0]]
+        j = np.arange(p0, p1) - row_start[i] + i + 1
+        to = fold[j]
+        cross = np.flatnonzero(fold[i] != to)
+        if cross.size:
+            yield i[cross], j[cross], to[cross]
 
 
 def _candidate_states(hists, fold_counts, fold_hists, a, b, src, dst, src_count, dst_count):
@@ -342,18 +384,16 @@ def _candidate_states(hists, fold_counts, fold_hists, a, b, src, dst, src_count,
 def _objectives(counts, cand, targets, hist_targets, global_norm):
     """(count gap, max bin deviation, histogram gap) of each candidate state.
 
-    The same elementwise operations as for a single (3, bins) state, and the
-    histogram gap is a sum over a contiguous 3 * bins row, which numpy adds
-    in the same pairwise order as the flat sum of one state: every value is
-    bitwise what scoring the candidates one by one gives. Overwrites cand.
+    The same elementwise operations as for a single (3, bins) state, a
+    maximum is exact in any order, and the histogram gap is a sum over a
+    contiguous 3 * bins row, which numpy adds in the same pairwise order as
+    the flat sum of one state: every value is bitwise what scoring the
+    candidates one by one gives. Overwrites cand.
     """
     count_gap = np.abs(counts - targets).sum(axis=1)
-    safe = np.maximum(counts, 1.0)
-    max_dev = np.zeros(len(counts))
-    for f in range(3):
-        dev = cand[:, f] / safe[:, f, None]
-        dev -= global_norm
-        np.maximum(max_dev, np.abs(dev, out=dev).max(axis=1), out=max_dev)
+    dev = cand / np.maximum(counts, 1.0)[:, :, None]
+    dev -= global_norm
+    max_dev = np.abs(dev, out=dev).reshape(len(dev), -1).max(axis=1)
     cand -= hist_targets
     hist_gap = np.abs(cand, out=cand).reshape(len(cand), -1).sum(axis=1)
     return count_gap, max_dev, hist_gap
@@ -442,15 +482,15 @@ def audit_split(table: DatasetTable, split: SplitSpec) -> AuditReport:
     folds = split.folds()
     rows = {name: table.rows_for(ids) for name, ids in folds.items()}
 
-    ident_sets = {
-        name: {table.samples[i].identity_id for i in rows[name]} for name in FOLD_NAMES
-    }
+    names = table.identities()
+    ident_codes = {name: np.unique(table.identity_codes[rows[name]]) for name in FOLD_NAMES}
     overlap_counts: dict[str, int] = {}
     overlap_identities: dict[str, tuple[str, ...]] = {}
     for i in range(3):
         for j in range(i + 1, 3):
             a, b = FOLD_NAMES[i], FOLD_NAMES[j]
-            shared = sorted(ident_sets[a] & ident_sets[b])
+            both = np.intersect1d(ident_codes[a], ident_codes[b], assume_unique=True)
+            shared = sorted(names[c] for c in both.tolist())
             key = f"{a}/{b}"
             overlap_counts[key] = len(shared)
             overlap_identities[key] = tuple(shared)

@@ -165,3 +165,37 @@ def reference_repair(assignment, idents, groups, ident_hist, fold_counts,
             apply_move(best_step[1], best_step[2])
         else:
             apply_swap(best_step[1], best_step[2])
+
+
+def reference_sigmoid(x):
+    """Logistic function in its two-branch form: exp(-x) where x >= 0,
+    exp(x) elsewhere, each scattered through a boolean mask."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_greedy(sizes, hists, count_targets, hist_targets):
+    """Greedy first assignment of a subject-exclusive split, all in numpy:
+    each identity, in the given order, goes to the fold whose count gap plus
+    histogram gap grows least; np.argmin breaks ties toward the lowest fold.
+    Returns the (n,) fold array."""
+    fold_counts = np.zeros(3)
+    fold_hists = np.zeros_like(hist_targets)
+    count_now = np.abs(fold_counts - count_targets)
+    gap_now = np.abs(fold_hists - hist_targets).sum(axis=1)
+    fold = np.empty(len(sizes), dtype=np.intp)
+    for i, (c, h) in enumerate(zip(sizes, hists)):
+        count_next = np.abs(fold_counts + c - count_targets)
+        gap_next = np.abs(fold_hists + h - hist_targets).sum(axis=1)
+        f = int(np.argmin((count_next - count_now) + (gap_next - gap_now)))
+        fold[i] = f
+        fold_counts[f] += c
+        fold_hists[f] += h
+        count_now[f] = count_next[f]
+        gap_now[f] = gap_next[f]
+    return fold

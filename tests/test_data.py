@@ -102,6 +102,37 @@ def test_table_accessors_and_immutability():
         tab.feature_matrix[0, 0] = 99.0
     with pytest.raises(ValidationError):
         tab.row_of("nope")
+    with pytest.raises(ValidationError, match="unknown sample_id 'nope'"):
+        tab.rows_for(("a", "nope"))
+
+
+def test_identity_codes_follow_first_appearance():
+    tab = make_table([(f"s{k}", ident, 20 + k, [0.0, 0.0])
+                      for k, ident in enumerate(["p2", "p1", "p2", "p3", "p1"])])
+    assert tab.identities() == ("p2", "p1", "p3")
+    codes = tab.identity_codes
+    assert codes.dtype == np.intp
+    assert codes.tolist() == [0, 1, 0, 2, 1]
+    with pytest.raises(ValueError):
+        codes[0] = 1
+    assert tab.by_identity() == {"p2": (0, 2), "p1": (1, 4), "p3": (3,)}
+    empty = DatasetTable(name="e", label_set=LabelSet((20,)), dimension=2, samples=())
+    assert empty.identity_codes.shape == (0,) and empty.identities() == ()
+    assert empty.by_identity() == {}
+
+
+def test_identity_index_matches_a_walk_over_the_samples():
+    rng = np.random.default_rng(4)
+    idents = [f"id{int(k)}" for k in rng.integers(0, 40, 300)]
+    tab = make_table([(f"s{k}", ident, 20 + int(rng.integers(0, 5)), [0.0, 0.0])
+                      for k, ident in enumerate(idents)])
+    walk: dict[str, list[int]] = {}
+    for row, s in enumerate(tab.samples):
+        walk.setdefault(s.identity_id, []).append(row)
+    assert tab.identities() == tuple(walk)
+    assert tab.by_identity() == {k: tuple(v) for k, v in walk.items()}
+    assert [tab.identities()[c] for c in tab.identity_codes] == idents
+    assert tab.sample_ids == tuple(s.sample_id for s in tab.samples)
 
 
 def test_synth_spec_validation():

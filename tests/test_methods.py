@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradcheck import fd_grad, rel_err
+from oracles import reference_sigmoid
 from ordibench.data import LabelSet, ValidationError
 from ordibench.methods import (
     DISTRIBUTION_FAMILIES,
@@ -53,6 +54,20 @@ def test_softmax_extreme_logits_stay_finite():
 def test_sigmoid_matches_closed_form():
     x = np.array([-30.0, -1.0, 0.0, 1.0, 30.0])
     np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-12)
+
+
+def test_sigmoid_is_bitwise_the_two_branch_form():
+    """One exp of -|x| gives exactly the values of exp(-x) for x >= 0 and
+    exp(x) below, at every scale, at the extremes and at signed zeros."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(scale=s, size=(32, 40)).ravel()
+                        for s in (1e-18, 1e-9, 1e-3, 1.0, 30.0, 800.0)])
+    extremes = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0,
+                         709.8, -709.8, 36.8, -36.8, 5e-324, -5e-324, np.nan])
+    for batch in (x, x.reshape(-1, 40), extremes):
+        np.testing.assert_array_equal(sigmoid(batch), reference_sigmoid(batch))
+    assert np.isnan(sigmoid(np.nan))
+    assert sigmoid(np.array(2.0)).shape == ()
 
 
 # ------------------------------------------------------------ plain losses

@@ -1,5 +1,6 @@
 """Split construction, stratification quality, audits, and the JSON sidecar."""
 
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import reference_objective, reference_repair
+from oracles import reference_greedy, reference_objective, reference_repair
 
 from ordibench import splitting
 from ordibench.data import LabelSet, ParseError, Sample, DatasetTable, ValidationError
@@ -338,6 +339,52 @@ def test_repair_matches_one_step_per_scan_oracle(monkeypatch):
     assert n_cases >= 200
 
 
+@pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")
+def test_repair_in_small_sweeps_and_blocks_matches_the_oracle(monkeypatch):
+    """Sweeps of 64 candidates scored in blocks of 5: many sweeps and blocks
+    a pass, and the best changes between blocks of one sweep. The folds are
+    the oracle's, and every block holds only candidates whose count gap can
+    still win: at most the best gap found before the block."""
+    repair, objectives, chunks = (splitting._repair_assignment, splitting._objectives,
+                                  splitting._candidate_chunks)
+    monkeypatch.setattr(splitting, "_SCAN_CHUNK", 64)
+    monkeypatch.setattr(splitting, "_REPAIR_CHUNK", 5)
+    state = {"sweeping": False, "best": None, "blocks": 0, "sweeps": 0}
+
+    def checking_objectives(counts, *rest):
+        objs = objectives(counts, *rest)
+        if state["sweeping"]:  # a block; the best gap is the least scored so far
+            assert 0 < len(counts) <= 5
+            assert objs[0].max() <= state["best"] + 1e-9
+            state["best"] = min(state["best"], float(objs[0].min()))
+            state["blocks"] += 1
+        else:  # the state a pass starts from
+            state["best"] = float(objs[0][0])
+        return objs
+
+    def counting_chunks(fold):
+        state["sweeping"] = True
+        for sweep in chunks(fold):
+            assert 0 < len(sweep[0]) <= 64
+            state["sweeps"] += 1
+            yield sweep
+        state["sweeping"] = False
+
+    captured = []
+    monkeypatch.setattr(splitting, "_repair_assignment", lambda *args: captured.append(args))
+    for tab, seed, fr in _repair_cases():
+        make_split(tab, MODE_SUBJECT_EXCLUSIVE, fr, seed)
+    monkeypatch.setattr(splitting, "_objectives", checking_objectives)
+    monkeypatch.setattr(splitting, "_candidate_chunks", counting_chunks)
+    for sizes, hists, greedy, targets, hist_targets in captured:
+        fold, ref = greedy.copy(), greedy.copy()
+        repair(sizes, hists, fold, targets, hist_targets)
+        oracle_repair(sizes, hists, ref, targets, hist_targets)
+        np.testing.assert_array_equal(fold, ref)
+    assert len(captured) >= 200
+    assert state["blocks"] > 2 * len(captured) and state["sweeps"] > 2 * len(captured)
+
+
 def test_repair_respects_max_passes(monkeypatch):
     """Pass budget as in the oracle: each pass takes at most one step."""
     repair = splitting._repair_assignment
@@ -432,3 +479,81 @@ def test_repair_closes_a_count_gap_that_only_moves_can_close():
     oracle_repair(sizes, hists, ref, targets, hist_targets)
     np.testing.assert_array_equal(fold, ref)
     np.testing.assert_array_equal(np.bincount(fold, weights=sizes, minlength=3), targets)
+
+
+def _greedy_cases():
+    """(table, split seed, fractions): exact bins (<= 32 labels) and coarse
+    bins at 0.6/0.2/0.2 and 0.5/0.25/0.25, and tables of equal-size
+    identities, some of a single age, where fold costs tie."""
+    for t, (n, ages, sizes) in enumerate([(30, (20, 40), (1, 8)), (120, (20, 51), (1, 8)),
+                                          (60, (16, 80), (1, 8)), (120, (16, 80), (1, 8)),
+                                          (48, (20, 40), (3, 3)), (90, (16, 80), (2, 2)),
+                                          (36, (30, 30), (2, 2)), (45, (30, 30), (1, 1))]):
+        tab = repair_table(n, 500 + t, ages=ages, sizes=sizes)
+        for seed in range(3):
+            for fr in (FRACTIONS, (0.5, 0.25, 0.25), (1 / 3, 1 / 3, 1 / 3)):
+                yield tab, seed, fr
+
+
+@pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")
+def test_greedy_assignment_matches_the_numpy_reference(monkeypatch):
+    """The greedy first assignment, Python floats for the count gaps and the
+    choice, gives the folds of the all-numpy loop, ties included."""
+    captured = []
+    monkeypatch.setattr(splitting, "_repair_assignment", lambda *args: captured.append(args))
+    for tab, seed, fr in _greedy_cases():
+        make_split(tab, MODE_SUBJECT_EXCLUSIVE, fr, seed)
+    for sizes, hists, greedy, targets, hist_targets in captured:
+        np.testing.assert_array_equal(greedy, reference_greedy(sizes, hists, targets, hist_targets))
+    # 45 one-row identities of one age at equal fractions: the folds below
+    # target tie on every identity, and the lowest of them wins
+    sizes, hists, greedy, targets, hist_targets = captured[-1]
+    assert sizes.tolist() == [1.0] * 45 and hists.shape == (45, 1)
+    assert greedy.tolist() == [0] * 15 + [1] * 15 + [2] * 15
+
+
+# sha256 of the folds of PINNED_CASES, computed with the splitter as it was
+# before sweeps, scalar greedy arithmetic and identity codes: those changes
+# keep every split
+PINNED_SPLITS = "1f134430f8035d9a7cc29f42e37cbd31a0ecad022993563ab5b5057385c1acbf"
+PINNED_CASES = [  # (identities, table and split seed, ages, sizes, fractions)
+    (3, 303, (20, 40), (1, 8), FRACTIONS),
+    (5, 11, (16, 80), (2, 8), (0.5, 0.25, 0.25)),
+    (14, 12, (20, 40), (1, 8), FRACTIONS),
+    (24, 13, (16, 80), (1, 8), (0.5, 0.25, 0.25)),
+    (36, 14, (20, 51), (3, 3), FRACTIONS),
+    (40, 15, (16, 80), (2, 2), (0.5, 0.25, 0.25)),
+    (60, 16, (20, 40), (1, 8), FRACTIONS),
+    (90, 17, (20, 51), (1, 8), (0.5, 0.25, 0.25)),
+    (120, 7, (16, 80), (1, 8), FRACTIONS),
+    (120, 8, (20, 40), (1, 8), FRACTIONS),
+    (150, 19, (16, 80), (4, 4), (0.5, 0.25, 0.25)),
+    (200, 20, (16, 80), (1, 8), FRACTIONS),
+]
+
+
+@pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")
+def test_split_digest_is_pinned():
+    digest = hashlib.sha256()
+    for n, seed, ages, sizes, fr in PINNED_CASES:
+        split = make_split(repair_table(n, seed, ages=ages, sizes=sizes),
+                           MODE_SUBJECT_EXCLUSIVE, fr, seed)
+        digest.update(json.dumps([split.train, split.val, split.test]).encode())
+    assert digest.hexdigest() == PINNED_SPLITS
+
+
+def test_audit_names_overlapping_identities_sorted_by_name():
+    """Identities appear as p2, p0, p1 but the overlap lists them by name."""
+    samples = [Sample(sample_id=f"{ident}_{k}", identity_id=ident, age=20 + k,
+                      features=np.zeros(2))
+               for ident in ("p2", "p0", "p1") for k in range(3)]
+    tab = DatasetTable(name="leaky", label_set=LabelSet((20, 21, 22)), dimension=2,
+                       samples=tuple(samples))
+    split = SplitSpec(mode=MODE_RANDOM, seed=0, fractions=FRACTIONS,
+                      train=("p2_0", "p0_0", "p1_0"), val=("p2_1", "p1_1"),
+                      test=("p2_2", "p0_1", "p0_2", "p1_2"))
+    rep = audit_split(tab, split)
+    assert rep.overlap_identities == {"train/val": ("p1", "p2"),
+                                      "train/test": ("p0", "p1", "p2"),
+                                      "val/test": ("p1", "p2")}
+    assert rep.overlap_counts == {"train/val": 2, "train/test": 3, "val/test": 2}
