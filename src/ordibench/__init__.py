@@ -34,8 +34,6 @@ from .prediction import (
     bayes_mae_predict,
     brute_force_bayes,
     decode_output,
-    ebc_decode,
-    regression_decode,
 )
 from .training import (
     MlpModel,
@@ -51,11 +49,8 @@ from .stats import (
     RankSummary,
     ResultMatrix,
     aggregate_splits,
-    chi2_cdf,
     critical_difference,
-    f_cdf,
     friedman_test,
-    nemenyi_qalpha,
     rank_rows,
 )
 from .alignment import (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -48,6 +48,8 @@ def _is_kind(value, kind: str) -> bool:
     float (any finite number), str, object, list, Optional[...] or tuple[...], a
     list of the tuple's length (any length for tuple[x, ...])."""
     if kind.startswith("Optional["):
+        if value is None:
+            return True
         kind = kind[len("Optional["):-1]
     if kind.startswith("tuple["):
         items = [k.strip() for k in kind[len("tuple["):-1].split(",")]
@@ -75,6 +77,25 @@ def _check_types(section: str, payload: dict, kinds: dict[str, str]) -> None:
         if key in kinds and not _is_kind(value, kinds[key]):
             raise ValidationError(
                 f"{section} key {key!r} must be {_kind_text(kinds[key])}, got {value!r}")
+
+
+def _from_json(cls, section: str, payload):
+    """Build a config dataclass (SynthSpec, TrainConfig, MethodConfig) from a
+    JSON object, using only its fields. Refuses, naming the key, a payload
+    that is not an object, an unknown key, a value of the wrong type and a
+    missing required field; a list becomes a tuple for a tuple[...] field."""
+    if not _is_kind(payload, "object"):
+        raise ValidationError(f"{section} must be an object, got {payload!r}")
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = set(payload) - set(kinds)
+    if unknown:
+        raise ValidationError(f"unknown {section} key(s): {sorted(unknown)}")
+    _check_types(section, payload, kinds)
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in payload]
+    if missing:
+        raise ValidationError(f"{section} lacks key(s): {missing}")
+    return cls(**{key: tuple(value) if kinds[key].startswith("tuple[") else value
+                  for key, value in payload.items()})
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .data import (
     SynthSpec,
     ValidationError,
     _check_types,
+    _from_json,
     _is_kind,
     generate_synthetic,
     load_dataset,
@@ -62,15 +63,6 @@ def _check_keys(section: str, given, allowed: set) -> None:
     unknown = set(given) - allowed
     if unknown:
         raise ValidationError(f"unknown {section} key(s): {sorted(unknown)}")
-
-
-def _check_entry(section: str, item) -> None:
-    if not _is_kind(item, "object"):
-        raise ValidationError(f"each {section} entry must be an object, got {item!r}")
-
-
-def _field_kinds(cls) -> dict[str, str]:
-    return {f.name: f.type for f in dataclasses.fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -142,31 +134,16 @@ class ExperimentConfig:
 
         entries = []
         for item in payload.get("datasets", []):
-            _check_entry("datasets", item)
+            if not _is_kind(item, "object"):
+                raise ValidationError(f"each datasets entry must be an object, got {item!r}")
             _check_keys("dataset entry", item, {"name", "path", "synth"})
             _check_types("dataset entry", item, {"name": "str", "path": "str", "synth": "object"})
-            synth = None
+            synth = _from_json(SynthSpec, "synth", item["synth"]) if "synth" in item else None
             path = None
-            if "synth" in item:
-                s = dict(item["synth"])
-                fields = dataclasses.fields(SynthSpec)
-                _check_keys("synth", s, {f.name for f in fields})
-                _check_types("synth", s, _field_kinds(SynthSpec))
-                missing = [f.name for f in fields
-                           if f.default is dataclasses.MISSING and f.name not in s]
-                if missing:
-                    raise ValidationError(f"synth recipe lacks key(s): {missing}")
-                if "age_range" in s:
-                    s["age_range"] = tuple(s["age_range"])
-                synth = SynthSpec(**s)
             if "path" in item:
                 path = str((base / item["path"]).resolve()) if not Path(item["path"]).is_absolute() else item["path"]
             entries.append(DatasetEntry(name=item.get("name", ""), path=path, synth=synth))
-
-        for m in payload.get("methods", []):
-            _check_entry("methods", m)
-            _check_types("method", m, _field_kinds(MethodConfig))
-        methods = tuple(MethodConfig.from_dict(m) for m in payload.get("methods", []))
+        methods = tuple(_from_json(MethodConfig, "method", m) for m in payload.get("methods", []))
 
         split = payload.get("split", {})
         _check_keys("split", split, {"mode", "fractions", "n_splits", "base_seed"})
@@ -177,8 +154,7 @@ class ExperimentConfig:
         n_splits = int(split.get("n_splits", 5))
         base_seed = int(split.get("base_seed", 0))
 
-        _check_types("train", payload.get("train", {}), _field_kinds(TrainConfig))
-        train_cfg = TrainConfig.from_dict(payload.get("train", {}))
+        train_cfg = _from_json(TrainConfig, "train", payload.get("train", {}))
         out_dir = payload.get("output_dir", "runs")
         out_path = Path(out_dir)
         if not out_path.is_absolute():
@@ -328,8 +304,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     are sorted before writing, so reruns of the same config produce
     byte-identical record and matrix files regardless of jobs. Per-task wall
     times go to a separate timings file, which is the one output that
-    legitimately varies between reruns. The tables are loaded and checked
-    before the output directory is made.
+    legitimately varies between reruns. The tables are loaded and checked,
+    and every split is made, before the output directory is made.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
@@ -339,9 +315,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
         raise ValidationError(
             f"cross-dataset evaluation needs one shared feature width, got {sorted(dims)}"
         )
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     tasks = []
     for d_idx, table in enumerate(tables):
         splits = make_split_series(
@@ -349,10 +322,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
         )
         holdouts = [t for i, t in enumerate(tables) if i != d_idx]
         for s_idx, split in enumerate(splits):
-            task_cfg = TrainConfig.from_dict(
-                {**config.train.to_dict(), "seed": config.train.seed + s_idx}
-            )
+            task_cfg = dataclasses.replace(config.train, seed=config.train.seed + s_idx)
             tasks.append((table, split, s_idx, config.methods, task_cfg, holdouts))
+
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     workers = min(jobs, len(tasks))
     if workers > 1:

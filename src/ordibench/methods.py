@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import LabelSet
+from .data import LabelSet, ValidationError
 
 __all__ = [
     "FAMILIES",
@@ -87,14 +87,14 @@ class MethodConfig:
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown method family {self.family!r}")
+            raise ValidationError(f"unknown method family {self.family!r}")
         if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise ValidationError("sigma must be positive")
         if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+            raise ValidationError("alpha must be positive")
         for attr in ("lambda_expect", "lambda_mean", "lambda_var", "lambda_uni"):
             if getattr(self, attr) < 0:
-                raise ValueError(f"{attr} must be non-negative")
+                raise ValidationError(f"{attr} must be non-negative")
 
     @property
     def display_name(self) -> str:
@@ -111,29 +111,6 @@ class MethodConfig:
                 raise ValueError(f"{self.family} needs at least 2 labels")
             return n_labels - 1
         return 1
-
-    def to_dict(self) -> dict:
-        out: dict = {"family": self.family}
-        if self.name:
-            out["name"] = self.name
-        defaults = MethodConfig(family=self.family)
-        for attr in ("sigma", "alpha", "lambda_expect", "lambda_mean", "lambda_var", "lambda_uni"):
-            if getattr(self, attr) != getattr(defaults, attr):
-                out[attr] = getattr(self, attr)
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MethodConfig":
-        allowed = {
-            "family", "sigma", "alpha", "lambda_expect",
-            "lambda_mean", "lambda_var", "lambda_uni", "name",
-        }
-        unknown = set(payload) - allowed
-        if unknown:
-            raise ValueError(f"unknown method option(s): {sorted(unknown)}")
-        if "family" not in payload:
-            raise ValueError("method entry needs a 'family'")
-        return cls(**payload)
 
 
 def _unwrap(x):

@@ -8,13 +8,11 @@ scoring the test fold is a separate call the caller makes once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetTable, LabelSet
+from .data import DatasetTable, LabelSet, ValidationError
 from .methods import MethodConfig, Targets, encode_targets, loss_eval
 from .prediction import decode_output
 from .splitting import SplitSpec
@@ -31,8 +29,6 @@ __all__ = [
     "batch_loss_and_grads",
     "train",
     "evaluate_mae",
-    "save_model",
-    "load_model",
 ]
 
 HEAD_DENSE = "dense"
@@ -61,45 +57,19 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ValidationError("learning_rate must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+            raise ValidationError("beta1 and beta2 must lie in [0, 1)")
         if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
+            raise ValidationError("adam_eps must be positive")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValidationError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValidationError("batch_size must be >= 1")
         dims = tuple(int(d) for d in self.hidden_dims)
         if any(d < 1 for d in dims):
-            raise ValueError("hidden dims must be positive")
+            raise ValidationError("hidden_dims must be positive")
         object.__setattr__(self, "hidden_dims", dims)
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "hidden_dims": list(self.hidden_dims),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TrainConfig":
-        allowed = {
-            "learning_rate", "beta1", "beta2", "adam_eps",
-            "epochs", "batch_size", "seed", "hidden_dims",
-        }
-        unknown = set(payload) - allowed
-        if unknown:
-            raise ValueError(f"unknown train option(s): {sorted(unknown)}")
-        payload = dict(payload)
-        if "hidden_dims" in payload:
-            payload["hidden_dims"] = tuple(payload["hidden_dims"])
-        return cls(**payload)
 
 
 @dataclass
@@ -591,30 +561,3 @@ def train(table: DatasetTable, split: SplitSpec, methods, cfg: TrainConfig):
                                        selected_epoch=m.best_epoch, method=m.method,
                                        label_set=label_set)
     return outcomes
-
-
-_CHECKPOINT_VERSION = 1
-
-
-def save_model(model: MlpModel, path) -> Path:
-    """Write a lossless JSON checkpoint (floats keep full precision)."""
-    path = Path(path)
-    payload = {
-        "version": _CHECKPOINT_VERSION,
-        "head_kind": model.head_kind,
-        "layers": [
-            {"weights": w.tolist(), "biases": b.tolist()}
-            for w, b in zip(model.weights, model.biases)
-        ],
-    }
-    path.write_text(json.dumps(payload))
-    return path
-
-
-def load_model(path) -> MlpModel:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    weights = [np.asarray(layer["weights"], dtype=float) for layer in payload["layers"]]
-    biases = [np.asarray(layer["biases"], dtype=float) for layer in payload["layers"]]
-    return MlpModel(weights=weights, biases=biases, head_kind=payload["head_kind"])

@@ -224,12 +224,14 @@ def test_run_rejects_a_dataset_name_with_an_arrow(tmp_path, capsys):
 
 @pytest.mark.parametrize("section, key", [
     ("split", "n_split"), ("dataset", "pathh"), ("synth", "n_identity"),
+    ("train", "epoch"), ("method", "alfa"),
 ])
 def test_run_rejects_an_unknown_config_key_exit_2(tmp_path, capsys, section, key):
     cfg_path = write_run_config(tmp_path)
     payload = json.loads(cfg_path.read_text())
     target = {"split": payload["split"], "dataset": payload["datasets"][0],
-              "synth": payload["datasets"][0]["synth"]}[section]
+              "synth": payload["datasets"][0]["synth"], "train": payload["train"],
+              "method": payload["methods"][1]}[section]
     target[key] = 1
     cfg_path.write_text(json.dumps(payload))
     assert run_cli("run", cfg_path) == 2

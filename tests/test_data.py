@@ -1,4 +1,8 @@
-"""Tables, label sets, the synthetic generator, and the CSV manifest format."""
+"""Tables, label sets, the synthetic generator, the CSV manifest format, and
+the config reader."""
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,10 +14,13 @@ from ordibench.data import (
     Sample,
     SynthSpec,
     ValidationError,
+    _from_json,
     generate_synthetic,
     load_dataset,
     save_dataset,
 )
+from ordibench.methods import MethodConfig
+from ordibench.training import TrainConfig
 from ordibench.util import rng_from_seed
 
 
@@ -270,3 +277,20 @@ def test_save_floats_survive_exactly(tmp_path):
     back = load_dataset(save_dataset(tab, tmp_path / "f.csv"),
                         label_set=tab.label_set)
     assert np.array_equal(back.feature_matrix, tab.feature_matrix)
+
+
+@pytest.mark.parametrize("config, section, out_of_range", [
+    (SynthSpec(n_identities=7, samples_per_identity=2, dimension=3, age_range=(18, 30),
+               sigma_id=1.5, seed=4), "synth", [{"n_identities": 0}]),
+    (TrainConfig(epochs=12, seed=9, hidden_dims=(32,), learning_rate=3e-4), "train",
+     [{"epochs": 0}, {"learning_rate": -1.0}]),
+    (MethodConfig(family="dldl", sigma=2.5), "method", [{"family": "not-a-family"}]),
+], ids=["SynthSpec", "TrainConfig", "MethodConfig"])
+def test_config_round_trips_through_json(config, section, out_of_range):
+    """asdict -> JSON -> _from_json gives the instance back; a value of the
+    right type but out of range is still refused by the dataclass itself."""
+    payload = json.loads(json.dumps(dataclasses.asdict(config)))
+    assert _from_json(type(config), section, payload) == config
+    for bad in out_of_range:
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            _from_json(type(config), section, {**payload, **bad})

@@ -107,6 +107,9 @@ def _with_synth(**synth):
     ({"split": {**BASE_CONFIG["split"], "n_split": 1}}, "n_split"),
     ({"datasets": [{**BASE_CONFIG["datasets"][0], "pathh": "d.csv"}]}, "pathh"),
     ({"datasets": [_with_synth(n_identity=30)]}, "n_identity"),
+    ({"train": {**BASE_CONFIG["train"], "epoch": 6}}, "unknown train key.*'epoch'"),
+    ({"methods": [{"family": "sord", "alfa": 1.0}, {"family": "dldl"}]},
+     "unknown method key.*'alfa'"),
 ])
 def test_config_rejects_unknown_keys_in_every_section(tmp_path, overrides, named):
     with pytest.raises(ValidationError, match=named):
@@ -120,6 +123,11 @@ def test_config_names_missing_synth_keys(tmp_path):
         config_for(tmp_path, {"datasets": [entry]})
 
 
+def test_config_names_a_method_entry_without_family(tmp_path):
+    with pytest.raises(ValidationError, match="method lacks key.*'family'"):
+        config_for(tmp_path, {"methods": [{"sigma": 2.0}, {"family": "dldl"}]})
+
+
 @pytest.mark.parametrize("overrides, named", [
     ({"datasets": [_with_synth(n_identities="20")]}, "synth key 'n_identities'"),
     ({"datasets": [_with_synth(age_range=[20])]}, "synth key 'age_range'"),
@@ -128,7 +136,7 @@ def test_config_names_missing_synth_keys(tmp_path):
     ({"train": {**BASE_CONFIG["train"], "epochs": 6.0}}, "train key 'epochs'"),
     ({"train": {**BASE_CONFIG["train"], "hidden_dims": 16}}, "train key 'hidden_dims'"),
     ({"methods": [{"family": "sord", "alpha": "1"}, {"family": "dldl"}]}, "method key 'alpha'"),
-    ({"methods": ["sord", "dldl"]}, "methods entry"),
+    ({"methods": ["sord", "dldl"]}, "method must be an object"),
     ({"output_dir": 3}, "config key 'output_dir'"),
     ({"train": {**BASE_CONFIG["train"], "learning_rate": float("nan")}},
      "train key 'learning_rate' must be a finite number"),
@@ -147,6 +155,13 @@ def test_a_missing_dataset_file_leaves_no_output_directory(tmp_path):
     cfg = config_for(tmp_path, {"datasets": [BASE_CONFIG["datasets"][0],
                                              {"name": "a", "path": "missing.csv"}]})
     with pytest.raises(FileNotFoundError):
+        run_experiment(cfg, jobs=1)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_split_that_cannot_be_made_leaves_no_output_directory(tmp_path):
+    cfg = config_for(tmp_path, {"datasets": [_with_synth(n_identities=2)]})
+    with pytest.raises(ValidationError, match="at least 3 identities"):
         run_experiment(cfg, jobs=1)
     assert not (tmp_path / "runs").exists()
 

@@ -390,17 +390,6 @@ def test_config_families_partition():
     assert not set(THRESHOLD_FAMILIES) & set(DISTRIBUTION_FAMILIES)
 
 
-def test_config_round_trip_and_unknown_keys():
-    cfg = MethodConfig(family="dldl", sigma=2.5, name="wide")
-    back = MethodConfig.from_dict(cfg.to_dict())
-    assert back == cfg
-    assert MethodConfig.from_dict({"family": "sord"}).alpha == 1.0
-    with pytest.raises(Exception):
-        MethodConfig.from_dict({"family": "sord", "bogus": 1})
-    with pytest.raises(Exception):
-        MethodConfig(family="not-a-family")
-
-
 def test_display_name_defaults_to_family():
     assert MethodConfig(family="sord").display_name == "sord"
     assert MethodConfig(family="sord", name="s2").display_name == "s2"

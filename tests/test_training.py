@@ -1,4 +1,4 @@
-"""The MLP, its optimizer loop, model selection, and checkpointing."""
+"""The MLP, its optimizer loop and model selection."""
 
 import numpy as np
 import pytest
@@ -20,8 +20,6 @@ from ordibench.training import (
     forward,
     head_kind_for,
     init_model,
-    load_model,
-    save_model,
     train,
 )
 from ordibench import training
@@ -403,26 +401,3 @@ def test_head_kind_selection():
     assert head_kind_for(MethodConfig(family="coral")) == HEAD_SHARED_SCORE
     for fam in ("cross-entropy", "or-cnn", "regression", "dldl"):
         assert head_kind_for(MethodConfig(family=fam)) == HEAD_DENSE
-
-
-def test_checkpoint_round_trip(tmp_path):
-    m = init_model(7, (9, 5), 4, seed=31, head_kind=HEAD_DENSE)
-    rng = rng_from_seed(32)
-    for w in m.weights:
-        w += rng.normal(size=w.shape)
-    path = save_model(m, tmp_path / "ckpt.json")
-    back = load_model(path)
-    assert back.head_kind == m.head_kind
-    for wa, wb in zip(m.weights, back.weights):
-        assert np.array_equal(wa, wb)
-    for ba, bb in zip(m.biases, back.biases):
-        assert np.array_equal(ba, bb)
-
-
-def test_train_config_round_trip():
-    cfg = TrainConfig(epochs=12, seed=9, hidden_dims=(32,), learning_rate=3e-4)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1.0)
