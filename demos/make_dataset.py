@@ -29,7 +29,7 @@ def main():
     table = generate_synthetic(spec)
 
     print("=== Synthetic table ===")
-    print(f"samples:    {len(table.samples)}")
+    print(f"samples:    {len(table)}")
     print(f"identities: {len(table.identities())}")
     print(f"labels:     {table.label_set.min_label}..{table.label_set.max_label}"
           f" ({len(table.label_set.values)} distinct)")

@@ -30,7 +30,7 @@ def main():
     tc = TrainConfig(epochs=args.epochs, seed=0)
     result = train(table, split, method, tc)
 
-    print(f"=== {method.display_name} on {len(table.samples)} samples ===")
+    print(f"=== {method.display_name} on {len(table)} samples ===")
     for ep, (train_loss, val_mae) in enumerate(result.history, start=1):
         marker = " <- selected" if ep == result.selected_epoch else ""
         print(f"epoch {ep:>3}: train loss {train_loss:7.4f}  "

@@ -13,6 +13,7 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -169,7 +170,7 @@ class LabelSet:
         return float(age) if age.ndim == 0 else age
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Sample:
     sample_id: str
     identity_id: str
@@ -177,67 +178,104 @@ class Sample:
     features: np.ndarray
 
 
-@dataclass(eq=False)
-class DatasetTable:
-    """Validated collection of samples sharing one label set and feature width.
+def _raise_first_fault(label_set: LabelSet, dimension: int, rows) -> NoReturn:
+    """Check (sample_id, identity_id, age, features) rows one at a time and
+    raise for the first faulty one. Runs only once the column checks have
+    failed, to name the row they cannot."""
+    seen: set[str] = set()
+    for sample_id, identity_id, age, features in rows:
+        if sample_id in seen:
+            raise ValidationError(f"duplicate sample_id {sample_id!r}")
+        seen.add(sample_id)
+        if not identity_id:
+            raise ValidationError(f"sample {sample_id!r} has an empty identity_id")
+        age = int(age)
+        if age not in label_set:
+            raise ValidationError(f"sample {sample_id!r}: age {age} is outside the label set")
+        feats = np.array(features, dtype=float)
+        if feats.shape != (dimension,):
+            raise ValidationError(
+                f"sample {sample_id!r}: expected {dimension} features, got shape {feats.shape}"
+            )
+        if not np.all(np.isfinite(feats)):
+            raise ValidationError(f"sample {sample_id!r}: non-finite feature value")
+    raise AssertionError("the column checks failed but every row passes")
 
-    Construction copies every feature vector to float64 and freezes it, so a
-    table cannot be mutated through aliased input arrays afterwards.
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class DatasetTable:
+    """Validated samples sharing one label set and feature width, kept as
+    columns: sample ids, identity codes, ages and a feature matrix.
+
+    The constructor takes Sample objects and copies their values; the table
+    never touches them afterwards. Its own samples are frozen, built on first
+    use, and their features are read-only rows of the feature matrix.
     """
 
-    name: str
-    label_set: LabelSet
-    dimension: int
-    samples: tuple[Sample, ...]
+    def __init__(self, name: str, label_set: LabelSet, dimension: int, samples) -> None:
+        rows = [(s.sample_id, s.identity_id, s.age, s.features) for s in samples]
+        try:
+            ages = [int(age) for _, _, age, _ in rows]
+            features = np.array([f for *_, f in rows], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            ages = features = None  # the row checks name the culprit
+        self._set_columns(name, label_set, dimension, [r[0] for r in rows],
+                          [r[1] for r in rows], ages, features, rows)
 
-    def __post_init__(self) -> None:
-        if self.dimension <= 0:
+    @classmethod
+    def _from_columns(cls, name: str, label_set: LabelSet, dimension: int,
+                      sample_ids: list[str], identity_ids: list[str], ages: list[int],
+                      features: np.ndarray) -> DatasetTable:
+        """A table from columns the caller built and hands over: features
+        (n, dimension) float64, owned by nobody else."""
+        table = cls.__new__(cls)
+        table._set_columns(name, label_set, dimension, sample_ids, identity_ids, ages,
+                           features, zip(sample_ids, identity_ids, ages, features))
+        return table
+
+    def _set_columns(self, name, label_set, dimension, sample_ids, identity_ids,
+                     ages, features, rows) -> None:
+        """Validate whole columns at once: unique ids, non-empty identities,
+        ages in the label set, the feature width, finite features. On a
+        failure the row checks raise for the first faulty row."""
+        if dimension <= 0:
             raise ValidationError("dimension must be positive")
-        samples = tuple(self.samples)
-        seen: set[str] = set()
+        n = len(sample_ids)
+        row_of = {sid: i for i, sid in enumerate(sample_ids)}
         codes: dict[str, int] = {}  # identity -> its first-appearance rank
-        row_codes = []
-        for s in samples:
-            if s.sample_id in seen:
-                raise ValidationError(f"duplicate sample_id {s.sample_id!r}")
-            seen.add(s.sample_id)
-            if not s.identity_id:
-                raise ValidationError(f"sample {s.sample_id!r} has an empty identity_id")
-            row_codes.append(codes.setdefault(s.identity_id, len(codes)))
-            s.age = int(s.age)
-            if s.age not in self.label_set:
-                raise ValidationError(
-                    f"sample {s.sample_id!r}: age {s.age} is outside the label set"
-                )
-            feats = np.array(s.features, dtype=float)
-            if feats.shape != (self.dimension,):
-                raise ValidationError(
-                    f"sample {s.sample_id!r}: expected {self.dimension} features, "
-                    f"got shape {feats.shape}"
-                )
-            if not np.all(np.isfinite(feats)):
-                raise ValidationError(f"sample {s.sample_id!r}: non-finite feature value")
-            feats.flags.writeable = False
-            s.features = feats
-        self.samples = samples
-        self._row = {s.sample_id: i for i, s in enumerate(samples)}
-        self._sample_ids = tuple(s.sample_id for s in samples)
+        row_codes = [codes.setdefault(ident, len(codes)) for ident in identity_ids]
+        if n == 0:
+            features = np.zeros((0, dimension))
+        if (len(row_of) != n or not all(codes) or ages is None
+                or not all(age in label_set for age in set(ages))
+                or features is None or features.shape != (n, dimension)
+                or not np.isfinite(features).all()):
+            _raise_first_fault(label_set, dimension, rows)
+        self.name = name
+        self.label_set = label_set
+        self.dimension = dimension
+        self._row = row_of
+        self._sample_ids = tuple(sample_ids)
         self._identities = tuple(codes)
-        identity_codes = np.array(row_codes, dtype=np.intp)
-        identity_codes.flags.writeable = False
-        self._identity_codes = identity_codes
-        if samples:
-            mat = np.stack([s.features for s in samples]).astype(float)
-        else:
-            mat = np.zeros((0, self.dimension))
-        mat.flags.writeable = False
-        self._features = mat
-        ages = np.asarray([s.age for s in samples], dtype=float)
-        ages.flags.writeable = False
-        self._ages = ages
+        self._identity_codes = _read_only(np.array(row_codes, dtype=np.intp))
+        self._features = _read_only(features)
+        self._ages = _read_only(np.array(ages, dtype=float))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._sample_ids)
+
+    @cached_property
+    def samples(self) -> tuple[Sample, ...]:
+        names = self._identities
+        return tuple(
+            Sample(sample_id=sid, identity_id=names[code], age=int(age), features=feats)
+            for sid, code, age, feats in zip(self._sample_ids, self._identity_codes.tolist(),
+                                             self._ages.tolist(), self._features)
+        )
 
     @property
     def sample_ids(self) -> tuple[str, ...]:
@@ -348,24 +386,23 @@ def generate_synthetic(spec: SynthSpec, name: str = "synthetic") -> DatasetTable
     rng = rng_from_seed(spec.seed)
     lo, hi = spec.age_range
     mix = rng.normal(size=(3, spec.dimension)) * _SIGNAL_GAIN
-    samples: list[Sample] = []
+    sample_ids: list[str] = []
+    identity_ids: list[str] = []
+    ages: list[int] = []
+    rows: list[np.ndarray] = []
     for i in range(spec.n_identities):
         base_age = int(rng.integers(lo, hi + 1))
         offset = rng.normal(scale=spec.sigma_id, size=spec.dimension) if spec.sigma_id > 0 else np.zeros(spec.dimension)
         for j in range(spec.samples_per_identity):
             age = int(np.clip(base_age + int(rng.integers(-1, 2)), lo, hi))
             noise = rng.normal(scale=spec.sigma_obs, size=spec.dimension) if spec.sigma_obs > 0 else np.zeros(spec.dimension)
-            feats = _age_basis(age, lo, hi) @ mix + offset + noise
-            samples.append(
-                Sample(
-                    sample_id=f"s{i:04d}_{j:02d}",
-                    identity_id=f"id{i:04d}",
-                    age=age,
-                    features=feats,
-                )
-            )
+            rows.append(_age_basis(age, lo, hi) @ mix + offset + noise)
+            sample_ids.append(f"s{i:04d}_{j:02d}")
+            identity_ids.append(f"id{i:04d}")
+            ages.append(age)
     label_set = LabelSet(tuple(range(lo, hi + 1)))
-    return DatasetTable(name=name, label_set=label_set, dimension=spec.dimension, samples=tuple(samples))
+    return DatasetTable._from_columns(name, label_set, spec.dimension, sample_ids, identity_ids,
+                                      ages, np.array(rows))
 
 
 _FIXED_COLUMNS = ["sample_id", "identity_id", "age"]
@@ -383,13 +420,42 @@ def save_dataset(table: DatasetTable, path) -> Path:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_FIXED_COLUMNS + [f"f{i}" for i in range(table.dimension)])
-        for s in table.samples:
-            writer.writerow([s.sample_id, s.identity_id, s.age] + [repr(float(v)) for v in s.features])
+        names = table.identities()
+        for sid, code, age, feats in zip(table.sample_ids, table.identity_codes.tolist(),
+                                         table.ages.tolist(), table.feature_matrix.tolist()):
+            writer.writerow([sid, names[code], int(age)] + [repr(v) for v in feats])
     return path
+
+
+def _raise_first_parse_fault(path: Path, rows: list[list[str]], width: int) -> NoReturn:
+    """Parse the manifest's data rows one at a time and raise for the first
+    malformed one. Runs only once the column parse has failed, to name the
+    row it cannot. Rows count from the header's 1, blank rows included."""
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(f"{path}: row {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            int(row[2])
+        except ValueError:
+            raise ParseError(f"{path}: row {lineno}: age {row[2]!r} is not an integer") from None
+        try:
+            [float(v) for v in row[3:]]
+        except ValueError:
+            raise ParseError(f"{path}: row {lineno}: non-numeric feature value") from None
+    raise AssertionError("the column parse failed but every row parses")
 
 
 def load_dataset(path, name: str | None = None, label_set: LabelSet | None = None) -> DatasetTable:
     """Read a CSV manifest back into a DatasetTable.
+
+    The data rows are parsed as columns: ages with Python int, and all
+    feature cells at once into one float64 matrix, each cell with Python
+    float semantics (so "1_0", " 2 " and "inf" read as float() reads them).
+    Blank lines are skipped. A malformed or invalid manifest raises for its
+    first faulty row in file order, as ParseError (with the row number) or
+    ValidationError (with the sample id).
 
     When label_set is omitted it is inferred as the sorted distinct ages in
     the file; when given, rows with ages outside it are rejected.
@@ -409,32 +475,20 @@ def load_dataset(path, name: str | None = None, label_set: LabelSet | None = Non
     if header[len(_FIXED_COLUMNS):] != expected:
         raise ParseError(f"{path}: feature columns must be f0..f{dimension - 1} in order")
 
-    samples: list[Sample] = []
-    ages: list[int] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {lineno}: expected {len(header)} fields, got {len(row)}")
-        sid, ident, age_text = row[0], row[1], row[2]
-        try:
-            age = int(age_text)
-        except ValueError:
-            raise ParseError(f"{path}: row {lineno}: age {age_text!r} is not an integer") from None
-        try:
-            feats = np.asarray([float(v) for v in row[3:]], dtype=float)
-        except ValueError:
-            raise ParseError(f"{path}: row {lineno}: non-numeric feature value") from None
-        samples.append(Sample(sample_id=sid, identity_id=ident, age=age, features=feats))
-        ages.append(age)
+    records = [row for row in rows[1:] if row]
+    if not set(map(len, records)) <= {len(header)}:
+        _raise_first_parse_fault(path, rows[1:], len(header))
+    try:
+        ages = [int(row[2]) for row in records]
+        features = np.array([row[3:] for row in records], dtype=float)
+    except ValueError:
+        _raise_first_parse_fault(path, rows[1:], len(header))
 
     if label_set is None:
         if not ages:
             raise ParseError(f"{path}: manifest has a header but no rows")
         label_set = LabelSet(tuple(sorted(set(ages))))
-    return DatasetTable(
-        name=name if name is not None else path.stem,
-        label_set=label_set,
-        dimension=dimension,
-        samples=tuple(samples),
+    return DatasetTable._from_columns(
+        name if name is not None else path.stem, label_set, dimension,
+        [row[0] for row in records], [row[1] for row in records], ages, features,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,13 +114,24 @@ def age_bin_edges(label_values: tuple[int, ...]) -> np.ndarray | None:
     return np.linspace(label_values[0], label_values[-1], _COARSE_BINS + 1)
 
 
-def _bin_index_of_ages(table: DatasetTable, ages: np.ndarray) -> tuple[np.ndarray, int]:
-    """Assign a bin index to each age; returns (indices, n_bins)."""
-    edges = age_bin_edges(table.label_set.values)
-    if edges is None:
-        return table.label_set.indices_of(ages), len(table.label_set)
-    idx = np.clip(np.searchsorted(edges, ages, side="right") - 1, 0, len(edges) - 2)
-    return idx.astype(int), len(edges) - 1
+# each table's (row bins, bin count), kept while the table lives: a series of
+# splits and their audits bin the same ages once
+_AGE_BINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _age_bins(table: DatasetTable) -> tuple[np.ndarray, int]:
+    """Each row's age-bin index (read-only) and the number of bins."""
+    bins = _AGE_BINS.get(table)
+    if bins is None:
+        edges = age_bin_edges(table.label_set.values)
+        if edges is None:
+            idx, n_bins = table.label_set.indices_of(table.ages), len(table.label_set)
+        else:
+            idx = np.clip(np.searchsorted(edges, table.ages, side="right") - 1, 0, len(edges) - 2)
+            idx, n_bins = idx.astype(int), len(edges) - 1
+        idx.flags.writeable = False
+        bins = _AGE_BINS[table] = (idx, n_bins)
+    return bins
 
 
 def _target_counts(n: int, fractions: tuple[float, float, float]) -> list[int]:
@@ -174,7 +186,7 @@ def make_split(table: DatasetTable, mode: str, fractions, seed: int) -> SplitSpe
         raise ValidationError(
             f"subject-exclusive split needs at least 3 identities, got {n_idents}"
         )
-    bin_idx, n_bins = _bin_index_of_ages(table, table.ages)
+    bin_idx, n_bins = _age_bins(table)
     global_hist = np.bincount(bin_idx, minlength=n_bins).astype(float)
 
     counts = np.bincount(codes, minlength=n_idents)
@@ -495,7 +507,7 @@ def audit_split(table: DatasetTable, split: SplitSpec) -> AuditReport:
             overlap_counts[key] = len(shared)
             overlap_identities[key] = tuple(shared)
 
-    bin_idx, n_bins = _bin_index_of_ages(table, table.ages)
+    bin_idx, n_bins = _age_bins(table)
     global_counts = np.bincount(bin_idx, minlength=n_bins).astype(float)
     global_hist = global_counts / max(len(table), 1)
 

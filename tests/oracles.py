@@ -1,5 +1,10 @@
 """Independent brute-force references used by several test modules."""
 
+import csv
+from dataclasses import dataclass
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 
 
@@ -199,3 +204,107 @@ def reference_greedy(sizes, hists, count_targets, hist_targets):
         count_now[f] = count_next[f]
         gap_now[f] = gap_next[f]
     return fold
+
+
+@dataclass(eq=False)
+class _ReferenceSample:
+    sample_id: str
+    identity_id: str
+    age: int
+    features: np.ndarray
+
+
+def reference_table(label_set, dimension, samples):
+    """Table validation one sample at a time, as DatasetTable did before it
+    worked on columns. Returns a namespace with the table's columns; raises,
+    for the first faulty sample, what that code raised."""
+    from ordibench.data import ValidationError
+
+    samples = tuple(_ReferenceSample(s.sample_id, s.identity_id, s.age, s.features)
+                    for s in samples)
+    if dimension <= 0:
+        raise ValidationError("dimension must be positive")
+    seen: set[str] = set()
+    codes: dict[str, int] = {}  # identity -> its first-appearance rank
+    row_codes = []
+    for s in samples:
+        if s.sample_id in seen:
+            raise ValidationError(f"duplicate sample_id {s.sample_id!r}")
+        seen.add(s.sample_id)
+        if not s.identity_id:
+            raise ValidationError(f"sample {s.sample_id!r} has an empty identity_id")
+        row_codes.append(codes.setdefault(s.identity_id, len(codes)))
+        s.age = int(s.age)
+        if s.age not in label_set:
+            raise ValidationError(
+                f"sample {s.sample_id!r}: age {s.age} is outside the label set"
+            )
+        feats = np.array(s.features, dtype=float)
+        if feats.shape != (dimension,):
+            raise ValidationError(
+                f"sample {s.sample_id!r}: expected {dimension} features, "
+                f"got shape {feats.shape}"
+            )
+        if not np.all(np.isfinite(feats)):
+            raise ValidationError(f"sample {s.sample_id!r}: non-finite feature value")
+        feats.flags.writeable = False
+        s.features = feats
+    if samples:
+        mat = np.stack([s.features for s in samples]).astype(float)
+    else:
+        mat = np.zeros((0, dimension))
+    return SimpleNamespace(
+        label_set=label_set,
+        sample_ids=tuple(s.sample_id for s in samples),
+        identities=tuple(codes),
+        identity_codes=np.array(row_codes, dtype=np.intp),
+        feature_matrix=mat,
+        ages=np.asarray([s.age for s in samples], dtype=float),
+    )
+
+
+def reference_load(path, label_set=None):
+    """A CSV manifest read one row at a time, with one float() per cell, as
+    load_dataset did before it read columns."""
+    from ordibench.data import LabelSet, ParseError
+
+    _FIXED_COLUMNS = ["sample_id", "identity_id", "age"]
+    path = Path(path)
+    with path.open("r", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError(f"{path}: empty manifest")
+    header = rows[0]
+    if header[: len(_FIXED_COLUMNS)] != _FIXED_COLUMNS:
+        raise ParseError(f"{path}: header must start with {','.join(_FIXED_COLUMNS)}")
+    dimension = len(header) - len(_FIXED_COLUMNS)
+    if dimension < 1:
+        raise ParseError(f"{path}: no feature columns")
+    expected = [f"f{i}" for i in range(dimension)]
+    if header[len(_FIXED_COLUMNS):] != expected:
+        raise ParseError(f"{path}: feature columns must be f0..f{dimension - 1} in order")
+
+    samples: list[_ReferenceSample] = []
+    ages: list[int] = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {lineno}: expected {len(header)} fields, got {len(row)}")
+        sid, ident, age_text = row[0], row[1], row[2]
+        try:
+            age = int(age_text)
+        except ValueError:
+            raise ParseError(f"{path}: row {lineno}: age {age_text!r} is not an integer") from None
+        try:
+            feats = np.asarray([float(v) for v in row[3:]], dtype=float)
+        except ValueError:
+            raise ParseError(f"{path}: row {lineno}: non-numeric feature value") from None
+        samples.append(_ReferenceSample(sample_id=sid, identity_id=ident, age=age, features=feats))
+        ages.append(age)
+
+    if label_set is None:
+        if not ages:
+            raise ParseError(f"{path}: manifest has a header but no rows")
+        label_set = LabelSet(tuple(sorted(set(ages))))
+    return reference_table(label_set, dimension, samples)

@@ -22,6 +22,7 @@ from ordibench.data import (
 from ordibench.methods import MethodConfig
 from ordibench.training import TrainConfig
 from ordibench.util import rng_from_seed
+from oracles import reference_load, reference_table
 
 
 def make_table(rows, dim=2, label_set=None):
@@ -277,6 +278,163 @@ def test_save_floats_survive_exactly(tmp_path):
     back = load_dataset(save_dataset(tab, tmp_path / "f.csv"),
                         label_set=tab.label_set)
     assert np.array_equal(back.feature_matrix, tab.feature_matrix)
+
+
+
+def test_table_owns_its_rows():
+    """A table copies its samples' values, leaves the caller's objects alone,
+    and its own samples are frozen views that agree with its columns."""
+    given = [Sample(sample_id="a", identity_id="p1", age=20, features=np.array([1.0, 2.0])),
+             Sample(sample_id="b", identity_id="p2", age=np.int64(25), features=[3, 4])]
+    t = DatasetTable(name="t", label_set=LabelSet((20, 25)), dimension=2, samples=given)
+    u = DatasetTable(name="u", label_set=LabelSet((20, 25)), dimension=2, samples=given)
+    assert type(given[1].age) is np.int64 and given[1].features == [3, 4]
+    assert given[0].features.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.samples[0].age = 21
+    with pytest.raises(ValueError):
+        t.samples[0].features[0] = 9.0
+    assert t.samples[0] is not u.samples[0]
+    for tab in (t, u, generate_synthetic(SynthSpec(n_identities=4, samples_per_identity=3,
+                                                   dimension=3, age_range=(20, 30), seed=2))):
+        assert len(tab.samples) == len(tab)
+        for s in tab.samples:
+            assert type(s.age) is int
+            assert s.age == tab.ages_for([s.sample_id])[0] == tab.sample(s.sample_id).age
+            assert s.features.tobytes() == tab.features_for([s.sample_id])[0].tobytes()
+            assert s.identity_id == tab.identities()[tab.identity_codes[tab.row_of(s.sample_id)]]
+
+
+# --- the column loader against the per-row reference (tests/oracles.py)
+
+_HEADER = "sample_id,identity_id,age,f0,f1,f2"
+
+
+def _uneven_manifest(path, seed=0, identities=24, dim=8):
+    """Identities of 1..8 rows over a wide age range, features written with
+    round-trip floats: the shape of the split benchmark's manifests."""
+    rng = np.random.default_rng(seed)
+    lines = ["sample_id,identity_id,age," + ",".join(f"f{i}" for i in range(dim))]
+    for i, size in enumerate(rng.permutation(np.tile(np.arange(1, 9), identities // 8))):
+        base = int(rng.integers(16, 81))
+        offset = rng.normal(scale=2.0, size=dim)
+        for j in range(size):
+            feats = offset + rng.normal(scale=0.5, size=dim)
+            lines.append(f"p{i:05d}_{j:02d},p{i:05d},{int(np.clip(base + rng.integers(-2, 3), 16, 80))},"
+                         + ",".join(repr(float(v)) for v in feats))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _assert_same_table(new, ref):
+    assert new.feature_matrix.tobytes() == ref.feature_matrix.tobytes()
+    assert new.feature_matrix.shape == ref.feature_matrix.shape
+    assert new.ages.tobytes() == ref.ages.tobytes()
+    assert new.sample_ids == ref.sample_ids
+    assert new.identity_codes.tobytes() == ref.identity_codes.tobytes()
+    assert new.identities() == ref.identities
+    assert new.label_set == ref.label_set
+
+
+@pytest.mark.parametrize("text", [
+    "uneven",
+    # quoted ids holding a comma, a quote and a newline; blank lines
+    _HEADER + '\n"a,1","p""1",20,0.5,1,2\n\n"b\nc",p2,21,3,4,5\n\n\nd,"p,2",22,6,7,8\n',
+    # cells float() reads: signed zero, the smallest subnormal, the largest
+    # double, underscores, padding
+    _HEADER + "\na,p1,20,-0.0,5e-324,1.7976931348623157e308\nb,p2, 21 ,1_0, 2 ,-5e-324\n",
+], ids=["uneven", "quoting-and-blank-lines", "float-cells"])
+@pytest.mark.parametrize("declared", [False, True], ids=["inferred", "declared"])
+def test_loader_matches_the_per_row_reference(tmp_path, text, declared):
+    path = tmp_path / "m.csv"
+    if text == "uneven":
+        _uneven_manifest(path, seed=5)
+    else:
+        path.write_text(text)
+    label_set = LabelSet(tuple(range(10, 90))) if declared else None
+    ref = reference_load(path, label_set=label_set)
+    new = load_dataset(path, label_set=label_set)
+    _assert_same_table(new, ref)
+    assert new.name == "m"
+    if text != "uneven":
+        assert len(new) == len(ref.sample_ids) > 1
+
+
+def test_loader_reads_a_declared_label_set_with_no_rows(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(_HEADER + "\n\n")
+    _assert_same_table(load_dataset(path, label_set=LabelSet((20, 21))),
+                       reference_load(path, label_set=LabelSet((20, 21))))
+
+
+def _row(sid, ident="p", age="20", feats=("0", "1", "2")):
+    return ",".join([sid, ident, age, *feats])
+
+
+# Each manifest holds two faults, at data rows j = 3 and k = 5 (file rows 4
+# and 6); the error must name the first. A blank line before row j shifts the
+# row numbers the way csv.reader counts them.
+_LOAD_FAULTS = {
+    "field-count": (_row("j") + ",9", _row("k", feats=("0", "1"))),
+    "integer-age": (_row("j", age="2.5"), _row("k", age="x")),
+    "numeric-feature": (_row("j", feats=("0", "abc", "2")), _row("k", feats=("", "1", "2"))),
+    "finite-feature": (_row("j", feats=("nan", "1", "2")), _row("k", feats=("0", "1", "inf"))),
+    "duplicate-id": (_row("r0"), _row("r4")),
+    "empty-identity": (_row("j", ident=""), _row("k", ident="")),
+    "age-in-label-set": (_row("j", age="19"), _row("k", age="99")),
+    # a parse fault comes first, whatever the row of a validation fault
+    "parse-before-validation": (_row("r0"), _row("k", feats=("0", "x", "2"))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_LOAD_FAULTS))
+def test_loader_raises_what_the_reference_raises_for_the_first_fault(tmp_path, kind):
+    first, second = _LOAD_FAULTS[kind]
+    lines = [_HEADER, _row("r0"), _row("r1"), "", _row("r2"), first, _row("r4"), second]
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(lines) + "\n")
+    label_set = LabelSet((20, 21))
+    with pytest.raises((ParseError, ValidationError)) as ref:
+        reference_load(path, label_set=label_set)
+    with pytest.raises(type(ref.value)) as new:
+        load_dataset(path, label_set=label_set)
+    assert type(new.value) is type(ref.value)
+    assert str(new.value) == str(ref.value)
+    named = "row 8" if kind == "parse-before-validation" else (
+        "row 6" if isinstance(ref.value, ParseError) else repr(first.split(",")[0]))
+    assert named in str(new.value)
+
+
+def _sample(sid, ident="p", age=20, feats=(0.0, 1.0)):
+    return Sample(sample_id=sid, identity_id=ident, age=age, features=np.asarray(feats))
+
+
+_TABLE_FAULTS = {
+    "width": (_sample("j", feats=(0.0, 1.0, 2.0)), _sample("k", feats=(0.0,))),
+    "same-wrong-width": (_sample("j", feats=(0.0, 1.0, 2.0)), _sample("k", feats=(0.0, 1.0, 2.0))),
+    "integer-age": (_sample("j", age="2x"), _sample("k", age=None)),
+    "finite-feature": (_sample("j", feats=(np.inf, 0.0)), _sample("k", feats=(0.0, np.nan))),
+    "duplicate-id": (_sample("r0"), _sample("r4")),
+    "empty-identity": (_sample("j", ident=""), _sample("k", ident="")),
+    "age-in-label-set": (_sample("j", age=22), _sample("k", age=19)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_TABLE_FAULTS))
+def test_table_raises_what_the_reference_raises_for_the_first_fault(kind):
+    first, second = _TABLE_FAULTS[kind]
+    rows = [_sample("r0"), _sample("r1"), _sample("r2"), first, _sample("r4"), second]
+    if kind == "same-wrong-width":  # every row equally wide: the matrix builds, its shape is wrong
+        rows = [first, second]
+    label_set = LabelSet((20, 21))
+    with pytest.raises((TypeError, ValueError)) as ref:
+        reference_table(label_set, 2, rows)
+    with pytest.raises(type(ref.value)) as new:
+        DatasetTable(name="t", label_set=label_set, dimension=2, samples=rows)
+    assert type(new.value) is type(ref.value)
+    assert str(new.value) == str(ref.value)
+    if isinstance(ref.value, ValidationError):
+        assert repr(first.sample_id) in str(new.value)
 
 
 @pytest.mark.parametrize("config, section, out_of_range", [
