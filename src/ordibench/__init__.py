@@ -5,7 +5,6 @@ from .data import (
     DatasetTable,
     LabelSet,
     ParseError,
-    Sample,
     SynthSpec,
     ValidationError,
     generate_synthetic,

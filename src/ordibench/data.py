@@ -23,7 +23,6 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "LabelSet",
-    "Sample",
     "DatasetTable",
     "SynthSpec",
     "generate_synthetic",
@@ -72,6 +71,13 @@ def _kind_text(kind: str) -> str:
     return _JSON_TYPES[kind][1]
 
 
+def _check_keys(section: str, payload: dict, allowed: set) -> None:
+    """Refuse, naming them, keys outside the allowed set."""
+    unknown = set(payload) - allowed
+    if unknown:
+        raise ValidationError(f"unknown {section} key(s): {sorted(unknown)}")
+
+
 def _check_types(section: str, payload: dict, kinds: dict[str, str]) -> None:
     """Refuse, naming the key, a value whose type differs from its kind."""
     for key, value in payload.items():
@@ -88,9 +94,7 @@ def _from_json(cls, section: str, payload):
     if not _is_kind(payload, "object"):
         raise ValidationError(f"{section} must be an object, got {payload!r}")
     kinds = {f.name: f.type for f in fields(cls)}
-    unknown = set(payload) - set(kinds)
-    if unknown:
-        raise ValidationError(f"unknown {section} key(s): {sorted(unknown)}")
+    _check_keys(section, payload, set(kinds))
     _check_types(section, payload, kinds)
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in payload]
     if missing:
@@ -170,14 +174,6 @@ class LabelSet:
         return float(age) if age.ndim == 0 else age
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    sample_id: str
-    identity_id: str
-    age: int
-    features: np.ndarray
-
-
 def _raise_first_fault(label_set: LabelSet, dimension: int, rows) -> NoReturn:
     """Check (sample_id, identity_id, age, features) rows one at a time and
     raise for the first faulty one. Runs only once the column checks have
@@ -208,74 +204,51 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 class DatasetTable:
-    """Validated samples sharing one label set and feature width, kept as
+    """Validated rows sharing one label set and feature width, kept as
     columns: sample ids, identity codes, ages and a feature matrix.
 
-    The constructor takes Sample objects and copies their values; the table
-    never touches them afterwards. Its own samples are frozen, built on first
-    use, and their features are read-only rows of the feature matrix.
+    The constructor takes the columns, one entry per row. It copies the
+    features and turns the ages into ints, so the caller's objects are never
+    changed or frozen; the table's own arrays are read-only. It checks whole
+    columns at once: equal lengths, unique ids, non-empty identities, ages in
+    the label set, the feature width and finite features. On a failure the
+    row checks raise for the first faulty row.
     """
 
-    def __init__(self, name: str, label_set: LabelSet, dimension: int, samples) -> None:
-        rows = [(s.sample_id, s.identity_id, s.age, s.features) for s in samples]
-        try:
-            ages = [int(age) for _, _, age, _ in rows]
-            features = np.array([f for *_, f in rows], dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            ages = features = None  # the row checks name the culprit
-        self._set_columns(name, label_set, dimension, [r[0] for r in rows],
-                          [r[1] for r in rows], ages, features, rows)
-
-    @classmethod
-    def _from_columns(cls, name: str, label_set: LabelSet, dimension: int,
-                      sample_ids: list[str], identity_ids: list[str], ages: list[int],
-                      features: np.ndarray) -> DatasetTable:
-        """A table from columns the caller built and hands over: features
-        (n, dimension) float64, owned by nobody else."""
-        table = cls.__new__(cls)
-        table._set_columns(name, label_set, dimension, sample_ids, identity_ids, ages,
-                           features, zip(sample_ids, identity_ids, ages, features))
-        return table
-
-    def _set_columns(self, name, label_set, dimension, sample_ids, identity_ids,
-                     ages, features, rows) -> None:
-        """Validate whole columns at once: unique ids, non-empty identities,
-        ages in the label set, the feature width, finite features. On a
-        failure the row checks raise for the first faulty row."""
+    def __init__(self, name: str, label_set: LabelSet, dimension: int, sample_ids,
+                 identity_ids, ages, features) -> None:
         if dimension <= 0:
             raise ValidationError("dimension must be positive")
         n = len(sample_ids)
-        row_of = {sid: i for i, sid in enumerate(sample_ids)}
+        if not n == len(identity_ids) == len(ages) == len(features):
+            raise ValidationError(
+                f"columns of unequal length: {n} sample ids, {len(identity_ids)} identity ids, "
+                f"{len(ages)} ages, {len(features)} feature rows")
+        try:
+            int_ages = [int(age) for age in ages]
+            matrix = np.array(features, dtype=float) if n else np.zeros((0, dimension))
+        except (TypeError, ValueError, OverflowError):
+            int_ages = matrix = None  # the row checks name the culprit
+        row_index = {sid: i for i, sid in enumerate(sample_ids)}
         codes: dict[str, int] = {}  # identity -> its first-appearance rank
         row_codes = [codes.setdefault(ident, len(codes)) for ident in identity_ids]
-        if n == 0:
-            features = np.zeros((0, dimension))
-        if (len(row_of) != n or not all(codes) or ages is None
-                or not all(age in label_set for age in set(ages))
-                or features is None or features.shape != (n, dimension)
-                or not np.isfinite(features).all()):
-            _raise_first_fault(label_set, dimension, rows)
+        if (len(row_index) != n or not all(codes) or int_ages is None
+                or not all(age in label_set for age in set(int_ages))
+                or matrix.shape != (n, dimension) or not np.isfinite(matrix).all()):
+            _raise_first_fault(label_set, dimension,
+                               zip(sample_ids, identity_ids, ages, features))
         self.name = name
         self.label_set = label_set
         self.dimension = dimension
-        self._row = row_of
+        self._row = row_index
         self._sample_ids = tuple(sample_ids)
         self._identities = tuple(codes)
         self._identity_codes = _read_only(np.array(row_codes, dtype=np.intp))
-        self._features = _read_only(features)
-        self._ages = _read_only(np.array(ages, dtype=float))
+        self._features = _read_only(matrix)
+        self._ages = _read_only(np.array(int_ages, dtype=float))
 
     def __len__(self) -> int:
         return len(self._sample_ids)
-
-    @cached_property
-    def samples(self) -> tuple[Sample, ...]:
-        names = self._identities
-        return tuple(
-            Sample(sample_id=sid, identity_id=names[code], age=int(age), features=feats)
-            for sid, code, age, feats in zip(self._sample_ids, self._identity_codes.tolist(),
-                                             self._ages.tolist(), self._features)
-        )
 
     @property
     def sample_ids(self) -> tuple[str, ...]:
@@ -296,15 +269,6 @@ class DatasetTable:
     def ages(self) -> np.ndarray:
         return self._ages
 
-    def sample(self, sample_id: str) -> Sample:
-        return self.samples[self.row_of(sample_id)]
-
-    def row_of(self, sample_id: str) -> int:
-        try:
-            return self._row[sample_id]
-        except KeyError:
-            raise ValidationError(f"unknown sample_id {sample_id!r}") from None
-
     def rows_for(self, sample_ids) -> np.ndarray:
         try:
             return np.asarray([self._row[sid] for sid in sample_ids], dtype=int)
@@ -320,13 +284,6 @@ class DatasetTable:
     def identities(self) -> tuple[str, ...]:
         """Distinct identity ids in first-appearance order."""
         return self._identities
-
-    def by_identity(self) -> dict[str, tuple[int, ...]]:
-        """Row indices grouped by identity, identities in first-appearance order."""
-        rows = np.argsort(self._identity_codes, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(self._identity_codes, minlength=len(self._identities)))
-        starts = [0, *ends[:-1].tolist()]
-        return {k: tuple(rows[a:b]) for k, a, b in zip(self._identities, starts, ends.tolist())}
 
 
 @dataclass(frozen=True)
@@ -401,8 +358,7 @@ def generate_synthetic(spec: SynthSpec, name: str = "synthetic") -> DatasetTable
             identity_ids.append(f"id{i:04d}")
             ages.append(age)
     label_set = LabelSet(tuple(range(lo, hi + 1)))
-    return DatasetTable._from_columns(name, label_set, spec.dimension, sample_ids, identity_ids,
-                                      ages, np.array(rows))
+    return DatasetTable(name, label_set, spec.dimension, sample_ids, identity_ids, ages, rows)
 
 
 _FIXED_COLUMNS = ["sample_id", "identity_id", "age"]
@@ -488,7 +444,7 @@ def load_dataset(path, name: str | None = None, label_set: LabelSet | None = Non
         if not ages:
             raise ParseError(f"{path}: manifest has a header but no rows")
         label_set = LabelSet(tuple(sorted(set(ages))))
-    return DatasetTable._from_columns(
+    return DatasetTable(
         name if name is not None else path.stem, label_set, dimension,
         [row[0] for row in records], [row[1] for row in records], ages, features,
     )

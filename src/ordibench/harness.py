@@ -26,6 +26,7 @@ from .data import (
     DatasetTable,
     SynthSpec,
     ValidationError,
+    _check_keys,
     _check_types,
     _from_json,
     _is_kind,
@@ -57,12 +58,6 @@ __all__ = [
     "LeakageReport",
     "leakage_demo",
 ]
-
-
-def _check_keys(section: str, given, allowed: set) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        raise ValidationError(f"unknown {section} key(s): {sorted(unknown)}")
 
 
 @dataclass(frozen=True)

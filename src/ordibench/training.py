@@ -100,12 +100,6 @@ class MlpModel:
         return len(self.biases[-1])
 
     @property
-    def layer_dims(self) -> tuple[int, ...]:
-        dims = [w.shape[0] for w in self.weights]
-        dims.append(self.head_size)
-        return tuple(dims)
-
-    @property
     def n_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 

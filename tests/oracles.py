@@ -214,14 +214,14 @@ class _ReferenceSample:
     features: np.ndarray
 
 
-def reference_table(label_set, dimension, samples):
-    """Table validation one sample at a time, as DatasetTable did before it
-    worked on columns. Returns a namespace with the table's columns; raises,
-    for the first faulty sample, what that code raised."""
+def reference_table(label_set, dimension, rows):
+    """Table validation one row at a time, as DatasetTable did before it
+    worked on columns. rows are (sample_id, identity_id, age, features)
+    tuples. Returns a namespace with the table's columns; raises, for the
+    first faulty row, what that code raised."""
     from ordibench.data import ValidationError
 
-    samples = tuple(_ReferenceSample(s.sample_id, s.identity_id, s.age, s.features)
-                    for s in samples)
+    samples = tuple(_ReferenceSample(*row) for row in rows)
     if dimension <= 0:
         raise ValidationError("dimension must be positive")
     seen: set[str] = set()
@@ -284,7 +284,7 @@ def reference_load(path, label_set=None):
     if header[len(_FIXED_COLUMNS):] != expected:
         raise ParseError(f"{path}: feature columns must be f0..f{dimension - 1} in order")
 
-    samples: list[_ReferenceSample] = []
+    samples: list[tuple] = []
     ages: list[int] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -300,7 +300,7 @@ def reference_load(path, label_set=None):
             feats = np.asarray([float(v) for v in row[3:]], dtype=float)
         except ValueError:
             raise ParseError(f"{path}: row {lineno}: non-numeric feature value") from None
-        samples.append(_ReferenceSample(sample_id=sid, identity_id=ident, age=age, features=feats))
+        samples.append((sid, ident, age, feats))
         ages.append(age)
 
     if label_set is None:

@@ -11,7 +11,6 @@ from ordibench.data import (
     DatasetTable,
     LabelSet,
     ParseError,
-    Sample,
     SynthSpec,
     ValidationError,
     _from_json,
@@ -25,15 +24,15 @@ from ordibench.util import rng_from_seed
 from oracles import reference_load, reference_table
 
 
+def columns(rows):
+    """(sample_id, identity_id, age, features) rows as the four columns."""
+    return [list(col) for col in zip(*rows)] if rows else [[], [], [], []]
+
+
 def make_table(rows, dim=2, label_set=None):
-    samples = tuple(
-        Sample(sample_id=sid, identity_id=ident, age=age,
-               features=np.asarray(feats, dtype=float))
-        for sid, ident, age, feats in rows
-    )
     if label_set is None:
-        label_set = LabelSet(tuple(sorted({int(s.age) for s in samples})))
-    return DatasetTable(name="t", label_set=label_set, dimension=dim, samples=samples)
+        label_set = LabelSet(tuple(sorted({int(age) for _, _, age, _ in rows})))
+    return DatasetTable("t", label_set, dim, *columns(rows))
 
 
 def test_label_set_requires_strictly_increasing_ints():
@@ -101,15 +100,12 @@ def test_table_accessors_and_immutability():
     ])
     assert len(tab) == 3
     assert tab.sample_ids == ("a", "b", "c")
-    assert tab.row_of("b") == 1
+    assert tab.rows_for(("b",)).tolist() == [1]
     np.testing.assert_array_equal(tab.features_for(("c", "a")), [[4, 5], [0, 1]])
     np.testing.assert_array_equal(tab.ages_for(("b",)), [25.0])
     assert tab.identities() == ("p1", "p2")
-    assert tab.by_identity()["p1"] == (0, 1)
     with pytest.raises(ValueError):
         tab.feature_matrix[0, 0] = 99.0
-    with pytest.raises(ValidationError):
-        tab.row_of("nope")
     with pytest.raises(ValidationError, match="unknown sample_id 'nope'"):
         tab.rows_for(("a", "nope"))
 
@@ -123,24 +119,20 @@ def test_identity_codes_follow_first_appearance():
     assert codes.tolist() == [0, 1, 0, 2, 1]
     with pytest.raises(ValueError):
         codes[0] = 1
-    assert tab.by_identity() == {"p2": (0, 2), "p1": (1, 4), "p3": (3,)}
-    empty = DatasetTable(name="e", label_set=LabelSet((20,)), dimension=2, samples=())
+    empty = DatasetTable("e", LabelSet((20,)), 2, [], [], [], [])
     assert empty.identity_codes.shape == (0,) and empty.identities() == ()
-    assert empty.by_identity() == {}
+    assert empty.feature_matrix.shape == (0, 2) and empty.ages.shape == (0,)
 
 
 def test_identity_index_matches_a_walk_over_the_samples():
     rng = np.random.default_rng(4)
     idents = [f"id{int(k)}" for k in rng.integers(0, 40, 300)]
-    tab = make_table([(f"s{k}", ident, 20 + int(rng.integers(0, 5)), [0.0, 0.0])
-                      for k, ident in enumerate(idents)])
-    walk: dict[str, list[int]] = {}
-    for row, s in enumerate(tab.samples):
-        walk.setdefault(s.identity_id, []).append(row)
-    assert tab.identities() == tuple(walk)
-    assert tab.by_identity() == {k: tuple(v) for k, v in walk.items()}
+    rows = [(f"s{k}", ident, 20 + int(rng.integers(0, 5)), [0.0, 0.0])
+            for k, ident in enumerate(idents)]
+    tab = make_table(rows)
+    assert tab.identities() == tuple(dict.fromkeys(idents))
     assert [tab.identities()[c] for c in tab.identity_codes] == idents
-    assert tab.sample_ids == tuple(s.sample_id for s in tab.samples)
+    assert tab.sample_ids == tuple(sid for sid, *_ in rows)
 
 
 def test_synth_spec_validation():
@@ -161,7 +153,7 @@ def test_generate_counts_and_ranges():
     tab = generate_synthetic(spec)
     assert len(tab) == 200
     assert len(tab.identities()) == 50
-    assert all(len(rows) == 4 for rows in tab.by_identity().values())
+    assert np.bincount(tab.identity_codes).tolist() == [4] * 50
     assert tab.ages.min() >= 20 and tab.ages.max() <= 60
     assert tab.label_set.values == tuple(range(20, 61))
 
@@ -186,19 +178,16 @@ def test_zero_noise_features_are_a_function_of_age():
                      age_range=(20, 30), sigma_id=0.0, sigma_obs=0.0, seed=4)
     tab = generate_synthetic(spec)
     by_age = {}
-    for s in tab.samples:
-        if s.age in by_age:
-            np.testing.assert_array_equal(s.features, by_age[s.age])
-        else:
-            by_age[s.age] = s.features
+    for age, feats in zip(tab.ages.tolist(), tab.feature_matrix):
+        np.testing.assert_array_equal(feats, by_age.setdefault(age, feats))
 
 
 def test_identity_jitter_keeps_ages_near_base():
     spec = SynthSpec(n_identities=30, samples_per_identity=5, dimension=4,
                      age_range=(20, 60), sigma_id=1.0, sigma_obs=0.1, seed=9)
     tab = generate_synthetic(spec)
-    for ident, rows in tab.by_identity().items():
-        ages = tab.ages[list(rows)]
+    for code in range(len(tab.identities())):
+        ages = tab.ages[tab.identity_codes == code]
         assert ages.max() - ages.min() <= 2
 
 
@@ -208,7 +197,7 @@ def test_same_identity_nearest_neighbor_majority():
                      age_range=(20, 60), sigma_id=2.0, sigma_obs=0.5, seed=3)
     tab = generate_synthetic(spec)
     x = tab.feature_matrix
-    idents = np.array([s.identity_id for s in tab.samples])
+    idents = tab.identity_codes
     d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
     np.fill_diagonal(d2, np.inf)
     nn = d2.argmin(axis=1)
@@ -226,7 +215,8 @@ def test_manifest_round_trip(tmp_path):
     assert back.label_set.values == tab.label_set.values
     np.testing.assert_array_equal(back.feature_matrix, tab.feature_matrix)
     np.testing.assert_array_equal(back.ages, tab.ages)
-    assert [s.identity_id for s in back.samples] == [s.identity_id for s in tab.samples]
+    assert back.identities() == tab.identities()
+    np.testing.assert_array_equal(back.identity_codes, tab.identity_codes)
 
 
 def test_small_manifest_infers_label_set(tmp_path):
@@ -282,27 +272,38 @@ def test_save_floats_survive_exactly(tmp_path):
 
 
 def test_table_owns_its_rows():
-    """A table copies its samples' values, leaves the caller's objects alone,
-    and its own samples are frozen views that agree with its columns."""
-    given = [Sample(sample_id="a", identity_id="p1", age=20, features=np.array([1.0, 2.0])),
-             Sample(sample_id="b", identity_id="p2", age=np.int64(25), features=[3, 4])]
-    t = DatasetTable(name="t", label_set=LabelSet((20, 25)), dimension=2, samples=given)
-    u = DatasetTable(name="u", label_set=LabelSet((20, 25)), dimension=2, samples=given)
-    assert type(given[1].age) is np.int64 and given[1].features == [3, 4]
-    assert given[0].features.flags.writeable
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        t.samples[0].age = 21
-    with pytest.raises(ValueError):
-        t.samples[0].features[0] = 9.0
-    assert t.samples[0] is not u.samples[0]
-    for tab in (t, u, generate_synthetic(SynthSpec(n_identities=4, samples_per_identity=3,
-                                                   dimension=3, age_range=(20, 30), seed=2))):
-        assert len(tab.samples) == len(tab)
-        for s in tab.samples:
-            assert type(s.age) is int
-            assert s.age == tab.ages_for([s.sample_id])[0] == tab.sample(s.sample_id).age
-            assert s.features.tobytes() == tab.features_for([s.sample_id])[0].tobytes()
-            assert s.identity_id == tab.identities()[tab.identity_codes[tab.row_of(s.sample_id)]]
+    """A table copies its columns, leaves the caller's features array
+    writeable, and its own arrays are read-only."""
+    sample_ids, identity_ids = ["a", "b"], ["p1", "p2"]
+    ages, features = [20, np.int64(25)], np.array([[1.0, 2.0], [3.0, 4.0]])
+    t = DatasetTable("t", LabelSet((20, 25)), 2, sample_ids, identity_ids, ages, features)
+    u = DatasetTable("u", LabelSet((20, 25)), 2, sample_ids, identity_ids, ages, features)
+    assert features.flags.writeable and type(ages[1]) is np.int64
+    assert not np.shares_memory(t.feature_matrix, features)
+    assert not np.shares_memory(t.feature_matrix, u.feature_matrix)
+    features[0, 0] = 9.0
+    sample_ids[0], identity_ids[0], ages[0] = "z", "p9", 25
+    assert t.sample_ids == ("a", "b") and t.identities() == ("p1", "p2")
+    np.testing.assert_array_equal(t.feature_matrix, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(t.ages, [20.0, 25.0])
+    for array in (t.feature_matrix, t.ages, t.identity_codes):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    float_ages = DatasetTable("f", LabelSet((20, 25)), 2, ["a"], ["p1"], [25.9], [[0.0, 0.0]])
+    assert float_ages.ages.tolist() == [25.0]
+
+
+@pytest.mark.parametrize("short", range(4), ids=["sample_ids", "identity_ids", "ages", "features"])
+def test_table_refuses_columns_of_unequal_length(short):
+    cols = columns([("a", "p1", 20, [0.0, 1.0]), ("b", "p2", 21, [2.0, 3.0]),
+                    ("c", "p3", 20, [4.0, 5.0])])
+    cols[short] = cols[short][:2]
+    lengths = [3, 3, 3, 3]
+    lengths[short] = 2
+    with pytest.raises(ValidationError) as exc:
+        DatasetTable("t", LabelSet((20, 21)), 2, *cols)
+    assert str(exc.value) == ("columns of unequal length: {} sample ids, {} identity ids, "
+                              "{} ages, {} feature rows".format(*lengths))
 
 
 # --- the column loader against the per-row reference (tests/oracles.py)
@@ -406,7 +407,7 @@ def test_loader_raises_what_the_reference_raises_for_the_first_fault(tmp_path, k
 
 
 def _sample(sid, ident="p", age=20, feats=(0.0, 1.0)):
-    return Sample(sample_id=sid, identity_id=ident, age=age, features=np.asarray(feats))
+    return (sid, ident, age, np.asarray(feats))
 
 
 _TABLE_FAULTS = {
@@ -430,11 +431,11 @@ def test_table_raises_what_the_reference_raises_for_the_first_fault(kind):
     with pytest.raises((TypeError, ValueError)) as ref:
         reference_table(label_set, 2, rows)
     with pytest.raises(type(ref.value)) as new:
-        DatasetTable(name="t", label_set=label_set, dimension=2, samples=rows)
+        DatasetTable("t", label_set, 2, *columns(rows))
     assert type(new.value) is type(ref.value)
     assert str(new.value) == str(ref.value)
     if isinstance(ref.value, ValidationError):
-        assert repr(first.sample_id) in str(new.value)
+        assert repr(first[0]) in str(new.value)
 
 
 @pytest.mark.parametrize("config, section, out_of_range", [

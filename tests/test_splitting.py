@@ -11,7 +11,7 @@ import pytest
 from oracles import reference_greedy, reference_objective, reference_repair
 
 from ordibench import splitting
-from ordibench.data import LabelSet, ParseError, Sample, DatasetTable, ValidationError
+from ordibench.data import LabelSet, ParseError, DatasetTable, ValidationError
 from ordibench.splitting import (
     FOLD_NAMES,
     MODE_RANDOM,
@@ -30,21 +30,17 @@ FRACTIONS = (0.6, 0.2, 0.2)
 
 def tiny_table(n_idents=3, per=1, ages=None):
     ages = ages or [20, 30, 40]
-    samples = []
-    for i in range(n_idents):
-        for j in range(per):
-            samples.append(Sample(sample_id=f"s{i}_{j}", identity_id=f"p{i}",
-                                  age=ages[(i * per + j) % len(ages)],
-                                  features=np.zeros(2)))
-    return DatasetTable(name="tiny", label_set=LabelSet(tuple(sorted(set(ages)))),
-                        dimension=2, samples=tuple(samples))
+    n = n_idents * per
+    return DatasetTable("tiny", LabelSet(tuple(sorted(set(ages)))), 2,
+                        [f"s{i}_{j}" for i in range(n_idents) for j in range(per)],
+                        [f"p{i}" for i in range(n_idents) for _ in range(per)],
+                        [ages[k % len(ages)] for k in range(n)], np.zeros((n, 2)))
 
 
 def identity_of_fold(table, split):
-    out = {}
-    for fold in FOLD_NAMES:
-        out[fold] = {table.sample(sid).identity_id for sid in split.folds()[fold]}
-    return out
+    names = table.identities()
+    return {fold: {names[c] for c in table.identity_codes[table.rows_for(ids)]}
+            for fold, ids in split.folds().items()}
 
 
 def test_spec_validation_rejects_overlap_and_bad_fractions():
@@ -126,12 +122,10 @@ def test_bin_edges_one_per_label_until_32():
 
 def test_fraction_drift_warns():
     """One oversized identity forces the train fold far from 60%."""
-    samples = [Sample(sample_id=f"big{j}", identity_id="whale", age=20 + j,
-                      features=np.zeros(2)) for j in range(5)]
-    samples += [Sample(sample_id="a", identity_id="p1", age=21, features=np.zeros(2)),
-                Sample(sample_id="b", identity_id="p2", age=22, features=np.zeros(2))]
-    tab = DatasetTable(name="lumpy", label_set=LabelSet(tuple(range(20, 26))),
-                       dimension=2, samples=tuple(samples))
+    tab = DatasetTable("lumpy", LabelSet(tuple(range(20, 26))), 2,
+                       [f"big{j}" for j in range(5)] + ["a", "b"],
+                       ["whale"] * 5 + ["p1", "p2"], [20, 21, 22, 23, 24, 21, 22],
+                       np.zeros((7, 2)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         make_split(tab, MODE_SUBJECT_EXCLUSIVE, FRACTIONS, seed=0)
@@ -234,15 +228,15 @@ def repair_table(n_idents, seed, ages=(20, 40), sizes=(1, 8)):
     identity within the label set ages[0]..ages[1]."""
     rng = np.random.default_rng(seed)
     lo, hi = ages
-    samples = []
+    sample_ids, identity_ids, row_ages = [], [], []
     for i in range(n_idents):
         base = int(rng.integers(lo, hi + 1))
         for j in range(int(rng.integers(sizes[0], sizes[1] + 1))):
-            age = int(np.clip(base + rng.integers(-2, 3), lo, hi))
-            samples.append(Sample(sample_id=f"s{i}_{j}", identity_id=f"p{i}", age=age,
-                                  features=np.zeros(2)))
-    return DatasetTable(name="repair", label_set=LabelSet(tuple(range(lo, hi + 1))),
-                        dimension=2, samples=tuple(samples))
+            sample_ids.append(f"s{i}_{j}")
+            identity_ids.append(f"p{i}")
+            row_ages.append(int(np.clip(base + rng.integers(-2, 3), lo, hi)))
+    return DatasetTable("repair", LabelSet(tuple(range(lo, hi + 1))), 2, sample_ids,
+                        identity_ids, row_ages, np.zeros((len(sample_ids), 2)))
 
 
 def oracle_repair(sizes, hists, fold, targets, hist_targets, max_passes=200):
@@ -544,11 +538,11 @@ def test_split_digest_is_pinned():
 
 def test_audit_names_overlapping_identities_sorted_by_name():
     """Identities appear as p2, p0, p1 but the overlap lists them by name."""
-    samples = [Sample(sample_id=f"{ident}_{k}", identity_id=ident, age=20 + k,
-                      features=np.zeros(2))
-               for ident in ("p2", "p0", "p1") for k in range(3)]
-    tab = DatasetTable(name="leaky", label_set=LabelSet((20, 21, 22)), dimension=2,
-                       samples=tuple(samples))
+    idents = ("p2", "p0", "p1")
+    tab = DatasetTable("leaky", LabelSet((20, 21, 22)), 2,
+                       [f"{ident}_{k}" for ident in idents for k in range(3)],
+                       [ident for ident in idents for _ in range(3)],
+                       [20 + k for _ in idents for k in range(3)], np.zeros((9, 2)))
     split = SplitSpec(mode=MODE_RANDOM, seed=0, fractions=FRACTIONS,
                       train=("p2_0", "p0_0", "p1_0"), val=("p2_1", "p1_1"),
                       test=("p2_2", "p0_1", "p0_2", "p1_2"))

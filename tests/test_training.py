@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import fd_grad, flatten_params, rel_err, set_params
-from ordibench.data import LabelSet, Sample, DatasetTable, SynthSpec, generate_synthetic
+from ordibench.data import LabelSet, DatasetTable, SynthSpec, generate_synthetic
 from ordibench.methods import FAMILIES, MethodConfig, encode_targets, loss_eval
 from ordibench.splitting import MODE_SUBJECT_EXCLUSIVE, SplitSpec, make_split
 from ordibench.training import (
@@ -31,7 +31,7 @@ def test_init_parameter_counts():
     assert m.weights[0].shape == (4, 8) and m.biases[0].shape == (8,)
     assert m.weights[1].shape == (8, 3) and m.biases[1].shape == (3,)
     assert m.n_params == (4 * 8 + 8) + (8 * 3 + 3)
-    assert m.layer_dims == (4, 8, 3)
+    assert m.input_dim == 4 and m.head_size == 3
 
 
 def test_init_no_hidden_is_single_affine():
@@ -129,13 +129,9 @@ def test_shared_score_backprop_matches_fd():
 
 def hand_table():
     ls = LabelSet((0, 1, 2, 3, 4))
-    rows = [("a", "p1", 0), ("b", "p2", 1), ("c", "p3", 2), ("d", "p4", 4)]
-    samples = tuple(
-        Sample(sample_id=sid, identity_id=ident, age=age,
-               features=np.array([age / 4.0, 1.0]))
-        for sid, ident, age in rows
-    )
-    return DatasetTable(name="hand", label_set=ls, dimension=2, samples=samples)
+    ages = [0, 1, 2, 4]
+    return DatasetTable("hand", ls, 2, ["a", "b", "c", "d"], ["p1", "p2", "p3", "p4"], ages,
+                        [[age / 4.0, 1.0] for age in ages])
 
 
 def run_of(model, method, label_set):
