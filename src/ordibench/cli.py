@@ -175,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_parse_jobs,
         default=os.environ.get("ORDIBENCH_JOBS", "1"),
-        help="worker processes for the tasks, one task per split of a dataset; never more "
-             "workers than tasks (default: ORDIBENCH_JOBS or 1)",
+        help="worker processes for the tasks; each dataset's splits are cut into "
+             "min(splits, ceil(jobs / datasets)) tasks that each train in lockstep, and "
+             "there are never more workers than tasks (default: ORDIBENCH_JOBS or 1)",
     )
     p.add_argument("--output-dir", default=None, help="override the config's output_dir")
     p.set_defaults(func=_cmd_run)

@@ -2,12 +2,13 @@
 error matrices, plus the split-leakage demonstration.
 
 The harness owns the protocol sequencing: per dataset it builds a series of
-splits, and per split one train() call fits every method, in lockstep. The
-trainer builds every model from the split's seed, so all methods on a split
-start from the same hidden layers. The trainer only ever sees the train and
-val folds; the single test-fold pass happens here, after model selection,
-and held-out datasets are scored in full as cross-dataset rows, decoded
-with the label set the model was trained on.
+splits, and one train() call per chunk of those splits fits every method on
+each of them, in lockstep. The trainer builds every model from its split's
+seed, so all methods on a split start from the same hidden layers. The
+trainer only ever sees the train and val folds; the single test-fold pass
+happens here, after model selection, and held-out datasets are scored in
+full as cross-dataset rows, decoded with the label set the model was
+trained on.
 """
 
 from __future__ import annotations
@@ -242,34 +243,41 @@ def _records(run: TrainedRun, table: DatasetTable, split: SplitSpec, split_index
     ) for dataset, mae in scored]
 
 
-def _run_task(table: DatasetTable, split: SplitSpec, split_index: int,
-              methods: tuple[MethodConfig, ...], cfg: TrainConfig,
+def _task_name(dataset: str, split_indices: list[int]) -> str:
+    first, last = split_indices[0], split_indices[-1]
+    return f"{dataset}/split{first}" if first == last else f"{dataset}/split{first}-{last}"
+
+
+def _run_task(table: DatasetTable, splits: list[SplitSpec], split_indices: list[int],
+              methods: tuple[MethodConfig, ...], cfgs: list[TrainConfig],
               holdouts: list[DatasetTable]) -> tuple[list[RunRecord], list, list]:
-    """Train every method of one split in one train() call and score each cell.
+    """Train every method on a chunk of one dataset's splits in one train()
+    call and score each cell.
 
     Returns the records, the (cell, error) failures and the task's
-    (key, train wall time), if train returned. A cell that fails, in
+    (name, train wall time), if train returned. A cell that fails, in
     training or in scoring, is reported alone; an error that stops the whole
     task fails each of its cells with the same message.
     """
-    keys = [_cell_key(table.name, m.display_name, split_index) for m in methods]
+    keys = [[_cell_key(table.name, m.display_name, s) for m in methods] for s in split_indices]
     try:
         started = time.perf_counter()
-        outcomes = train(table, split, methods, cfg)
+        outcomes = train(table, splits, methods, cfgs)
         wall = time.perf_counter() - started
     except Exception as exc:  # isolate task failures; the collector reports them
-        return [], [(key, _describe(exc)) for key in keys], []
+        return [], [(key, _describe(exc)) for row in keys for key in row], []
     records: list[RunRecord] = []
     failures: list[tuple[str, str]] = []
-    for key, run in zip(keys, outcomes):
-        if isinstance(run, Exception):
-            failures.append((key, _describe(run)))
-            continue
-        try:
-            records.extend(_records(run, table, split, split_index, cfg, holdouts))
-        except Exception as exc:  # isolate cell failures; the collector reports them
-            failures.append((key, _describe(exc)))
-    return records, failures, [(f"{table.name}/split{split_index}", wall)]
+    for split, s, cfg, row_keys, runs in zip(splits, split_indices, cfgs, keys, outcomes):
+        for key, run in zip(row_keys, runs):
+            if isinstance(run, Exception):
+                failures.append((key, _describe(run)))
+                continue
+            try:
+                records.extend(_records(run, table, split, s, cfg, holdouts))
+            except Exception as exc:  # isolate cell failures; the collector reports them
+                failures.append((key, _describe(exc)))
+    return records, failures, [(_task_name(table.name, split_indices), wall)]
 
 
 # A pool worker's copy of the grid's tasks, set once by the pool initializer;
@@ -289,9 +297,12 @@ def _pool_task(index: int) -> tuple:
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Execute the full grid and write records and matrices to output_dir.
 
-    A task is one split of one dataset: one train() call fits every method
-    on it in lockstep, then each cell is scored. Tasks are independent. With
-    jobs > 1 they run in a pool of min(jobs, tasks) worker processes. The
+    A task is a chunk of consecutive splits of one dataset: one train() call
+    fits every method on every split of it in lockstep, then each cell is
+    scored. Each dataset is cut into min(n_splits, ceil(jobs / datasets))
+    chunks, so jobs=1 trains one stack per dataset (per fold size, should
+    the splits' folds differ in size). Tasks are independent. With jobs > 1
+    they run in a pool of min(jobs, tasks) worker processes. The
     task list, tables and splits included, reaches each worker once,
     through the pool's initializer (inherited under fork, pickled once per
     worker otherwise); a task sent to a worker is an index. Both paths run a
@@ -316,9 +327,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
             table, config.split_mode, config.fractions, config.base_seed, config.n_splits
         )
         holdouts = [t for i, t in enumerate(tables) if i != d_idx]
-        for s_idx, split in enumerate(splits):
-            task_cfg = dataclasses.replace(config.train, seed=config.train.seed + s_idx)
-            tasks.append((table, split, s_idx, config.methods, task_cfg, holdouts))
+        cfgs = [dataclasses.replace(config.train, seed=config.train.seed + s)
+                for s in range(len(splits))]
+        chunks = min(len(splits), -(-jobs // len(tables)))
+        for chunk in np.array_split(np.arange(len(splits)), chunks):
+            idx = chunk.tolist()
+            tasks.append((table, [splits[s] for s in idx], idx, config.methods,
+                          [cfgs[s] for s in idx], holdouts))
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -13,8 +13,9 @@ finite-difference check in the test suite.
 
 loss_eval is the one public way to compute a loss, and the one family
 dispatch: the trainer, the demos and the gradient check all call it. It
-takes one head-output row or an (n, head) batch of rows, and a single row
-runs the same array code as a batch, on its last axis. Each family's
+takes one head-output row or a (..., head) batch of rows, such as the
+(n, head) rows of one model or the (G, n, head) rows of G models, and every
+shape runs the same array code, on the last axis. Each family's
 formula is a private kernel (_soft_ce, _ebc, _l1, _dldlv2, _meanvar,
 _unimodal) that checks no input. loss_eval takes the targets encode_targets
 built, not ages: a run encodes and validates its train fold's targets once,
@@ -122,9 +123,9 @@ def _unwrap(x):
 class LossEval:
     """A loss value and its gradient with respect to the head outputs.
 
-    For one row, value is a float and grad has the head's shape; for an
-    (n, head) batch, value is an (n,) array of per-row losses and grad is
-    (n, head).
+    For one row, value is a float and grad has the head's shape; for a
+    (..., head) batch, value is a (...) array of per-row losses and grad is
+    (..., head).
     """
 
     value: float | np.ndarray
@@ -135,10 +136,10 @@ class LossEval:
 
 
 def _as_logits(logits) -> np.ndarray:
-    """One head-output row (head,) or a batch of rows (n, head), all finite."""
+    """One head-output row (head,) or a batch of rows (..., head), all finite."""
     z = np.asarray(logits, dtype=float)
-    if z.ndim not in (1, 2) or z.shape[-1] < 1:
-        raise ValueError("logits must be a non-empty 1-d row or a 2-d batch of rows")
+    if z.ndim < 1 or z.shape[-1] < 1:
+        raise ValueError("logits must be a non-empty row or a batch of rows")
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
     return z
@@ -310,11 +311,12 @@ def _unimodal(z, one_hot, t, lambda_uni) -> LossEval:
 
 
 def _regression_outputs(head_out) -> np.ndarray:
-    """The scalar output of a regression head: 0-d for one row, (n,) for a batch."""
+    """The scalar output of a regression head: 0-d for one row, (...) for a
+    (..., 1) batch."""
     out = np.asarray(head_out, dtype=float)
     if out.ndim < 2:
         out = out.reshape(-1)
-    if out.ndim > 2 or out.shape[-1] != 1:
+    if out.shape[-1] != 1:
         raise ValueError("regression head must produce exactly 1 output")
     return out[..., 0]
 
@@ -360,12 +362,13 @@ def encode_targets(config: MethodConfig, ages, label_set: LabelSet) -> Targets:
 
 
 def loss_eval(config: MethodConfig, head_out, targets: Targets, label_set: LabelSet) -> LossEval:
-    """Loss of one head-output row, or of an (n, head) batch, against its targets.
+    """Loss of one head-output row, or of a (..., head) batch, against its targets.
 
-    The targets come from encode_targets, for one age or for the n ages of
-    the batch, and are not checked again. A single row gives a float value
-    and a (head,) gradient; a batch gives per-row values (n,) and gradients
-    (n, head). dldl-v2 anchors its expectation on the label at the target
+    The targets come from encode_targets, for one age or for the ages of the
+    batch's rows (stacked to the batch's leading shape), and are not checked
+    again. A single row gives a float value and a (head,) gradient; a batch
+    gives per-row values (...) and gradients (..., head), each bitwise what
+    the row alone gives. dldl-v2 anchors its expectation on the label at the target
     index, which is the age itself for whole-year ages.
     """
     family = config.family

@@ -5,8 +5,10 @@ absolute error under the posterior, which is a weighted median of the
 labels. A brute-force scan over all candidate labels is kept alongside as
 an independent oracle; the two must agree everywhere.
 
-Every decoder takes one head-output row or an (n, head) batch; a batch
-decodes to a Prediction whose fields are (n,) arrays.
+Every decoder but the oracle takes one head-output row or a (..., head)
+batch, such as the (G, n, head) outputs of G models; a batch decodes to a
+Prediction whose fields are (...) arrays, each row bitwise what it decodes
+to alone.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ _SUM_TOL = 1e-9
 class Prediction:
     """A predicted age in years; label_index is None for continuous outputs.
 
-    Decoding one row gives a float age and an int index; decoding a batch
-    gives (n,) arrays.
+    Decoding one row gives a float age and an int index; decoding a
+    (..., head) batch gives (...) arrays.
     """
 
     age: float | np.ndarray
@@ -51,7 +53,7 @@ class Prediction:
 
 def _as_posterior(probs, n_labels: int) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] != n_labels:
+    if p.ndim < 1 or p.shape[-1] != n_labels:
         raise ValueError(f"posterior length {p.shape} does not match {n_labels} labels")
     if np.any(p < -1e-12):
         raise ValueError("posterior has negative mass")
@@ -92,7 +94,7 @@ def brute_force_bayes(probs, label_set: LabelSet) -> Prediction:
 def ebc_decode(threshold_probs, label_set: LabelSet) -> Prediction:
     """Rank decoding for threshold heads: count thresholds voting "above"."""
     q = np.asarray(threshold_probs, dtype=float)
-    if q.ndim not in (1, 2) or q.shape[-1] != len(label_set) - 1:
+    if q.ndim < 1 or q.shape[-1] != len(label_set) - 1:
         raise ValueError(
             f"expected {len(label_set) - 1} threshold probabilities, got shape {q.shape}"
         )
@@ -109,7 +111,7 @@ def regression_decode(raw_output, label_set: LabelSet) -> Prediction:
 
 
 def decode_output(config: MethodConfig, head_out, label_set: LabelSet) -> Prediction:
-    """Decode one raw head-output row, or each row of an (n, head) batch."""
+    """Decode one raw head-output row, or each row of a (..., head) batch."""
     if config.family == "regression":
         return regression_decode(_regression_outputs(head_out), label_set)
     if config.family in THRESHOLD_FAMILIES:

@@ -8,6 +8,9 @@ scoring the test fold is a separate call the caller makes once.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,25 +151,26 @@ def init_model(dimension: int, hidden_dims, head_size: int, seed: int,
     return MlpModel(weights=weights, biases=biases, head_kind=head_kind)
 
 
-def _hidden(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
-    """Layer inputs of B models run side by side: x, then each hidden layer's
-    (B, n, fan_out) activations, for (B, fan_in, fan_out) weights and
-    (B, fan_out) biases.
+def _affine_relu(h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """max(h @ w + b, 0) into out, for B models side by side: (B, n, fan_in)
+    inputs, (B, fan_in, fan_out) weights and (B, fan_out) biases.
 
     Every slice of a batched matmul is the BLAS call the 2-d product of that
     slice makes, so each model gets bitwise what it would get alone.
     """
-    acts = [x]
-    h = x
-    for w, b in zip(weights, biases):
-        h = np.maximum(h @ w + b[:, None, :], 0.0)
-        acts.append(h)
-    return acts
+    np.matmul(h, w, out=out)
+    out += b[:, None, :]
+    return np.maximum(out, 0.0, out=out)
 
 
-def _head(model: MlpModel, h: np.ndarray) -> np.ndarray:
-    # a shared-score head's (n, 1) score broadcasts over its K-1 biases
-    return h @ model.weights[-1] + model.biases[-1]
+def _head(h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
+          score: np.ndarray) -> np.ndarray:
+    """h @ w + b into out for G heads of one kind and shape: (G, n, hidden)
+    inputs, (G, hidden, width) weights and (G, size) biases. score takes the
+    (G, n, width) product: out itself for a dense head, while a shared-score
+    head's (G, n, 1) score broadcasts over its biases."""
+    np.matmul(h, w, out=score)
+    return np.add(score, b[:, None, :], out=out)
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
@@ -177,8 +181,13 @@ def forward(model: MlpModel, x) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != model.input_dim:
         raise ValueError(f"expected features of width {model.input_dim}, got shape {arr.shape}")
-    acts = _hidden([w[None] for w in model.weights[:-1]], [b[None] for b in model.biases[:-1]], arr)
-    out = _head(model, acts[-1][0] if len(acts) > 1 else arr)
+    h = arr[None]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = _affine_relu(h, w[None], b[None], np.empty((1, len(arr), w.shape[1])))
+    w, b = model.weights[-1], model.biases[-1]
+    out = np.empty((1, len(arr), len(b)))
+    score = out if w.shape[1] == len(b) else np.empty((1, len(arr), 1))
+    out = _head(h, w[None], b[None], out, score)[0]
     return out[0] if single else out
 
 
@@ -186,50 +195,75 @@ class ModelStack:
     """Models with one input width and one set of hidden-layer shapes, trained as one.
 
     Hidden layer i of all B members is one (B, fan_in, fan_out) weight block
-    and one (B, fan_out) bias block, run as one batched matmul; each member
-    keeps its own head. theta holds every parameter and grad every gradient,
-    in one layout, and every array is a view into one of them: models[k] is
-    member k's MlpModel over theta and grads[k] its gradients over grad.
-    Building a stack copies the given models' parameters in.
+    and one (B, fan_out) bias block, run as one batched matmul. The members
+    come in groups of consecutive models with one head kind and shape
+    (groups gives their sizes; by default each model is a group of its own),
+    and the heads of a group of G are one (G, hidden, width) weight block and
+    one (G, size) bias block, run as one batched matmul too. theta holds
+    every parameter and grad every gradient, in one layout, and every array
+    is a view into one of them: models[k] is member k's MlpModel over theta
+    and grads[k] its gradients over grad. Building a stack copies the given
+    models' parameters in. A pass writes its activations into work buffers
+    that the stack keeps for the next pass of the same shape.
     """
 
-    def __init__(self, models: list[MlpModel]):
+    def __init__(self, models: list[MlpModel], groups=None):
         if not models:
             raise ValueError("a stack needs at least one model")
+        sizes = [1] * len(models) if groups is None else [int(g) for g in groups]
+        if min(sizes) < 1 or sum(sizes) != len(models):
+            raise ValueError("group sizes must be positive and add up to the model count")
+        self.groups = [range(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
         first = models[0]
         for m in models:
             if [w.shape for w in m.weights[:-1]] != [w.shape for w in first.weights[:-1]]:
                 raise ValueError("stacked models must share their hidden-layer shapes")
+        heads = [models[g.start] for g in self.groups]
+        for g, lead in zip(self.groups, heads):
+            for m in models[g.start:g.stop]:
+                if (m.head_kind, m.weights[-1].shape, m.biases[-1].shape) != \
+                        (lead.head_kind, lead.weights[-1].shape, lead.biases[-1].shape):
+                    raise ValueError("the models of a group must share their head kind and shape")
         b = len(models)
+        self._n_hidden = len(first.weights) - 1
         self._shapes = ([(b, *w.shape) for w in first.weights[:-1]]
                         + [(b, *x.shape) for x in first.biases[:-1]]
-                        + [p.shape for m in models for p in (m.weights[-1], m.biases[-1])])
-        self._kinds = [m.head_kind for m in models]
+                        + [(len(g), *p.shape) for g, m in zip(self.groups, heads)
+                           for p in (m.weights[-1], m.biases[-1])])
+        self._kinds = [m.head_kind for m in heads]
         size = sum(int(np.prod(s)) for s in self._shapes)
         self.theta = np.empty(size)
         self.grad = np.zeros(size)
+        self._work: dict = {}
+        self._w, self._b, self._hw, self._hb = self._blocks(self.theta)
+        self._gw, self._gb, self._ghw, self._ghb = self._blocks(self.grad)
         self.models = self._members(self.theta)
         self.grads = self._members(self.grad)
         for dst, src in zip(self.models, models):
             for a, p in zip(dst.weights + dst.biases, src.weights + src.biases):
                 a[...] = p
-        n_hidden = len(first.weights) - 1
-        views = self._views(self.theta)
-        self._w, self._b = views[:n_hidden], views[n_hidden:2 * n_hidden]
-        views = self._views(self.grad)
-        self._gw, self._gb = views[:n_hidden], views[n_hidden:2 * n_hidden]
 
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+    def _blocks(self, flat: np.ndarray) -> tuple[list, list, list, list]:
+        """The hidden weight and bias blocks and the head weight and bias
+        blocks of a flat vector in this stack's layout."""
         ends = np.cumsum([int(np.prod(s)) for s in self._shapes])
-        return [flat[end - int(np.prod(s)):end].reshape(s) for s, end in zip(self._shapes, ends)]
+        views = [flat[end - int(np.prod(s)):end].reshape(s) for s, end in zip(self._shapes, ends)]
+        n = self._n_hidden
+        return views[:n], views[n:2 * n], views[2 * n::2], views[2 * n + 1::2]
 
     def _members(self, flat: np.ndarray) -> list[MlpModel]:
-        views = self._views(flat)
-        n_hidden = len(self._shapes) // 2 - len(self._kinds)
-        hidden_w, hidden_b, heads = views[:n_hidden], views[n_hidden:2 * n_hidden], views[2 * n_hidden:]
-        return [MlpModel(weights=[w[k] for w in hidden_w] + [heads[2 * k]],
-                         biases=[b[k] for b in hidden_b] + [heads[2 * k + 1]], head_kind=kind)
-                for k, kind in enumerate(self._kinds)]
+        hidden_w, hidden_b, head_w, head_b = self._blocks(flat)
+        return [MlpModel(weights=[w[k] for w in hidden_w] + [head_w[j][i]],
+                         biases=[b[k] for b in hidden_b] + [head_b[j][i]], head_kind=kind)
+                for j, (g, kind) in enumerate(zip(self.groups, self._kinds))
+                for i, k in enumerate(g)]
+
+    def _buffer(self, name, shape: tuple, dtype=float) -> np.ndarray:
+        """A work array of this stack, the same one on every call with equal arguments."""
+        key = (name, shape, dtype)
+        if key not in self._work:
+            self._work[key] = np.empty(shape, dtype)
+        return self._work[key]
 
     @property
     def weights(self) -> list[np.ndarray]:
@@ -238,109 +272,152 @@ class ModelStack:
         return [w for m in self.models for w in m.weights]
 
     def select(self, keep: list[int]) -> tuple["ModelStack", np.ndarray]:
-        """A stack of the members at positions keep, with their parameters and
-        gradients, and the mask of their entries in this stack's flat layout."""
+        """A stack of the members at the ascending positions keep, in their
+        groups, with their parameters and gradients, and the mask of their
+        entries in this stack's flat layout."""
         owner = np.empty(self.theta.size, dtype=np.intp)
         for k, member in enumerate(self._members(owner)):
             for a in member.weights + member.biases:
                 a[...] = k
         mask = np.isin(owner, keep)
-        kept = ModelStack([self.models[k] for k in keep])
+        sizes = [sum(k in g for k in keep) for g in self.groups]
+        kept = ModelStack([self.models[k] for k in keep], [s for s in sizes if s])
         kept.grad[...] = self.grad[mask]
         return kept, mask
 
-    def _layers(self, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Each layer's input, and each member's head input."""
-        acts = _hidden(self._w, self._b, x)
-        if len(acts) == 1:
-            return acts, [x] * len(self.models)
-        return acts, list(acts[-1])
+    def _layers(self, x: np.ndarray) -> list[np.ndarray]:
+        """Each layer's input: x, the (B, n, input) stack of the members'
+        batches or one (n, input) batch they all read, then each hidden
+        layer's (B, n, fan_out) activations."""
+        acts = [np.broadcast_to(x, (len(self.models), *x.shape[-2:]))]
+        for i, (w, b) in enumerate(zip(self._w, self._b)):
+            out = self._buffer(("act", i), (len(w), x.shape[-2], w.shape[-1]))
+            acts.append(_affine_relu(acts[-1], w, b, out))
+        return acts
+
+    def _heads(self, h: np.ndarray) -> list[np.ndarray]:
+        """Each group's (G, n, size) head outputs for the (B, n, hidden) head inputs."""
+        outs = []
+        for j, g in enumerate(self.groups):
+            w, b = self._hw[j], self._hb[j]
+            out = self._buffer(("out", j), (len(g), h.shape[-2], b.shape[-1]))
+            score = out if w.shape[-1] == b.shape[-1] else \
+                self._buffer(("score", j), (len(g), h.shape[-2], 1))
+            outs.append(_head(h[g.start:g.stop], w, b, out, score))
+        return outs
 
     def outputs(self, x: np.ndarray) -> list[np.ndarray]:
-        """Each member's (n, head) outputs for an (n, input) batch."""
-        _, heads_in = self._layers(x)
-        return [_head(m, h) for m, h in zip(self.models, heads_in)]
+        """Each group's (G, n, size) head outputs for a batch as _layers takes
+        it, in work buffers that the stack's next pass overwrites."""
+        return self._heads(self._layers(x)[-1])
 
-    def backward(self, acts: list[np.ndarray], heads_in: list[np.ndarray],
-                 grad_outs: list[np.ndarray | None]) -> None:
-        """Write into grad the parameter gradients, given each member's
-        d(loss)/d(head outputs), or None for a gradient of zero.
+    def backward(self, acts: list[np.ndarray], grad_outs: list[np.ndarray]) -> None:
+        """Write into grad the parameter gradients, given each group's
+        (G, n, size) block of d(loss)/d(head outputs).
 
         No gradient is computed for the input.
         """
-        da = np.zeros(acts[-1].shape) if len(acts) > 1 else None
-        for k, (model, grads, h, g) in enumerate(zip(self.models, self.grads, heads_in, grad_outs)):
-            gw, gb = grads.weights[-1], grads.biases[-1]
-            if g is None:
-                gw[...] = 0.0
-                gb[...] = 0.0
-                continue
-            if model.head_kind == HEAD_SHARED_SCORE:
-                d_score = g.sum(axis=1)
-                np.matmul(h.T, d_score[:, None], out=gw)
-                g.sum(axis=0, out=gb)
+        h = acts[-1]
+        da = self._buffer("da", h.shape) if self._n_hidden else None
+        for j, (g, d_out) in enumerate(zip(self.groups, grad_outs)):
+            h_t = np.swapaxes(h[g.start:g.stop], -1, -2)
+            w, gw, gb = self._hw[j], self._ghw[j], self._ghb[j]
+            if self._kinds[j] == HEAD_SHARED_SCORE:
+                d_score = d_out.sum(axis=-1)
+                np.matmul(h_t, d_score[..., None], out=gw)
                 if da is not None:
-                    np.outer(d_score, model.weights[-1][:, 0], out=da[k])
+                    np.multiply(d_score[..., None], w[:, None, :, 0], out=da[g.start:g.stop])
             else:
-                np.matmul(h.T, g, out=gw)
-                g.sum(axis=0, out=gb)
+                np.matmul(h_t, d_out, out=gw)
                 if da is not None:
-                    np.matmul(g, model.weights[-1].T, out=da[k])
-        for i in range(len(self._w) - 1, -1, -1):
-            dz = da * (acts[i + 1] > 0)
+                    np.matmul(d_out, np.swapaxes(w, -1, -2), out=da[g.start:g.stop])
+            d_out.sum(axis=1, out=gb)
+        for i in range(self._n_hidden - 1, -1, -1):
+            shape = acts[i + 1].shape
+            dz = np.multiply(da, np.greater(acts[i + 1], 0, out=self._buffer(("on", i), shape, bool)),
+                             out=self._buffer(("dz", i), shape))
             np.matmul(np.swapaxes(acts[i], -1, -2), dz, out=self._gw[i])
             dz.sum(axis=1, out=self._gb[i])
             if i:
-                da = dz @ np.swapaxes(self._w[i], -1, -2)
+                da = np.matmul(dz, np.swapaxes(self._w[i], -1, -2),
+                               out=self._buffer(("da", i), acts[i].shape))
+
+
+def _by_member(fn, size: int) -> list:
+    """fn(slice(None)), the list of the results of a group's members; if
+    that raises, each member's own result of fn(slice(k, k + 1)) or its
+    exception, so that a failure stays its member's."""
+    try:
+        return fn(slice(None))
+    except Exception as exc:  # find the members that fail; the others go on
+        if size == 1:
+            return [exc]
+    results: list = []
+    for k in range(size):
+        try:
+            results.extend(fn(slice(k, k + 1)))
+        except Exception as exc:  # this member fails; the others go on
+            results.append(exc)
+    return results
 
 
 def batch_loss_and_grads(stack: ModelStack, x: np.ndarray, targets: list[Targets],
                          methods: list[MethodConfig], label_set: LabelSet) -> list:
-    """One training step of every member of a stack on a shared minibatch.
+    """One training step of every member of a stack, each on its own minibatch.
 
-    targets[k] holds member k's targets for the batch rows and methods[k]
-    its method. The parameter gradients of each member's mean loss land in
-    stack.grad. Returns the mean losses in member order. A member whose
-    head outputs are not finite gets inf, to signal divergence, and one
-    whose loss raised gets the exception instead; the gradient of a member
-    without a finite loss is zero.
+    x is the (B, n, input) stack of the members' minibatches, or one
+    (n, input) minibatch they all read. targets[j] and methods[j] are group
+    j's: its members' targets for their batch rows, stacked to (G, n), and
+    its method; one loss_eval call scores the group's (G, n, size) head
+    outputs. The parameter gradients of each member's mean loss land in
+    stack.grad. Returns the mean losses in member order. A member whose head
+    outputs are not finite gets inf, to signal divergence, and one whose
+    loss raised gets the exception instead; the gradient of a member without
+    a finite loss is zero.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    acts, heads_in = stack._layers(x)
+    n = x.shape[-2]
+    acts = stack._layers(x)
     values: list = []
     grad_outs: list = []
-    for model, h, t, method in zip(stack.models, heads_in, targets, methods):
-        out = _head(model, h)
-        grad_out = None
-        if not np.all(np.isfinite(out)):
-            values.append(float("inf"))
-        else:
-            try:
-                ev = loss_eval(method, out, t, label_set)
-            except Exception as exc:  # one member's failure; the others go on
-                values.append(exc)
-            else:
-                value = _sum_in_order(ev.value) / n
-                values.append(value)
-                if np.isfinite(value):
-                    grad_out = ev.grad / n
+    for j, (out, t, method) in enumerate(zip(stack._heads(acts[-1]), targets, methods)):
+        grad_out = stack._buffer(("grad_out", j), out.shape)
+        finite = np.isfinite(out).all(axis=(1, 2))
+        out[~finite] = 0.0  # scored like any member, then given inf below
+
+        def losses(part):
+            ev = loss_eval(method, out[part], t[part], label_set)
+            np.divide(ev.grad, n, out=grad_out[part])
+            return (_sum_in_order(ev.value) / n).tolist()
+
+        for k, value in enumerate(_by_member(losses, len(out))):
+            if not finite[k]:
+                value = float("inf")
+            if isinstance(value, Exception) or not math.isfinite(value):
+                grad_out[k] = 0.0
+            values.append(value)
         grad_outs.append(grad_out)
-    stack.backward(acts, heads_in, grad_outs)
+    stack.backward(acts, grad_outs)
     return values
 
 
-def _sum_in_order(values: np.ndarray) -> float:
-    """Left-to-right sum, as a Python loop adds (np.sum adds pairwise)."""
-    return float(np.cumsum(values)[-1])
+def _sum_in_order(values: np.ndarray) -> np.ndarray:
+    """Left-to-right sums along the last axis, as a Python loop adds (np.sum
+    adds pairwise)."""
+    return np.cumsum(values, axis=-1)[..., -1]
+
+
+_ADAM_BLOCK = 32768  # entries an Adam step updates at a time: a block's state stays in cache
 
 
 class _Adam:
     """Adam over one flat parameter vector, updated in place.
 
-    The moments and the temporaries are single preallocated vectors, so one
-    step is a fixed handful of array operations whatever the model count
-    and depth. The operations and their order are those of
+    The moments are single preallocated vectors. A step walks the vector in
+    blocks of _ADAM_BLOCK entries, with a fixed handful of array operations
+    per block into two preallocated temporaries, so a block's state stays in
+    cache from one operation to the next whatever the model count and depth.
+    The operations and their order are those of
     m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), elementwise.
     """
@@ -348,31 +425,35 @@ class _Adam:
     def __init__(self, size: int, cfg: TrainConfig):
         self.cfg = cfg
         self.t = 0
-        self.m, self.v, self.num, self.den = (np.zeros(size) for _ in range(4))
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self.num, self.den = np.empty(min(size, _ADAM_BLOCK)), np.empty(min(size, _ADAM_BLOCK))
 
     def keep(self, mask: np.ndarray) -> None:
         """Keep the state of the entries under mask, as ModelStack.select does."""
-        self.m, self.v, self.num, self.den = (a[mask] for a in (self.m, self.v, self.num, self.den))
+        self.m, self.v = self.m[mask], self.v[mask]
 
     def step(self, theta: np.ndarray, g: np.ndarray) -> None:
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        m, v, num, den = self.m, self.v, self.num, self.den
-        m *= c.beta1
-        m += np.multiply(1 - c.beta1, g, out=num)
-        np.multiply(1 - c.beta2, g, out=num)
-        num *= g
-        v *= c.beta2
-        v += num
-        np.divide(m, bc1, out=num)
-        num *= c.learning_rate
-        np.divide(v, bc2, out=den)
-        np.sqrt(den, out=den)
-        den += c.adam_eps
-        num /= den
-        theta -= num
+        for lo in range(0, len(theta), _ADAM_BLOCK):
+            block = slice(lo, lo + _ADAM_BLOCK)
+            p, gb, m, v = theta[block], g[block], self.m[block], self.v[block]
+            num, den = self.num[:len(p)], self.den[:len(p)]
+            m *= c.beta1
+            m += np.multiply(1 - c.beta1, gb, out=num)
+            np.multiply(1 - c.beta2, gb, out=num)
+            num *= gb
+            v *= c.beta2
+            v += num
+            np.divide(m, bc1, out=num)
+            num *= c.learning_rate
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += c.adam_eps
+            num /= den
+            p -= num
 
 
 @dataclass
@@ -402,9 +483,10 @@ def head_kind_for(method: MethodConfig) -> str:
 
 
 def _mae(method: MethodConfig, head_out: np.ndarray, ages: np.ndarray,
-         label_set: LabelSet) -> float:
+         label_set: LabelSet) -> np.ndarray:
+    """Mean absolute error of each model's (..., n, head) outputs against (..., n) ages."""
     pred = decode_output(method, head_out, label_set)
-    return _sum_in_order(np.abs(pred.age - ages)) / len(ages)
+    return _sum_in_order(np.abs(pred.age - ages)) / ages.shape[-1]
 
 
 def evaluate_mae(run: TrainedRun, table: DatasetTable, fold_ids) -> float:
@@ -417,17 +499,18 @@ def evaluate_mae(run: TrainedRun, table: DatasetTable, fold_ids) -> float:
     ids = tuple(fold_ids)
     if not ids:
         raise ValueError("cannot evaluate an empty fold")
-    return _mae(run.method, forward(run.best_model, table.features_for(ids)),
-                table.ages_for(ids), run.label_set)
+    return float(_mae(run.method, forward(run.best_model, table.features_for(ids)),
+                      table.ages_for(ids), run.label_set))
 
 
 @dataclass(eq=False)
 class _Member:
-    """One method's part of a lockstep run: its targets, its model (views
-    into the current stack) and its selection state."""
+    """One (split, method) part of a lockstep run: the positions of its split
+    and its method, its targets, its model (views into the current stack)
+    and its selection state."""
 
-    index: int
-    method: MethodConfig
+    split: int
+    method: int
     targets: Targets
     model: MlpModel
     best_model: MlpModel
@@ -437,18 +520,35 @@ class _Member:
     epoch_loss: float = 0.0
 
 
-def train(table: DatasetTable, split: SplitSpec, methods, cfg: TrainConfig):
-    """Fit one model per method on the split's train fold, selecting each by val-fold MAE.
+def _joined(targets: list[Targets]) -> Targets:
+    """The targets of members with n rows each, one after another: member i's
+    row r is row i * n + r."""
+    index = None if targets[0].index is None else np.concatenate([t.index for t in targets])
+    return Targets(index, np.concatenate([t.row for t in targets]))
 
-    methods is one MethodConfig, which gives its TrainedRun and raises its
-    failure, or a sequence of them, which gives a list in the same order
-    holding each method's TrainedRun or the exception that stopped it. The
-    methods of a sequence train in lockstep as one ModelStack: all start
-    from the seed's hidden layers and see the same minibatches, and each
-    gets bitwise the run it would get alone. A method whose loss diverges or
+
+def train(table: DatasetTable, splits, methods, cfgs):
+    """Fit one model per (split, method) on the split's train fold, selecting
+    each by val-fold MAE.
+
+    splits is one SplitSpec with its TrainConfig as cfgs, or a sequence of
+    splits of the table with one TrainConfig each, configs that may differ
+    only in seed; methods is one MethodConfig or a sequence of them. The
+    outcomes come as outcomes[split][method], without the level of an
+    argument given singly: one split and one method give that TrainedRun and
+    raise its failure, and otherwise an outcome is a TrainedRun or the
+    exception that stopped it. A split with an empty train or val fold fails
+    its own outcomes only.
+
+    The splits whose train and val folds have equal sizes train in lockstep
+    as one ModelStack of all their (split, method) members, method-major, a
+    method's members forming one group. Each member starts from its split's
+    seed, so all methods on a split start from the same hidden layers, and
+    reads its split's minibatches, drawn by its split's seeded shuffle; each
+    gets bitwise the run it would get alone. A member whose loss diverges or
     raises leaves the stack; the others go on.
 
-    Only the train and val folds are ever read; the test fold stays
+    Only the train and val folds are ever read; the test folds stay
     untouched. Given equal inputs the result is bitwise reproducible: the
     seed drives both initialization and the per-epoch shuffles. Targets are
     encoded from the train fold once. A shared-score (CORAL) head starts
@@ -456,102 +556,147 @@ def train(table: DatasetTable, split: SplitSpec, methods, cfg: TrainConfig):
     Mirjalili & Raschka (2020) do; from zero biases Adam cannot spread the
     thresholds within a short run.
     """
-    if isinstance(methods, MethodConfig):
-        (outcome,) = train(table, split, [methods], cfg)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-    methods = list(methods)
+    one_split, one_method = isinstance(splits, SplitSpec), isinstance(methods, MethodConfig)
+    splits = [splits] if one_split else list(splits)
+    cfgs = [cfgs] if isinstance(cfgs, TrainConfig) else list(cfgs)
+    methods = [methods] if one_method else list(methods)
     if not methods:
         raise ValueError("no methods to train")
-    if not split.train:
-        raise ValueError("split has an empty train fold")
-    if not split.val:
-        raise ValueError("split has an empty val fold")
-    label_set = table.label_set
-    x_train = table.features_for(split.train)
-    ages_train = table.ages_for(split.train)
-    x_val = table.features_for(split.val)
-    ages_val = table.ages_for(split.val)
-
-    outcomes: list = [None] * len(methods)
-    live: list[_Member] = []
-    for k, method in enumerate(methods):
-        try:
-            targets = encode_targets(method, ages_train, label_set)
-            model = init_model(table.dimension, cfg.hidden_dims,
-                               method.head_size(len(label_set)), seed=cfg.seed,
-                               head_kind=head_kind_for(method))
-        except Exception as exc:  # this method fails; the others go on
-            outcomes[k] = exc
-            continue
-        if model.head_kind == HEAD_SHARED_SCORE:
-            p = np.clip(targets.row.mean(axis=0), 1e-3, 1 - 1e-3)
-            model.biases[-1][:] = np.log(p / (1 - p))
-        live.append(_Member(k, method, targets, model, model.copy()))
-    if not live:
+    if not splits or len(cfgs) != len(splits):
+        raise ValueError("train needs one or more splits and one TrainConfig per split")
+    if len({dataclasses.replace(c, seed=0) for c in cfgs}) > 1:
+        raise ValueError("the TrainConfigs of one train() call may differ only in seed")
+    outcomes: list = [[None] * len(methods) for _ in splits]
+    stacks: dict = {}
+    for s, split in enumerate(splits):
+        empty = [fold for fold in ("train", "val") if not getattr(split, fold)]
+        if empty:
+            outcomes[s] = [ValueError(f"split has an empty {empty[0]} fold")] * len(methods)
+        else:
+            stacks.setdefault((len(split.train), len(split.val)), []).append(s)
+    for group in stacks.values():
+        _train_stack(table, [splits[s] for s in group], methods, [cfgs[s] for s in group],
+                     [outcomes[s] for s in group])
+    if one_method:
+        outcomes = [row[0] for row in outcomes]
+    if not one_split:
         return outcomes
+    if one_method and isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
 
-    stack = ModelStack([m.model for m in live])
+
+def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[MethodConfig],
+                 cfgs: list[TrainConfig], outcomes: list[list]) -> None:
+    """train() for splits whose folds have equal sizes: one lockstep stack,
+    whose member (s, j) puts its outcome in outcomes[s][j]."""
+    label_set = table.label_set
+    x_train = np.stack([table.features_for(s.train) for s in splits])
+    ages_train = np.stack([table.ages_for(s.train) for s in splits])
+    x_val = np.stack([table.features_for(s.val) for s in splits])
+    ages_val = np.stack([table.ages_for(s.val) for s in splits])
+    cfg = cfgs[0]
+
+    live: list[_Member] = []
+    for j, method in enumerate(methods):
+        for s, (ages, split_cfg) in enumerate(zip(ages_train, cfgs)):
+            try:
+                targets = encode_targets(method, ages, label_set)
+                model = init_model(table.dimension, cfg.hidden_dims,
+                                   method.head_size(len(label_set)), seed=split_cfg.seed,
+                                   head_kind=head_kind_for(method))
+            except Exception as exc:  # this member fails; the others go on
+                outcomes[s][j] = exc
+                continue
+            if model.head_kind == HEAD_SHARED_SCORE:
+                p = np.clip(targets.row.mean(axis=0), 1e-3, 1 - 1e-3)
+                model.biases[-1][:] = np.log(p / (1 - p))
+            live.append(_Member(s, j, targets, model, model.copy()))
+    if not live:
+        return
+
+    stack = ModelStack([m.model for m in live],
+                       [len(list(run)) for _, run in itertools.groupby(m.method for m in live)])
     adam = _Adam(stack.theta.size, cfg)
 
-    def drop(failed: dict) -> bool:
-        """Record the failed members' outcomes, take them out of the stack and
-        point the others at their views in it; False once none is left."""
-        nonlocal stack, live
-        if failed:
-            for m, exc in failed.items():
-                outcomes[m.index] = exc
-            keep = [j for j, m in enumerate(live) if m not in failed]
-            live = [live[j] for j in keep]
-            if live:
-                stack, mask = stack.select(keep)
-                adam.keep(mask)
+    def regroup() -> tuple:
+        """Point the live members at their views in the stack; the members of
+        each group, their splits and their joined targets, and the split and
+        the val rows of every member."""
         for m, model in zip(live, stack.models):
             m.model = model
-        return bool(live)
+        groups = [live[g.start:g.stop] for g in stack.groups]
+        splits_of = [np.array([m.split for m in g]) for g in groups]
+        inputs = np.concatenate(splits_of)
+        return (groups, splits_of, [_joined([m.targets for m in g]) for g in groups],
+                inputs, x_val[inputs])
 
-    drop({})  # each member's model becomes its views in the stack
-    shuffle_rng = rng_from_seed(cfg.seed, 1)
-    n = len(x_train)
+    groups, group_splits, group_targets, inputs, val_x = regroup()
+
+    def drop(failed: dict) -> bool:
+        """Record the failed members' outcomes and take them out of the
+        stack; False once none is left."""
+        nonlocal stack, live, groups, group_splits, group_targets, inputs, val_x
+        if not failed:
+            return True
+        for m, exc in failed.items():
+            outcomes[m.split][m.method] = exc
+        keep = [k for k, m in enumerate(live) if m not in failed]
+        live = [live[k] for k in keep]
+        if not live:
+            return False
+        stack, mask = stack.select(keep)
+        adam.keep(mask)
+        groups, group_splits, group_targets, inputs, val_x = regroup()
+        return True
+
+    rngs = [rng_from_seed(c.seed, 1) for c in cfgs]
+    n, width = x_train.shape[1:]
+    train_rows = x_train.reshape(-1, width)  # row r of split s is train_rows[s * n + r]
     for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(n)
+        orders = np.stack([rng.permutation(n) for rng in rngs])
         for m in live:
             m.epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
-            rows = order[start:start + cfg.batch_size]
-            values = batch_loss_and_grads(stack, x_train[rows], [m.targets[rows] for m in live],
-                                          [m.method for m in live], label_set)
+            rows = orders[:, start:start + cfg.batch_size]
+            x = np.take(train_rows, inputs[:, None] * n + rows[inputs], axis=0, mode="clip",
+                        out=stack._buffer("x", (len(live), rows.shape[1], width)))
+            targets = [t[np.arange(0, len(s) * n, n)[:, None] + rows[s]]
+                       for t, s in zip(group_targets, group_splits)]
+            values = batch_loss_and_grads(stack, x, targets,
+                                          [methods[g[0].method] for g in groups], label_set)
             failed = {m: v if isinstance(v, Exception) else TrainingDiverged(epoch)
                       for m, v in zip(live, values)
-                      if isinstance(v, Exception) or not np.isfinite(v)}
+                      if isinstance(v, Exception) or not math.isfinite(v)}
             values = [v for m, v in zip(live, values) if m not in failed]
             if not drop(failed):
-                return outcomes
+                return
             adam.step(stack.theta, stack.grad)
             for m, value in zip(live, values):
-                m.epoch_loss += value * len(rows)
-        failed = {m: TrainingDiverged(epoch) for m in live
-                  if not all(np.all(np.isfinite(w)) for w in m.model.weights)}
-        if not drop(failed):
-            return outcomes
+                m.epoch_loss += value * rows.shape[1]
+        if not np.isfinite(stack.theta).all():
+            failed = {m: TrainingDiverged(epoch) for m in live
+                      if not all(np.isfinite(w).all() for w in m.model.weights)}
+            if not drop(failed):
+                return
         failed = {}
-        for m, out in zip(live, stack.outputs(x_val)):
-            try:
-                val_mae = _mae(m.method, out, ages_val, label_set)
-            except Exception as exc:  # this method fails; the others go on
-                failed[m] = exc
-                continue
-            m.history.append((m.epoch_loss / n, val_mae))
-            if val_mae < m.best_mae:
-                m.best_mae = val_mae
-                m.best_epoch = epoch
-                m.best_model = m.model.copy()
+        for g, s, out in zip(groups, group_splits, stack.outputs(val_x)):
+            method, ages = methods[g[0].method], ages_val[s]
+            maes = _by_member(lambda part: _mae(method, out[part], ages[part], label_set).tolist(),
+                              len(g))
+            for m, val_mae in zip(g, maes):
+                if isinstance(val_mae, Exception):
+                    failed[m] = val_mae
+                    continue
+                m.history.append((m.epoch_loss / n, val_mae))
+                if val_mae < m.best_mae:
+                    m.best_mae = val_mae
+                    m.best_epoch = epoch
+                    m.best_model = m.model.copy()
         if not drop(failed):
-            return outcomes
+            return
 
     for m in live:
-        outcomes[m.index] = TrainedRun(best_model=m.best_model, history=tuple(m.history),
-                                       selected_epoch=m.best_epoch, method=m.method,
-                                       label_set=label_set)
-    return outcomes
+        outcomes[m.split][m.method] = TrainedRun(
+            best_model=m.best_model, history=tuple(m.history), selected_epoch=m.best_epoch,
+            method=methods[m.method], label_set=label_set)

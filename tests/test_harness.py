@@ -263,6 +263,33 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("jobs, tasks", [
+    (1, ["synthA/split0-2", "synthB/split0-2"]),  # one stack per dataset
+    (2, ["synthA/split0-2", "synthB/split0-2"]),  # one task per dataset
+    (3, ["synthA/split0-1", "synthA/split2", "synthB/split0-1", "synthB/split2"]),
+])
+def test_a_task_is_a_chunk_of_one_datasets_splits(tmp_path, jobs, tasks):
+    """Each dataset is cut into min(splits, ceil(jobs / datasets)) tasks;
+    run_timings.csv names each task's splits, and the records do not move."""
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["split"]["n_splits"] = 3
+    second = json.loads(json.dumps(payload["datasets"][0]))
+    second["name"] = "synthB"
+    second["synth"]["seed"] = 9
+    payload["datasets"].append(second)
+    payload["output_dir"] = str(tmp_path / "out")
+    result = run_experiment(ExperimentConfig.from_dict(payload, base_dir=tmp_path), jobs=jobs)
+    assert not result.failures and len(result.records) == 2 * 2 * 3 * 2
+    lines = (tmp_path / "out" / "run_timings.csv").read_text().splitlines()
+    assert lines[0] == "task,wall_time_s"
+    assert [line.split(",")[0] for line in lines[1:]] == tasks
+    if jobs > 1:
+        payload["output_dir"] = str(tmp_path / "serial")
+        run_experiment(ExperimentConfig.from_dict(payload, base_dir=tmp_path), jobs=1)
+        assert (tmp_path / "out" / "run_records.csv").read_bytes() == \
+            (tmp_path / "serial" / "run_records.csv").read_bytes()
+
+
 SPAWN_RUN = """
 import multiprocessing, sys
 from ordibench.harness import ExperimentConfig, run_experiment
@@ -333,9 +360,10 @@ def test_cross_rows_decode_with_the_training_label_set(tmp_path, monkeypatch):
     runs, tables = {}, {}
     original_train = harness.train
 
-    def capturing_train(table, split, methods, train_cfg):
-        outcomes = original_train(table, split, methods, train_cfg)
-        for method, run in zip(methods, outcomes):
+    def capturing_train(table, splits, methods, train_cfgs):
+        outcomes = original_train(table, splits, methods, train_cfgs)
+        (split_runs,) = outcomes  # one split per dataset
+        for method, run in zip(methods, split_runs):
             runs[(table.name, method.display_name)] = run
         tables[table.name] = table
         return outcomes
@@ -446,7 +474,7 @@ def test_tasks_reach_workers_as_indices(tmp_path, monkeypatch):
     serial = run_experiment(config_for(tmp_path, out="s"), jobs=1)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     pooled = run_experiment(config_for(tmp_path, out="p"), jobs=2)
-    assert len(task_bytes) == 2  # one task per split
+    assert len(task_bytes) == 2  # jobs=2 cuts the 2 splits into 2 tasks
     assert max(task_bytes) < 1024, task_bytes
     assert pooled.records == serial.records
     assert harness._TASKS == []  # the parent holds no table after the run

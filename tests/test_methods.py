@@ -352,6 +352,31 @@ def test_batched_loss_equals_stacked_rows(family):
                                    rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_batches_are_bitwise_their_slices(family):
+    """An (S, n, head) call, as the trainer makes for S models of one method,
+    gives bitwise the values and gradients of S (n, head) calls."""
+    cfg = MethodConfig(family=family)
+    rng = rng_from_seed(203)
+    for _ in range(20):
+        ls, z, ages = _random_batch(rng, cfg)
+        s = int(rng.integers(1, 6))
+        z = np.stack([z] + [rng.normal(size=z.shape) * 3.0 for _ in range(s - 1)])
+        ages = rng.choice(ls.as_array(), size=(s, z.shape[1])).astype(float)
+        stacked = loss_eval(cfg, z, encode_targets(cfg, ages, ls), ls)
+        assert stacked.value.shape == z.shape[:2] and stacked.grad.shape == z.shape
+        for i in range(s):
+            alone = loss_eval(cfg, z[i], encode_targets(cfg, ages[i], ls), ls)
+            assert np.array_equal(stacked.value[i], alone.value)
+            assert np.array_equal(stacked.grad[i], alone.grad)
+        if family in DISTRIBUTION_FAMILIES:
+            p = softmax(z)
+            for i in range(s):
+                assert np.array_equal(p[i], softmax(z[i]))
+                assert np.array_equal(expectation(p, ls)[i], expectation(p[i], ls))
+                assert np.array_equal(variance(p, ls)[i], variance(p[i], ls))
+
+
 @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "regression"])
 def test_batched_loss_rejects_age_outside_label_set(family):
     cfg = MethodConfig(family=family)

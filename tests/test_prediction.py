@@ -136,6 +136,30 @@ def test_batched_decode_equals_rows_exactly(family):
             assert all(type(r.label_index) is int and type(r.age) is float for r in rows)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_decode_is_bitwise_its_slices(family):
+    """An (S, n, head) call, as the trainer makes for S models of one method,
+    decodes to bitwise the ages and indices of S (n, head) calls."""
+    cfg = MethodConfig(family=family)
+    rng = rng_from_seed(31)
+    for _ in range(20):
+        k = int(rng.integers(2, 81))
+        ls = LabelSet(tuple(range(20, 20 + k)))
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 40)), cfg.head_size(k))
+        out = rng.normal(size=shape) * 3.0
+        if family == "regression":
+            out = rng.uniform(-0.5, 1.5, size=shape)
+        stacked = decode_output(cfg, out, ls)
+        assert stacked.age.shape == shape[:2]
+        for i in range(shape[0]):
+            alone = decode_output(cfg, out[i], ls)
+            assert np.array_equal(stacked.age[i], alone.age)
+            if family == "regression":
+                assert stacked.label_index is None and alone.label_index is None
+            else:
+                assert np.array_equal(stacked.label_index[i], alone.label_index)
+
+
 def test_threshold_decode_counts_sigmoid_above_half_not_positive_logits():
     ls = LabelSet((0, 1, 2, 3))
     tiny = np.array([[1e-300, 1e-300, 1e-300], [0.0, 0.0, 0.0], [1.0, 1e-17, -1e-300]])

@@ -31,8 +31,9 @@ def test_bench_tracer_installs_and_uninstalls_on_the_package(tmp_path, monkeypat
 
 
 def test_bench_tracer_sees_the_training_hot_path(tmp_path, monkeypatch):
-    """One traced train() span per (dataset, split) task; the summed loss and
-    decode calls are those of every method's minibatches and folds."""
+    """One traced train() span per task, one task per dataset under jobs=1;
+    one summed loss call per method and lockstep minibatch, and one decode
+    call per method and epoch plus one per scored cell."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
 
@@ -58,8 +59,9 @@ def test_bench_tracer_sees_the_training_hot_path(tmp_path, monkeypatch):
     table = cfg.datasets[0].load()
     splits = make_split_series(table, cfg.split_mode, cfg.fractions, cfg.base_seed, cfg.n_splits)
     methods = len(cfg.methods)
-    minibatches = sum(epochs * -(-len(s.train) // batch_size) for s in splits)
-    assert layers["harness.cells"] == len(splits)  # one training.train span per task
+    stacks = {(len(s.train), len(s.val)) for s in splits}  # splits with equal folds share one
+    minibatches = sum(epochs * -(-n_train // batch_size) for n_train, _ in stacks)
+    assert layers["harness.cells"] == 1  # one training.train span per task
     assert layers["methods.loss_calls"] == methods * minibatches
-    assert layers["prediction.decode_calls"] == methods * (epochs + 1) * len(splits)
+    assert layers["prediction.decode_calls"] == methods * (epochs * len(stacks) + len(splits))
     assert layers["training.steps"] > 0

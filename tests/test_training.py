@@ -6,7 +6,7 @@ import pytest
 from gradcheck import fd_grad, flatten_params, rel_err, set_params
 from ordibench.data import LabelSet, DatasetTable, SynthSpec, generate_synthetic
 from ordibench.methods import FAMILIES, MethodConfig, encode_targets, loss_eval
-from ordibench.splitting import MODE_SUBJECT_EXCLUSIVE, SplitSpec, make_split
+from ordibench.splitting import MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE, SplitSpec, make_split, make_split_series
 from ordibench.training import (
     HEAD_DENSE,
     HEAD_SHARED_SCORE,
@@ -96,10 +96,10 @@ def test_backprop_jacobian_small_model():
     stack = ModelStack([model])
 
     for j in range(2):
-        acts, heads_in = stack._layers(x)
-        basis = np.zeros((1, 2))
-        basis[0, j] = 1.0
-        stack.backward(acts, heads_in, [basis])
+        acts = stack._layers(x)
+        basis = np.zeros((1, 1, 2))
+        basis[0, 0, j] = 1.0
+        stack.backward(acts, [basis])
         analytic = flatten_params(stack.grads[0])
         fd = fd_grad(lambda v: forward(set_params(model, v), x)[0, j], theta)
         assert rel_err(analytic, fd) <= 1e-5
@@ -397,3 +397,185 @@ def test_head_kind_selection():
     assert head_kind_for(MethodConfig(family="coral")) == HEAD_SHARED_SCORE
     for fam in ("cross-entropy", "or-cnn", "regression", "dldl"):
         assert head_kind_for(MethodConfig(family=fam)) == HEAD_DENSE
+
+
+# ------------------------------------------------------- multi-split lockstep
+
+LOCKSTEP_FAMILIES = ("cross-entropy", "coral", "regression")  # dense, shared-score, scalar heads
+
+
+def grid_table():
+    """The criterion-10 table's shape: 240 rows, so a 0.6/0.2/0.2 random split
+    has 144 train rows, a ragged last minibatch of 16 at batch size 32."""
+    spec = SynthSpec(n_identities=60, samples_per_identity=4, dimension=8,
+                     age_range=(20, 60), sigma_id=2.0, sigma_obs=0.5, seed=11)
+    return generate_synthetic(spec)
+
+
+def random_splits(tab, n):
+    return make_split_series(tab, MODE_RANDOM, (0.6, 0.2, 0.2), 3, n)
+
+
+def split_cfgs(n, **kw):
+    return [TrainConfig(epochs=3, batch_size=32, seed=20 + s, hidden_dims=(16, 8), **kw)
+            for s in range(n)]
+
+
+def with_features(tab, features):
+    names = tab.identities()
+    return DatasetTable(tab.name, tab.label_set, tab.dimension, tab.sample_ids,
+                        [names[c] for c in tab.identity_codes], tab.ages, features)
+
+
+def assert_solo(tab, split, method, cfg, run):
+    """run is bitwise the run train() gives the split and method alone."""
+    alone = train(tab, split, method, cfg)
+    assert run.history == alone.history, method
+    assert run.selected_epoch == alone.selected_epoch
+    assert _member_arrays(run.best_model) == _member_arrays(alone.best_model)
+
+
+def test_every_split_and_method_in_one_stack_is_bitwise_its_solo_run(monkeypatch):
+    tab = grid_table()
+    splits = random_splits(tab, 3)
+    assert {len(s.train) for s in splits} == {144}
+    methods = [MethodConfig(family=f) for f in FAMILIES]
+    cfgs = split_cfgs(3)
+    stacks = []
+    monkeypatch.setattr(training, "ModelStack",
+                        lambda models, groups=None: stacks.append(groups) or ModelStack(models, groups))
+    runs = train(tab, splits, methods, cfgs)
+    assert stacks == [[3] * len(methods)]  # one stack, method-major, a method's splits one group
+    monkeypatch.undo()
+    assert len(runs) == 3 and all(len(row) == len(methods) for row in runs)
+    for split, cfg, row in zip(splits, cfgs, runs):
+        for method, run in zip(methods, row):
+            assert_solo(tab, split, method, cfg, run)
+
+
+def test_a_split_whose_members_diverge_leaves_the_other_splits_unchanged():
+    tab = grid_table()
+    bad = tab.sample_ids[0]
+    features = tab.feature_matrix.copy()
+    features[0] = 1.7e308  # overflows the first layer of every model that trains on this row
+    tab = with_features(tab, features)
+    candidates = random_splits(tab, 10)
+    in_train = next(s for s in candidates if bad in s.train)
+    in_test = next(s for s in candidates if bad in s.test)
+    splits = [in_test, in_train]
+    methods = [MethodConfig(family=f) for f in LOCKSTEP_FAMILIES]
+    cfgs = split_cfgs(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean, diverged = train(tab, splits, methods, cfgs)
+    assert all(isinstance(o, TrainingDiverged) and o.epoch == 1 for o in diverged)
+    for method, run in zip(methods, clean):
+        assert_solo(tab, in_test, method, cfgs[0], run)
+
+
+def test_a_member_whose_val_outputs_fail_to_decode_fails_alone():
+    """One decode call scores a method's members; when it raises, each
+    member is decoded alone, and only those whose own decode raises fail."""
+    tab = grid_table()
+    bad = tab.sample_ids[0]
+    features = tab.feature_matrix.copy()
+    features[0] = 1.7e308  # non-finite outputs wherever this row is scored
+    tab = with_features(tab, features)
+    candidates = random_splits(tab, 10)
+    splits = [next(s for s in candidates if bad in s.test),
+              next(s for s in candidates if bad in s.val)]
+    methods = [MethodConfig(family="cross-entropy"), MethodConfig(family="coral")]
+    cfgs = split_cfgs(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = train(tab, splits, methods, cfgs)
+        for split, cfg, row in zip(splits, cfgs, runs):
+            for method, run in zip(methods, row):
+                if isinstance(run, Exception):
+                    with pytest.raises(type(run), match=str(run)):
+                        train(tab, split, method, cfg)
+                else:
+                    assert_solo(tab, split, method, cfg, run)
+    assert isinstance(runs[1][0], ValueError)  # a softmax of non-finite logits
+    assert isinstance(runs[0][0], TrainedRun) and isinstance(runs[1][1], TrainedRun)
+
+
+def test_splits_whose_folds_differ_in_size_train_in_separate_stacks(monkeypatch):
+    tab = grid_table()
+    a, b, c = random_splits(tab, 3)
+    b = SplitSpec(mode=b.mode, seed=b.seed, fractions=b.fractions,
+                  train=b.train + b.val[:1], val=b.val[1:], test=b.test)
+    methods = [MethodConfig(family=f) for f in LOCKSTEP_FAMILIES]
+    cfgs = split_cfgs(3)
+    stacks = []
+    monkeypatch.setattr(training, "ModelStack",
+                        lambda models, groups=None: stacks.append(groups) or ModelStack(models, groups))
+    runs = train(tab, [a, b, c], methods, cfgs)
+    assert stacks == [[2, 2, 2], [1, 1, 1]]  # splits a and c, then b alone
+    monkeypatch.undo()
+    for split, cfg, row in zip((a, b, c), cfgs, runs):
+        for method, run in zip(methods, row):
+            assert_solo(tab, split, method, cfg, run)
+
+
+def test_a_split_with_an_empty_val_fold_fails_only_its_own_cells():
+    tab = grid_table()
+    a, b, c = random_splits(tab, 3)
+    b = SplitSpec(mode=b.mode, seed=b.seed, fractions=b.fractions,
+                  train=b.train + b.val, val=(), test=b.test)
+    methods = [MethodConfig(family=f) for f in LOCKSTEP_FAMILIES]
+    cfgs = split_cfgs(3)
+    runs = train(tab, [a, b, c], methods, cfgs)
+    assert [str(o) for o in runs[1]] == ["split has an empty val fold"] * len(methods)
+    assert all(isinstance(o, ValueError) for o in runs[1])
+    for split, cfg, row in ((a, cfgs[0], runs[0]), (c, cfgs[2], runs[2])):
+        for method, run in zip(methods, row):
+            assert_solo(tab, split, method, cfg, run)
+
+
+def test_a_split_never_reads_another_splits_rows():
+    """Changing the features of split 0's test rows, which other splits train
+    on, leaves split 0's runs bitwise unchanged in a multi-split call."""
+    tab = grid_table()
+    splits = random_splits(tab, 3)
+    methods = [MethodConfig(family=f) for f in LOCKSTEP_FAMILIES]
+    cfgs = split_cfgs(3)
+    before = train(tab, splits, methods, cfgs)
+    features = tab.feature_matrix.copy()
+    features[tab.rows_for(splits[0].test)] += rng_from_seed(5).normal(size=(len(splits[0].test), 8))
+    after = train(with_features(tab, features), splits, methods, cfgs)
+    for old, new in zip(before[0], after[0]):
+        assert old.history == new.history
+        assert _member_arrays(old.best_model) == _member_arrays(new.best_model)
+    assert all(old.history != new.history for old, new in zip(before[1], after[1]))
+
+
+def test_train_takes_one_config_per_split_differing_only_in_seed():
+    tab = grid_table()
+    splits = random_splits(tab, 2)
+    method = MethodConfig(family="regression")
+    for cfgs in (split_cfgs(1), split_cfgs(1)[0]):
+        with pytest.raises(ValueError, match="one TrainConfig per split"):
+            train(tab, splits, method, cfgs)
+    with pytest.raises(ValueError, match="differ only in seed"):
+        train(tab, splits, method, [TrainConfig(epochs=1), TrainConfig(epochs=2)])
+    runs = train(tab, splits, method, split_cfgs(2))  # one method: one outcome per split
+    assert len(runs) == 2 and all(isinstance(r, TrainedRun) for r in runs)
+
+
+@pytest.mark.parametrize("block", [7, 64, training._ADAM_BLOCK])
+def test_blocked_adam_is_bitwise_one_pass(monkeypatch, block):
+    """Walking the flat vector in blocks, a partial last block included,
+    changes no bit of the update."""
+    cfg = TrainConfig(learning_rate=3e-3)
+    rng = np.random.default_rng(1)
+    size = 1000
+    theta, grads = rng.normal(size=size), rng.normal(size=(5, size))
+    whole = theta.copy()
+    monkeypatch.setattr(training, "_ADAM_BLOCK", size)
+    one_pass = training._Adam(size, cfg)
+    for g in grads:
+        one_pass.step(whole, g)
+    monkeypatch.setattr(training, "_ADAM_BLOCK", block)
+    blocked = training._Adam(size, cfg)
+    for g in grads:
+        blocked.step(theta, g)
+    assert np.array_equal(theta, whole)
