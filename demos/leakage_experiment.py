@@ -15,7 +15,7 @@ from ordibench.harness import LeakageParams, leakage_demo
 
 
 def show(tag, report):
-    print(f"=== {tag} (sigma_id={report.params.sigma_id}) ===")
+    print(f"=== {tag} (sigma_id={report.params.synth.sigma_id}) ===")
     print("seed  random-MAE  exclusive-MAE    gap")
     for s, r, e, g in zip(report.seeds, report.random_mae,
                           report.subject_exclusive_mae, report.gaps):
@@ -28,8 +28,9 @@ def show(tag, report):
 def main():
     params = LeakageParams()
     show("identity noise present", leakage_demo(params))
+    no_identity = dataclasses.replace(params.synth, sigma_id=0.0)
     show("identity noise removed",
-         leakage_demo(dataclasses.replace(params, sigma_id=0.0)))
+         leakage_demo(dataclasses.replace(params, synth=no_identity)))
     print("gap = subject-exclusive MAE minus random MAE; positive means the "
           "random split scored optimistically.")
 

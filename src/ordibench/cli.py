@@ -16,7 +16,9 @@ from pathlib import Path
 
 from .data import ParseError, SynthSpec, ValidationError, generate_synthetic, load_dataset, save_dataset
 from .harness import ExperimentConfig, LeakageParams, leakage_demo, run_experiment
-from .splitting import audit_split, load_split, make_split_series, parse_mode, save_split
+from .splitting import (
+    DEFAULT_FRACTIONS, audit_split, load_split, make_split_series, parse_mode, save_split,
+)
 from .stats import friedman_test, load_result_matrix, write_rank_report
 
 __all__ = ["main"]
@@ -113,15 +115,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_leakage_demo(args: argparse.Namespace) -> int:
+    defaults = LeakageParams()
     params = LeakageParams(
-        n_identities=args.identities,
-        samples_per_identity=args.per_identity,
-        dimension=args.dim,
-        sigma_id=args.sigma_id,
-        sigma_obs=args.sigma_obs,
+        synth=dataclasses.replace(
+            defaults.synth,
+            n_identities=args.identities,
+            samples_per_identity=args.per_identity,
+            dimension=args.dim,
+            sigma_id=args.sigma_id,
+            sigma_obs=args.sigma_obs,
+            seed=args.base_seed,
+        ),
+        train=dataclasses.replace(defaults.train, epochs=args.epochs, seed=args.base_seed),
         n_seeds=args.seeds,
-        base_seed=args.base_seed,
-        epochs=args.epochs,
     )
     report = leakage_demo(params)
     print(report.to_text())
@@ -157,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="write a series of split files for a dataset")
     p.add_argument("dataset", help="manifest CSV")
     p.add_argument("--mode", default="se", help="se (subject-exclusive) or rs (random)")
-    p.add_argument("--fractions", default="0.6,0.2,0.2")
+    p.add_argument("--fractions", default=",".join(map(str, DEFAULT_FRACTIONS)))
     p.add_argument("--n", type=int, default=5, help="number of splits")
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
@@ -189,14 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("leakage-demo", help="show how random splits flatter identity-correlated data")
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--identities", type=int, default=60)
-    p.add_argument("--per-identity", type=int, default=4)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--sigma-id", type=float, default=2.0)
-    p.add_argument("--sigma-obs", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=40)
+    leak = LeakageParams()  # --base-seed sets both the table and the training seed
+    p.add_argument("--seeds", type=int, default=leak.n_seeds)
+    p.add_argument("--base-seed", type=int, default=leak.synth.seed)
+    p.add_argument("--identities", type=int, default=leak.synth.n_identities)
+    p.add_argument("--per-identity", type=int, default=leak.synth.samples_per_identity)
+    p.add_argument("--dim", type=int, default=leak.synth.dimension)
+    p.add_argument("--sigma-id", type=float, default=leak.synth.sigma_id)
+    p.add_argument("--sigma-obs", type=float, default=leak.synth.sigma_obs)
+    p.add_argument("--epochs", type=int, default=leak.train.epochs)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_leakage_demo)
 

@@ -36,6 +36,7 @@ from .data import (
 )
 from .methods import MethodConfig
 from .splitting import (
+    DEFAULT_FRACTIONS,
     MODE_RANDOM,
     MODE_SUBJECT_EXCLUSIVE,
     SplitSpec,
@@ -146,7 +147,7 @@ class ExperimentConfig:
         _check_types("split", split, {"mode": "str", "fractions": "tuple[float, float, float]",
                                       "n_splits": "int", "base_seed": "int"})
         mode = parse_mode(split.get("mode", MODE_SUBJECT_EXCLUSIVE))
-        fractions = tuple(split.get("fractions", (0.6, 0.2, 0.2)))
+        fractions = tuple(split.get("fractions", DEFAULT_FRACTIONS))
         n_splits = int(split.get("n_splits", 5))
         base_seed = int(split.get("base_seed", 0))
 
@@ -428,24 +429,17 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
 class LeakageParams:
     """Settings for the random-vs-subject-exclusive comparison.
 
-    The defaults put identity structure well above observation noise, the
-    regime where sharing identities between folds visibly flatters the
-    random-split score.
+    Seed k of n_seeds generates its table and makes both of its splits with
+    synth.seed + k, and trains with train.seed + k: the seed + index rule of
+    run_experiment. The defaults put identity structure well above
+    observation noise, the regime where sharing identities between folds
+    visibly flatters the random-split score.
     """
 
-    n_identities: int = 60
-    samples_per_identity: int = 4
-    dimension: int = 16
-    age_range: tuple[int, int] = (20, 60)
-    sigma_id: float = 2.0
-    sigma_obs: float = 0.5
+    synth: SynthSpec = SynthSpec(60, 4, 16, (20, 60), sigma_id=2.0, sigma_obs=0.5)
+    train: TrainConfig = TrainConfig(epochs=40)
     n_seeds: int = 5
-    base_seed: int = 0
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    epochs: int = 40
-    hidden_dims: tuple[int, ...] = (64, 64)
-    learning_rate: float = 1e-3
-    batch_size: int = 32
+    fractions: tuple[float, float, float] = DEFAULT_FRACTIONS
 
     def __post_init__(self) -> None:
         if self.n_seeds < 1:
@@ -488,15 +482,16 @@ class LeakageReport:
             "mean_gap": self.mean_gap,
             "std_gap": self.std_gap,
             "n_random_lower": self.n_random_lower,
-            "sigma_id": self.params.sigma_id,
-            "sigma_obs": self.params.sigma_obs,
+            "sigma_id": self.params.synth.sigma_id,
+            "sigma_obs": self.params.synth.sigma_obs,
         }
 
     def to_text(self) -> str:
+        synth = self.params.synth
         lines = [
             "split-leakage demonstration (cross-entropy)",
-            f"  sigma_id={self.params.sigma_id} sigma_obs={self.params.sigma_obs} "
-            f"identities={self.params.n_identities} x {self.params.samples_per_identity}",
+            f"  sigma_id={synth.sigma_id} sigma_obs={synth.sigma_obs} "
+            f"identities={synth.n_identities} x {synth.samples_per_identity}",
             "  seed  random-MAE  subject-exclusive-MAE  gap",
         ]
         for seed, r, s in zip(self.seeds, self.random_mae, self.subject_exclusive_mae):
@@ -511,34 +506,21 @@ class LeakageReport:
 def leakage_demo(params: LeakageParams = LeakageParams()) -> LeakageReport:
     """Train the same method under random and subject-exclusive splits.
 
-    For each seed one synthetic table is generated, split both ways with
-    that same seed, and a cross-entropy model is trained per split; the
-    reported numbers are test-fold MAEs. With identity-correlated features
-    the random split lets the model recognize people it saw in training, so
-    its test score is optimistically low.
+    For each seed one synthetic table is generated and split both ways with
+    that seed, and a cross-entropy model is trained per split with that
+    seed's TrainConfig (the seed rule is in LeakageParams). The reported
+    seeds are the table seeds and the numbers are test-fold MAEs. With
+    identity-correlated features the random split lets the model recognize
+    people it saw in training, so its test score is optimistically low.
     """
     method = MethodConfig(family="cross-entropy")
-    seeds = tuple(params.base_seed + i for i in range(params.n_seeds))
+    seeds = tuple(params.synth.seed + k for k in range(params.n_seeds))
     random_mae: list[float] = []
     se_mae: list[float] = []
-    for seed in seeds:
-        spec = SynthSpec(
-            n_identities=params.n_identities,
-            samples_per_identity=params.samples_per_identity,
-            dimension=params.dimension,
-            age_range=params.age_range,
-            sigma_id=params.sigma_id,
-            sigma_obs=params.sigma_obs,
-            seed=seed,
-        )
-        table = generate_synthetic(spec, name=f"leakage_seed{seed}")
-        cfg = TrainConfig(
-            learning_rate=params.learning_rate,
-            epochs=params.epochs,
-            batch_size=params.batch_size,
-            seed=seed,
-            hidden_dims=params.hidden_dims,
-        )
+    for k, seed in enumerate(seeds):
+        table = generate_synthetic(dataclasses.replace(params.synth, seed=seed),
+                                   name=f"leakage_seed{seed}")
+        cfg = dataclasses.replace(params.train, seed=params.train.seed + k)
         for mode, sink in ((MODE_RANDOM, random_mae), (MODE_SUBJECT_EXCLUSIVE, se_mae)):
             split = make_split(table, mode, params.fractions, seed)
             run = train(table, split, method, cfg)

@@ -233,8 +233,10 @@ def test_criterion_5_leakage_demonstration():
     label = "random splits flatter identity-heavy data; effect vanishes without it"
     with _criterion(5, label):
         t0 = time.time()
-        leaky = leakage_demo(LeakageParams())
-        control = leakage_demo(dataclasses.replace(LeakageParams(), sigma_id=0.0))
+        params = LeakageParams()
+        leaky = leakage_demo(params)
+        control = leakage_demo(dataclasses.replace(
+            params, synth=dataclasses.replace(params.synth, sigma_id=0.0)))
         elapsed = time.time() - t0
         flat_ok = leaky.n_random_lower >= 4
         ctrl_ok = abs(control.mean_gap) < 2.0 * control.std_gap

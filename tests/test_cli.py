@@ -13,9 +13,12 @@ import pytest
 from scipy.stats import f
 
 import ordibench
+from ordibench import cli
 from ordibench.cli import build_parser, main
-from ordibench.data import load_dataset
+from ordibench.data import SynthSpec, load_dataset
+from ordibench.harness import LeakageParams
 from ordibench.splitting import load_split
+from ordibench.training import TrainConfig
 
 
 def run_cli(*argv):
@@ -382,3 +385,35 @@ def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit):
         run_cli("frobnicate")
     assert capsys.readouterr().err.strip()
+
+
+def capture_leakage_params(monkeypatch) -> list:
+    """Swap cli.leakage_demo for a stub that records the params it is given."""
+    seen = []
+
+    class Report:
+        def to_text(self):
+            return ""
+
+    def stub(params):
+        seen.append(params)
+        return Report()
+
+    monkeypatch.setattr(cli, "leakage_demo", stub)
+    return seen
+
+
+def test_leakage_demo_without_flags_passes_the_default_params(monkeypatch, capsys):
+    seen = capture_leakage_params(monkeypatch)
+    assert run_cli("leakage-demo") == 0
+    assert seen == [LeakageParams()]
+
+
+def test_leakage_demo_flags_map_onto_the_nested_params(monkeypatch, capsys):
+    seen = capture_leakage_params(monkeypatch)
+    assert run_cli("leakage-demo", "--seeds", 2, "--base-seed", 7, "--identities", 30,
+                   "--per-identity", 3, "--dim", 8, "--sigma-id", 1.5,
+                   "--sigma-obs", 0.3, "--epochs", 5) == 0
+    synth = SynthSpec(30, 3, 8, (20, 60), sigma_id=1.5, sigma_obs=0.3, seed=7)
+    train = TrainConfig(epochs=5, seed=7)
+    assert seen == [LeakageParams(synth=synth, train=train, n_seeds=2)]

@@ -1,12 +1,16 @@
-"""The demos import only names that exist; they are parsed, never run."""
+"""The demos import only names that exist, and each one runs standalone."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def ordibench_imports(path: Path) -> list[tuple[str, str]]:
@@ -28,3 +32,12 @@ def test_demo_imports_exist(demo):
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"{demo.name} imports names that do not exist: {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs_standalone(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, f"{demo.name} exited {done.returncode}:\n{done.stderr}"
+    assert done.stdout.strip(), f"{demo.name} printed nothing"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ordibench import harness
-from ordibench.data import ValidationError
+from ordibench.data import SynthSpec, ValidationError, generate_synthetic
 from ordibench.harness import (
     DatasetEntry,
     ExperimentConfig,
@@ -24,11 +24,13 @@ from ordibench.harness import (
     run_experiment,
     save_run_records,
 )
-from ordibench.splitting import MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE, make_split_series
+from ordibench.splitting import (
+    DEFAULT_FRACTIONS, MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE, make_split, make_split_series,
+)
 from ordibench.methods import MethodConfig
 from ordibench.prediction import decode_output
 from ordibench.stats import load_result_matrix
-from ordibench.training import evaluate_mae, forward, train
+from ordibench.training import TrainConfig, evaluate_mae, forward, train
 
 BASE_CONFIG = {
     "datasets": [{
@@ -482,8 +484,10 @@ def test_tasks_reach_workers_as_indices(tmp_path, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")
 def test_leakage_demo_fields_and_shape():
-    params = dataclasses.replace(LeakageParams(), n_identities=16, n_seeds=2,
-                                 epochs=4, hidden_dims=(16,))
+    params = LeakageParams()
+    params = dataclasses.replace(
+        params, n_seeds=2, synth=dataclasses.replace(params.synth, n_identities=16),
+        train=dataclasses.replace(params.train, epochs=4, hidden_dims=(16,)))
     rep = leakage_demo(params)
     assert len(rep.seeds) == 2
     assert len(rep.random_mae) == 2 and len(rep.subject_exclusive_mae) == 2
@@ -494,3 +498,21 @@ def test_leakage_demo_fields_and_shape():
     assert "mean_gap" in payload and "gaps" in payload
     assert payload["gaps"] == [s - r for r, s in zip(rep.random_mae,
                                                      rep.subject_exclusive_mae)]
+
+
+@pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")
+def test_leakage_demo_seed_k_uses_table_seed_plus_k_and_train_seed_plus_k():
+    synth = SynthSpec(16, 4, 8, (20, 40), sigma_id=2.0, sigma_obs=0.5, seed=7)
+    cfg = TrainConfig(epochs=3, hidden_dims=(8,), seed=100)
+    rep = leakage_demo(LeakageParams(synth=synth, train=cfg, n_seeds=2))
+    method = MethodConfig(family="cross-entropy")
+    expected = {MODE_RANDOM: [], MODE_SUBJECT_EXCLUSIVE: []}
+    for table_seed, train_seed in ((7, 100), (8, 101)):
+        table = generate_synthetic(dataclasses.replace(synth, seed=table_seed))
+        for mode, maes in expected.items():
+            split = make_split(table, mode, DEFAULT_FRACTIONS, table_seed)
+            run = train(table, split, method, dataclasses.replace(cfg, seed=train_seed))
+            maes.append(float(evaluate_mae(run, table, split.test)))
+    assert rep.seeds == (7, 8)
+    assert rep.random_mae == tuple(expected[MODE_RANDOM])
+    assert rep.subject_exclusive_mae == tuple(expected[MODE_SUBJECT_EXCLUSIVE])
