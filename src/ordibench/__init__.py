@@ -47,7 +47,6 @@ from .training import (
 from .stats import (
     RankSummary,
     ResultMatrix,
-    aggregate_splits,
     critical_difference,
     friedman_test,
     rank_rows,

@@ -17,7 +17,8 @@ from pathlib import Path
 from .data import ParseError, SynthSpec, ValidationError, generate_synthetic, load_dataset, save_dataset
 from .harness import ExperimentConfig, LeakageParams, leakage_demo, run_experiment
 from .splitting import (
-    DEFAULT_FRACTIONS, audit_split, load_split, make_split_series, parse_mode, save_split,
+    DEFAULT_BASE_SEED, DEFAULT_FRACTIONS, DEFAULT_N_SPLITS, audit_split, load_split,
+    make_split_series, parse_mode, save_split,
 )
 from .stats import friedman_test, load_result_matrix, write_rank_report
 
@@ -146,15 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Benchmark ordinal-regression loss families under leak-free splits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leak = LeakageParams()
 
     p = sub.add_parser("synth", help="generate a synthetic identity-correlated dataset")
-    p.add_argument("--identities", type=int, default=50)
-    p.add_argument("--per-identity", type=int, default=4)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--age-min", type=int, default=20)
-    p.add_argument("--age-max", type=int, default=60)
-    p.add_argument("--sigma-id", type=float, default=2.0)
-    p.add_argument("--sigma-obs", type=float, default=0.5)
+    p.add_argument("--identities", type=int, default=50)  # the leakage demo's recipe uses 60
+    p.add_argument("--per-identity", type=int, default=leak.synth.samples_per_identity)
+    p.add_argument("--dim", type=int, default=leak.synth.dimension)
+    p.add_argument("--age-min", type=int, default=leak.synth.age_range[0])
+    p.add_argument("--age-max", type=int, default=leak.synth.age_range[1])
+    p.add_argument("--sigma-id", type=float, default=leak.synth.sigma_id)
+    p.add_argument("--sigma-obs", type=float, default=leak.synth.sigma_obs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default="synthetic")
     p.add_argument("-o", "--out", required=True, help="manifest CSV to write")
@@ -164,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="manifest CSV")
     p.add_argument("--mode", default="se", help="se (subject-exclusive) or rs (random)")
     p.add_argument("--fractions", default=",".join(map(str, DEFAULT_FRACTIONS)))
-    p.add_argument("--n", type=int, default=5, help="number of splits")
-    p.add_argument("--base-seed", type=int, default=0)
+    p.add_argument("--n", type=int, default=DEFAULT_N_SPLITS, help="number of splits")
+    p.add_argument("--base-seed", type=int, default=DEFAULT_BASE_SEED)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_split)
 
@@ -195,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("leakage-demo", help="show how random splits flatter identity-correlated data")
-    leak = LeakageParams()  # --base-seed sets both the table and the training seed
+    # --base-seed sets both the table and the training seed
     p.add_argument("--seeds", type=int, default=leak.n_seeds)
     p.add_argument("--base-seed", type=int, default=leak.synth.seed)
     p.add_argument("--identities", type=int, default=leak.synth.n_identities)

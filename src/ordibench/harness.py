@@ -36,7 +36,9 @@ from .data import (
 )
 from .methods import MethodConfig
 from .splitting import (
+    DEFAULT_BASE_SEED,
     DEFAULT_FRACTIONS,
+    DEFAULT_N_SPLITS,
     MODE_RANDOM,
     MODE_SUBJECT_EXCLUSIVE,
     SplitSpec,
@@ -45,7 +47,7 @@ from .splitting import (
     make_split_series,
     parse_mode,
 )
-from .stats import ResultMatrix, aggregate_splits, save_result_matrix
+from .stats import ResultMatrix, save_result_matrix
 from .training import TrainConfig, TrainedRun, evaluate_mae, train
 from .util import fmt_float
 
@@ -148,8 +150,8 @@ class ExperimentConfig:
                                       "n_splits": "int", "base_seed": "int"})
         mode = parse_mode(split.get("mode", MODE_SUBJECT_EXCLUSIVE))
         fractions = tuple(split.get("fractions", DEFAULT_FRACTIONS))
-        n_splits = int(split.get("n_splits", 5))
-        base_seed = int(split.get("base_seed", 0))
+        n_splits = int(split.get("n_splits", DEFAULT_N_SPLITS))
+        base_seed = int(split.get("base_seed", DEFAULT_BASE_SEED))
 
         train_cfg = _from_json(TrainConfig, "train", payload.get("train", {}))
         out_dir = payload.get("output_dir", "runs")
@@ -228,11 +230,12 @@ def _describe(exc: Exception) -> str:
 
 
 def _records(run: TrainedRun, table: DatasetTable, split: SplitSpec, split_index: int,
-             cfg: TrainConfig, holdouts: list[DatasetTable]) -> list[RunRecord]:
-    """Score one trained cell on the test fold plus any held-out tables."""
+             cfg: TrainConfig, holdouts: list[tuple[str, DatasetTable]]) -> list[RunRecord]:
+    """Score one trained cell on the test fold plus each (context, table)
+    held out."""
     scored = [(table.name, evaluate_mae(run, table, split.test))]
-    scored += [(f"{table.name}->{other.name}", evaluate_mae(run, other, other.sample_ids))
-               for other in holdouts]
+    scored += [(context, evaluate_mae(run, other, other.sample_ids))
+               for context, other in holdouts]
     return [RunRecord(
         dataset=dataset,
         method=run.method.display_name,
@@ -251,7 +254,7 @@ def _task_name(dataset: str, split_indices: list[int]) -> str:
 
 def _run_task(table: DatasetTable, splits: list[SplitSpec], split_indices: list[int],
               methods: tuple[MethodConfig, ...], cfgs: list[TrainConfig],
-              holdouts: list[DatasetTable]) -> tuple[list[RunRecord], list, list]:
+              holdouts: list[tuple[str, DatasetTable]]) -> tuple[list[RunRecord], list, list]:
     """Train every method on a chunk of one dataset's splits in one train()
     call and score each cell.
 
@@ -323,11 +326,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
             f"cross-dataset evaluation needs one shared feature width, got {sorted(dims)}"
         )
     tasks = []
+    contexts: list[str] = []  # per training dataset, its intra row then its held-out rows
     for d_idx, table in enumerate(tables):
         splits = make_split_series(
             table, config.split_mode, config.fractions, config.base_seed, config.n_splits
         )
-        holdouts = [t for i, t in enumerate(tables) if i != d_idx]
+        holdouts = [(f"{table.name}->{t.name}", t) for i, t in enumerate(tables) if i != d_idx]
+        contexts += [table.name] + [context for context, _ in holdouts]
         cfgs = [dataclasses.replace(config.train, seed=config.train.seed + s)
                 for s in range(len(splits))]
         chunks = min(len(splits), -(-jobs // len(tables)))
@@ -366,46 +371,26 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     (out_dir / "run_timings.csv").write_text("\n".join(timing_lines) + "\n")
     files["timings"] = str(out_dir / "run_timings.csv")
 
-    # evaluation contexts, intra rows first per training dataset, then holdouts
-    contexts: list[str] = []
-    for d_idx, table in enumerate(tables):
-        contexts.append(table.name)
-        for i, other in enumerate(tables):
-            if i != d_idx:
-                contexts.append(f"{table.name}->{other.name}")
     method_names = tuple(m.display_name for m in config.methods)
-
-    by_cell: dict[tuple[str, str], dict[int, float]] = {}
+    row = {ctx: i for i, ctx in enumerate(contexts)}
+    col = {m: j for j, m in enumerate(method_names)}
+    mae = np.full((len(contexts), len(method_names), config.n_splits), np.nan)
     for r in records:
-        by_cell.setdefault((r.dataset, r.method), {})[r.split_index] = r.test_mae
+        mae[row[r.dataset], col[r.method], r.split_index] = r.test_mae
 
     mean_matrix = None
     split_matrix = None
-    complete = all(
-        len(by_cell.get((ctx, m), {})) == config.n_splits
-        for ctx in contexts
-        for m in method_names
-    )
-    if complete and contexts and method_names:
-        mean = np.zeros((len(contexts), len(method_names)))
-        std = np.zeros_like(mean)
-        for i, ctx in enumerate(contexts):
-            for j, m in enumerate(method_names):
-                vals = [by_cell[(ctx, m)][s] for s in range(config.n_splits)]
-                mean[i, j], std[i, j] = aggregate_splits(vals)
-        mean_matrix = ResultMatrix(datasets=tuple(contexts), methods=method_names, mae=mean)
+    if not np.isnan(mae).any():  # every cell of every context has a record
+        std = mae.std(axis=2, ddof=1) if config.n_splits > 1 else np.zeros(mae.shape[:2])
+        mean_matrix = ResultMatrix(datasets=tuple(contexts), methods=method_names,
+                                   mae=mae.mean(axis=2))
         files["mae_mean"] = str(save_result_matrix(mean_matrix, out_dir / "mae_mean.csv"))
         std_matrix = ResultMatrix(datasets=tuple(contexts), methods=method_names, mae=std)
         files["mae_std"] = str(save_result_matrix(std_matrix, out_dir / "mae_std.csv"))
-
-        split_rows = []
-        split_names = []
-        for i, ctx in enumerate(contexts):
-            for s in range(config.n_splits):
-                split_names.append(f"{ctx}/split{s}")
-                split_rows.append([by_cell[(ctx, m)][s] for m in method_names])
         split_matrix = ResultMatrix(
-            datasets=tuple(split_names), methods=method_names, mae=np.asarray(split_rows)
+            datasets=tuple(f"{ctx}/split{s}" for ctx in contexts for s in range(config.n_splits)),
+            methods=method_names,
+            mae=mae.transpose(0, 2, 1).reshape(-1, len(method_names)),
         )
         files["mae_splits"] = str(save_result_matrix(split_matrix, out_dir / "mae_splits.csv"))
 

@@ -41,8 +41,11 @@ _MODES = (MODE_SUBJECT_EXCLUSIVE, MODE_RANDOM)
 _MODE_ALIASES = {"se": MODE_SUBJECT_EXCLUSIVE, MODE_SUBJECT_EXCLUSIVE: MODE_SUBJECT_EXCLUSIVE,
                  "rs": MODE_RANDOM, MODE_RANDOM: MODE_RANDOM}
 FOLD_NAMES = ("train", "val", "test")
-# The train/val/test shares used wherever a config or command leaves them out.
+# The train/val/test shares, the split count and the first split's seed used
+# wherever a config or command leaves them out.
 DEFAULT_FRACTIONS = (0.6, 0.2, 0.2)
+DEFAULT_N_SPLITS = 5
+DEFAULT_BASE_SEED = 0
 
 # One bin per distinct label while the label set is small; coarse fixed-width
 # binning beyond that so stratification targets stay estimable.

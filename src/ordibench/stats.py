@@ -36,7 +36,6 @@ __all__ = [
     "critical_difference",
     "f_cdf",
     "chi2_cdf",
-    "aggregate_splits",
     "save_result_matrix",
     "load_result_matrix",
     "write_rank_report",
@@ -222,21 +221,6 @@ def friedman_test(matrix: ResultMatrix, alpha: float = 0.05) -> RankSummary:
         cd=float(cd),
         significant_pairs=frozenset(pairs),
     )
-
-
-def aggregate_splits(values) -> tuple[float, float]:
-    """Mean and sample standard deviation over split-level results.
-
-    A single value has zero spread by convention.
-    """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot aggregate an empty sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("values must be finite")
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
 
 
 def save_result_matrix(matrix: ResultMatrix, path) -> Path:

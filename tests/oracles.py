@@ -308,3 +308,23 @@ def reference_load(path, label_set=None):
             raise ParseError(f"{path}: manifest has a header but no rows")
         label_set = LabelSet(tuple(sorted(set(ages))))
     return reference_table(label_set, dimension, samples)
+
+
+def reference_matrices(records, contexts, methods, n_splits):
+    """The mean, spread and per-split matrices of a complete grid, one cell
+    at a time: the mean and sample standard deviation (0.0 for one split)
+    of each (context, method) list of test MAEs, and one row per context and
+    split, context-major."""
+    by_cell = {}
+    for r in records:
+        by_cell.setdefault((r.dataset, r.method), {})[r.split_index] = r.test_mae
+    mean = np.zeros((len(contexts), len(methods)))
+    std = np.zeros_like(mean)
+    for i, c in enumerate(contexts):
+        for j, m in enumerate(methods):
+            vals = np.asarray([by_cell[(c, m)][s] for s in range(n_splits)], dtype=float)
+            mean[i, j] = float(vals.mean())
+            std[i, j] = float(vals.std(ddof=1)) if n_splits > 1 else 0.0
+    splits = np.asarray([[by_cell[(c, m)][s] for m in methods]
+                         for c in contexts for s in range(n_splits)])
+    return mean, std, splits

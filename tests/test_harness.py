@@ -32,6 +32,8 @@ from ordibench.prediction import decode_output
 from ordibench.stats import load_result_matrix
 from ordibench.training import TrainConfig, evaluate_mae, forward, train
 
+from oracles import reference_matrices
+
 BASE_CONFIG = {
     "datasets": [{
         "name": "synthA",
@@ -229,6 +231,37 @@ def test_small_grid_end_to_end(tmp_path):
     splits = load_result_matrix(out / "mae_splits.csv")
     assert splits.datasets == ("synthA/split0", "synthA/split1")
     assert np.all(splits.mae >= 0)
+
+
+@pytest.mark.parametrize("n_splits", [3, 1])
+def test_written_matrices_equal_the_per_cell_oracle(tmp_path, n_splits):
+    """mae_mean, mae_std and mae_splits equal a cell-by-cell np.mean and
+    np.std(ddof=1) of the records bitwise, cross-dataset contexts included;
+    one split has zero spread."""
+    datasets = [{**BASE_CONFIG["datasets"][0], "name": "a"},
+                _with_synth(seed=9) | {"name": "b"}]
+    cfg = config_for(tmp_path, {"datasets": datasets, "methods": [
+        {"family": "cross-entropy"}, {"family": "regression"}, {"family": "coral"}],
+        "split": {"mode": "rs", "n_splits": n_splits}})
+    result = run_experiment(cfg, jobs=1)
+    contexts = ("a", "a->b", "b", "b->a")
+    methods = ("cross-entropy", "regression", "coral")
+    assert not result.failures and result.contexts == contexts
+    mean, std, splits = reference_matrices(result.records, contexts, methods, n_splits)
+    if n_splits == 1:
+        assert np.all(std == 0.0)
+    out = tmp_path / "runs"
+    for name, want, rows in (
+        ("mae_mean.csv", mean, contexts),
+        ("mae_std.csv", std, contexts),
+        ("mae_splits.csv", splits, tuple(f"{c}/split{s}" for c in contexts
+                                         for s in range(n_splits))),
+    ):
+        written = load_result_matrix(out / name)
+        assert (written.datasets, written.methods) == (rows, methods), name
+        assert np.array_equal(written.mae, want), name
+    assert np.array_equal(result.mean_matrix.mae, mean)
+    assert np.array_equal(result.split_matrix.mae, splits)
 
 
 def test_grid_cells_are_the_models_train_builds(tmp_path):

@@ -9,7 +9,6 @@ from scipy.stats import rankdata
 
 from ordibench.stats import (
     ResultMatrix,
-    aggregate_splits,
     chi2_cdf,
     critical_difference,
     f_cdf,
@@ -120,14 +119,6 @@ def test_critical_difference_hand_value():
     cd = critical_difference(5, 7, alpha=0.05)
     assert cd == pytest.approx(2.728 * math.sqrt(30.0 / 42.0), abs=1e-9)
     assert cd == pytest.approx(2.306, abs=1e-3)
-
-
-def test_aggregate_splits():
-    assert aggregate_splits([3.0]) == (3.0, 0.0)
-    mean, std = aggregate_splits([1, 2, 3, 4, 5])
-    assert mean == pytest.approx(3.0)
-    assert std == pytest.approx(math.sqrt(2.5))
-    assert aggregate_splits([7.0, 7.0, 7.0])[1] == 0.0
 
 
 def test_friedman_requires_enough_rows_and_columns():
