@@ -8,7 +8,7 @@ must be apart before the difference counts as significant.
 
 Rule: scipy is imported inside the function that needs it, never at module
 level. Importing scipy takes about a second, every command, demo and pool
-worker imports this module, and only f_cdf and chi2_cdf use scipy.
+worker imports this module, and only f_cdf, chi2_cdf and nemenyi_qalpha use it.
 
 References
 ----------
@@ -109,24 +109,26 @@ def chi2_cdf(x: float, df: float) -> float:
     return float(gammainc(df / 2.0, x / 2.0))
 
 
-# Two-tailed studentized range quantiles divided by sqrt(2), indexed by the
-# number of compared methods; the classical table used with the Nemenyi test.
-_Q_ALPHA = {
-    0.05: {2: 1.960, 3: 2.343, 4: 2.569, 5: 2.728, 6: 2.850,
-           7: 2.949, 8: 3.031, 9: 3.102, 10: 3.164},
-    0.10: {2: 1.645, 3: 2.052, 4: 2.291, 5: 2.459, 6: 2.589,
-           7: 2.693, 8: 2.780, 9: 2.855, 10: 2.920},
-}
-
-
 def nemenyi_qalpha(k: int, alpha: float = 0.05) -> float:
-    table = _Q_ALPHA.get(round(float(alpha), 10))
-    if table is None:
-        raise ValueError(f"alpha {alpha} not tabulated; use 0.05 or 0.10")
-    q = table.get(int(k))
-    if q is None:
-        raise ValueError(f"k={k} outside the tabulated range 2..10")
-    return q
+    """Nemenyi's q_alpha: the 1 - alpha quantile of the range of k standard
+    normals (the studentized range with infinite dof), divided by sqrt(2).
+
+    P(range <= q) = k * int phi(z) (Phi(z) - Phi(z - q))^(k-1) dz is summed on
+    801 points of [-10, 10], and q is found by 60 halvings of [0, 20].
+    """
+    from scipy.special import ndtr
+    if int(k) != k or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    z, dz = np.linspace(-10.0, 10.0, 801, retstep=True)
+    phi, cdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi), ndtr(z)
+    lo, hi = 0.0, 20.0
+    for _ in range(60):
+        q = 0.5 * (lo + hi)
+        below = k * dz * np.sum(phi * (cdf - ndtr(z - q)) ** (k - 1)) < 1.0 - alpha
+        lo, hi = (q, hi) if below else (lo, q)
+    return 0.5 * (lo + hi) / math.sqrt(2.0)
 
 
 def critical_difference(k: int, n: int, alpha: float = 0.05) -> float:

@@ -549,3 +549,21 @@ def test_leakage_demo_seed_k_uses_table_seed_plus_k_and_train_seed_plus_k():
     assert rep.seeds == (7, 8)
     assert rep.random_mae == tuple(expected[MODE_RANDOM])
     assert rep.subject_exclusive_mae == tuple(expected[MODE_SUBJECT_EXCLUSIVE])
+
+
+@pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")
+def test_leakage_demo_trains_both_splits_of_a_seed_in_one_call(monkeypatch):
+    """One train() call per seed, and a split's failure still surfaces."""
+    calls = []
+
+    def recording_train(table, splits, methods, cfgs):
+        calls.append([split.mode for split in splits])
+        outcomes = train(table, splits, methods, cfgs)
+        return outcomes if len(calls) < 2 else [outcomes[0], ValueError("second seed failed")]
+
+    monkeypatch.setattr(harness, "train", recording_train)
+    synth = SynthSpec(16, 4, 8, (20, 40), sigma_id=2.0, sigma_obs=0.5, seed=7)
+    params = LeakageParams(synth=synth, train=TrainConfig(epochs=2, hidden_dims=(8,)), n_seeds=2)
+    with pytest.raises(ValueError, match="second seed failed"):
+        leakage_demo(params)
+    assert calls == [[MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE]] * 2

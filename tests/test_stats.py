@@ -105,19 +105,44 @@ def test_f_cdf_median_for_equal_dof():
     assert f_cdf(0.0, 3, 4) == 0.0
 
 
-def test_q_alpha_table_values():
-    assert nemenyi_qalpha(2, 0.05) == pytest.approx(1.960, abs=1e-3)
-    assert nemenyi_qalpha(3, 0.05) == pytest.approx(2.343, abs=1e-3)
-    assert nemenyi_qalpha(5, 0.05) == pytest.approx(2.728, abs=1e-3)
+# The classic Nemenyi table (Demsar 2006): q_alpha to 3 decimals.
+CLASSIC_Q_ALPHA = {
+    0.05: {2: 1.960, 3: 2.343, 4: 2.569, 5: 2.728, 6: 2.850,
+           7: 2.949, 8: 3.031, 9: 3.102, 10: 3.164},
+    0.10: {2: 1.645, 3: 2.052, 4: 2.291, 5: 2.459, 6: 2.589,
+           7: 2.693, 8: 2.780, 9: 2.855, 10: 2.920},
+}
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
+def test_q_alpha_is_the_studentized_range_quantile_over_sqrt2(alpha):
+    from scipy.stats import studentized_range
+    for k in range(2, 31):
+        expected = studentized_range.ppf(1.0 - alpha, k, np.inf) / math.sqrt(2.0)
+        assert nemenyi_qalpha(k, alpha) == pytest.approx(expected, abs=1e-9), k
+
+
+def test_q_alpha_matches_the_classic_table():
+    """The table truncates to 3 decimals (k = 3 reads 2.343 for 2.3437)."""
+    for alpha, row in CLASSIC_Q_ALPHA.items():
+        for k, q in row.items():
+            assert nemenyi_qalpha(k, alpha) == pytest.approx(q, abs=1e-3), (alpha, k)
+
+
+def test_q_alpha_accepts_any_k_and_alpha_in_range():
+    assert nemenyi_qalpha(11, 0.05) > nemenyi_qalpha(10, 0.05)
+    assert nemenyi_qalpha(5, 0.10) < nemenyi_qalpha(5, 0.03) < nemenyi_qalpha(5, 0.01)
+
+
+@pytest.mark.parametrize("k, alpha", [(1, 0.05), (2.5, 0.05), (5, 0.0), (5, 1.0)])
+def test_q_alpha_refuses_meaningless_input(k, alpha):
     with pytest.raises(ValueError):
-        nemenyi_qalpha(11, 0.05)
-    with pytest.raises(ValueError):
-        nemenyi_qalpha(5, 0.03)
+        nemenyi_qalpha(k, alpha)
 
 
 def test_critical_difference_hand_value():
     cd = critical_difference(5, 7, alpha=0.05)
-    assert cd == pytest.approx(2.728 * math.sqrt(30.0 / 42.0), abs=1e-9)
+    assert cd == pytest.approx(2.727774370870375 * math.sqrt(30.0 / 42.0), abs=1e-9)
     assert cd == pytest.approx(2.306, abs=1e-3)
 
 
