@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .data import ParseError, SynthSpec, ValidationError, generate_synthetic, load_dataset, save_dataset
+from .data import SynthSpec, ValidationError, generate_synthetic, load_dataset, save_dataset
 from .harness import ExperimentConfig, LeakageParams, leakage_demo, run_experiment
 from .splitting import (
     DEFAULT_BASE_SEED, DEFAULT_FRACTIONS, DEFAULT_N_SPLITS, audit_split, load_split,
@@ -78,7 +78,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     table = load_dataset(args.dataset)
-    split = load_split(args.split, table=None)
+    split = load_split(args.split)
     report = audit_split(table, split)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -217,9 +217,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -87,10 +87,11 @@ def _check_types(section: str, payload: dict, kinds: dict[str, str]) -> None:
 
 
 def _from_json(cls, section: str, payload):
-    """Build a config dataclass (SynthSpec, TrainConfig, MethodConfig) from a
-    JSON object, using only its fields. Refuses, naming the key, a payload
-    that is not an object, an unknown key, a value of the wrong type and a
-    missing required field; a list becomes a tuple for a tuple[...] field."""
+    """Build a config dataclass (SynthSpec, TrainConfig, MethodConfig) or a
+    split file's SplitSpec from a JSON object, using only its fields.
+    Refuses, naming the key, a payload that is not an object, an unknown
+    key, a value of the wrong type and a missing required field; a list
+    becomes a tuple for a tuple[...] field."""
     if not _is_kind(payload, "object"):
         raise ValidationError(f"{section} must be an object, got {payload!r}")
     kinds = {f.name: f.type for f in fields(cls)}

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetTable, ParseError, ValidationError, _check_types, _is_kind
+from .data import DatasetTable, ParseError, ValidationError, _from_json, _is_kind
 from .util import rng_from_seed
 
 __all__ = [
@@ -153,6 +153,7 @@ def _target_counts(n: int, fractions: tuple[float, float, float]) -> list[int]:
 def make_split(table: DatasetTable, mode: str, fractions, seed: int) -> SplitSpec:
     """Partition a table into train/val/test folds.
 
+    In random mode a seeded permutation deals the rows out to the folds.
     In subject-exclusive mode whole identities are assigned greedily, largest
     first, to the fold where they least overshoot the target sample count and
     most improve the fold's age histogram match. Ties in identity size are
@@ -171,20 +172,26 @@ def make_split(table: DatasetTable, mode: str, fractions, seed: int) -> SplitSpe
     rng = rng_from_seed(seed)
 
     if mode == MODE_RANDOM:
-        order = rng.permutation(n)
-        bounds = np.cumsum(targets)[:-1]
-        parts = np.split(order, bounds)
-        folds = [sorted(int(i) for i in part) for part in parts]
-        ids = table.sample_ids
-        return SplitSpec(
-            mode=mode,
-            seed=int(seed),
-            fractions=fr,
-            train=tuple(ids[i] for i in folds[0]),
-            val=tuple(ids[i] for i in folds[1]),
-            test=tuple(ids[i] for i in folds[2]),
-        )
+        sample_fold = np.empty(n, dtype=np.intp)
+        sample_fold[rng.permutation(n)] = np.repeat([0, 1, 2], targets)
+    else:
+        sample_fold = _subject_exclusive_folds(table, fr, targets, rng)
+        achieved = (np.bincount(sample_fold, minlength=3) / n).tolist()
+        worst = max(abs(a - f) for a, f in zip(achieved, fr))
+        if worst > _FRACTION_WARN_TOL:
+            warnings.warn(
+                f"subject-exclusive split deviates from requested fractions by {worst:.3f} "
+                "(identity sizes may not permit a closer fit)",
+                stacklevel=2,
+            )
+    ids = table.sample_ids
+    folds = [tuple(ids[r] for r in np.flatnonzero(sample_fold == f).tolist()) for f in range(3)]
+    return SplitSpec(mode, int(seed), fr, *folds)
 
+
+def _subject_exclusive_folds(table: DatasetTable, fr: tuple[float, float, float],
+                             targets: list[int], rng: np.random.Generator) -> np.ndarray:
+    """The fold of each row when whole identities are assigned to folds."""
     codes = table.identity_codes
     n_idents = len(table.identities())
     if n_idents < 3:
@@ -211,26 +218,7 @@ def make_split(table: DatasetTable, mode: str, fractions, seed: int) -> SplitSpe
     fold = _greedy_assignment(sizes, hists, count_targets, hist_targets)
 
     _repair_assignment(sizes, hists, fold, count_targets, hist_targets)
-    sample_fold = fold[owner]
-    ids = table.sample_ids
-    fold_ids = [[ids[r] for r in np.flatnonzero(sample_fold == f).tolist()] for f in range(3)]
-
-    achieved = [len(f) / n for f in fold_ids]
-    worst = max(abs(a - f) for a, f in zip(achieved, fr))
-    if worst > _FRACTION_WARN_TOL:
-        warnings.warn(
-            f"subject-exclusive split deviates from requested fractions by {worst:.3f} "
-            "(identity sizes may not permit a closer fit)",
-            stacklevel=2,
-        )
-    return SplitSpec(
-        mode=mode,
-        seed=int(seed),
-        fractions=fr,
-        train=tuple(fold_ids[0]),
-        val=tuple(fold_ids[1]),
-        test=tuple(fold_ids[2]),
-    )
+    return fold[owner]
 
 
 def _greedy_assignment(sizes: np.ndarray, hists: np.ndarray, count_targets: np.ndarray,
@@ -544,22 +532,18 @@ def audit_split(table: DatasetTable, split: SplitSpec) -> AuditReport:
 
 def save_split(split: SplitSpec, path) -> Path:
     path = Path(path)
-    payload = {
-        "mode": split.mode,
-        "seed": split.seed,
-        "fractions": list(split.fractions),
-        "train": list(split.train),
-        "val": list(split.val),
-        "test": list(split.test),
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(asdict(split), indent=2) + "\n")
     return path
 
 
-def load_split(path, table: DatasetTable | None = None) -> SplitSpec:
-    """Read a split file; with a table, also enforce membership and, for
-    subject-exclusive splits, identity disjointness (the offending identity
-    is named in the error)."""
+def load_split(path) -> SplitSpec:
+    """Read a split file: a JSON object with exactly SplitSpec's fields.
+
+    Raises ParseError when the file is not a JSON object, and
+    ValidationError, naming the key, for an unknown or missing key or a
+    value of the wrong type. Whether the ids belong to a table, and whether
+    its identities leak between folds, is audit_split's to check.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -567,27 +551,4 @@ def load_split(path, table: DatasetTable | None = None) -> SplitSpec:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     if not _is_kind(payload, "object"):
         raise ParseError(f"{path}: a split file must be a JSON object")
-    kinds = {"mode": "str", "seed": "int", "fractions": "tuple[float, float, float]",
-             **dict.fromkeys(FOLD_NAMES, "tuple[str, ...]")}
-    for key in kinds:
-        if key not in payload:
-            raise ParseError(f"{path}: missing key {key!r}")
-    _check_types(f"{path}: split", payload, kinds)
-    split = SplitSpec(
-        mode=payload["mode"],
-        seed=payload["seed"],
-        fractions=tuple(payload["fractions"]),
-        train=tuple(payload["train"]),
-        val=tuple(payload["val"]),
-        test=tuple(payload["test"]),
-    )
-    if table is not None:
-        report = audit_split(table, split)
-        if split.mode == MODE_SUBJECT_EXCLUSIVE and not report.is_subject_exclusive:
-            for pair, names in report.overlap_identities.items():
-                if names:
-                    raise ValidationError(
-                        f"{path}: split is labelled subject-exclusive but identity "
-                        f"{names[0]!r} appears in folds {pair}"
-                    )
-    return split
+    return _from_json(SplitSpec, f"{path}: split", payload)

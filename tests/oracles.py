@@ -1,6 +1,7 @@
 """Independent brute-force references used by several test modules."""
 
 import csv
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -328,3 +329,27 @@ def reference_matrices(records, contexts, methods, n_splits):
     splits = np.asarray([[by_cell[(c, m)][s] for m in methods]
                          for c in contexts for s in range(n_splits)])
     return mean, std, splits
+
+
+def reference_random_folds(sample_ids, targets, seed):
+    """The folds of a random split as make_split cut them before both modes
+    shared one tail: the seeded permutation split at the cumulative fold
+    sizes, each part's row indices sorted. Returns three tuples of ids."""
+    from ordibench.util import rng_from_seed
+
+    order = rng_from_seed(seed).permutation(len(sample_ids))
+    parts = np.split(order, np.cumsum(targets)[:-1])
+    return tuple(tuple(sample_ids[i] for i in sorted(int(i) for i in part)) for part in parts)
+
+
+def reference_split_json(split):
+    """A split file's text as save_split built its payload by hand."""
+    payload = {
+        "mode": split.mode,
+        "seed": split.seed,
+        "fractions": list(split.fractions),
+        "train": list(split.train),
+        "val": list(split.val),
+        "test": list(split.test),
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -18,7 +18,7 @@ from ordibench.cli import build_parser, main
 from ordibench.data import SynthSpec, load_dataset
 from ordibench.harness import LeakageParams
 from ordibench.methods import FAMILIES
-from ordibench.splitting import load_split
+from ordibench.splitting import audit_split, load_split
 from ordibench.stats import critical_difference
 from ordibench.training import TrainConfig
 
@@ -66,8 +66,9 @@ def test_split_writes_series(tmp_path):
     files = sorted(out_dir.glob("split_*.json"))
     assert len(files) == 3
     tab = load_dataset(data)
-    split = load_split(files[0], table=tab)
+    split = load_split(files[0])
     assert len(split) == len(tab)
+    assert audit_split(tab, split).is_subject_exclusive
 
 
 def test_split_missing_dataset_errors(tmp_path, capsys):

@@ -8,7 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import reference_greedy, reference_objective, reference_repair
+from oracles import (
+    reference_greedy, reference_objective, reference_random_folds, reference_repair,
+    reference_split_json,
+)
 
 from ordibench import splitting
 from ordibench.data import LabelSet, ParseError, DatasetTable, ValidationError
@@ -129,7 +132,14 @@ def test_fraction_drift_warns():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         make_split(tab, MODE_SUBJECT_EXCLUSIVE, FRACTIONS, seed=0)
-    assert any("fraction" in str(w.message).lower() for w in caught)
+    drift = [w for w in caught if "fraction" in str(w.message).lower()]
+    assert drift
+    # the warning points at make_split's caller, not at splitting.py
+    assert all(w.filename == __file__ for w in drift)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        make_split(tab, MODE_RANDOM, FRACTIONS, seed=0)
+    assert not caught
 
 
 def test_series_first_element_matches_single_call(small_table):
@@ -169,24 +179,34 @@ def test_audit_clean_on_subject_exclusive(small_table):
 def test_split_round_trip(tmp_path, small_table):
     split = make_split(small_table, MODE_SUBJECT_EXCLUSIVE, FRACTIONS, seed=9)
     path = save_split(split, tmp_path / "s.json")
-    back = load_split(path, table=small_table)
+    back = load_split(path)
     assert back == split
+
+
+@pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE])
+def test_save_split_bytes_match_hand_built_payload(tmp_path, small_table, mode):
+    for seed in range(3):
+        split = make_split(small_table, mode, FRACTIONS, seed=seed)
+        path = save_split(split, tmp_path / "s.json")
+        assert path.read_text() == reference_split_json(split)
+
+
+@pytest.mark.parametrize("n", [7, 31, 121])
+def test_random_split_matches_permutation_cut(n):
+    tab = tiny_table(n, 1, ages=list(range(20, 20 + n)))
+    for fractions in [FRACTIONS, (0.5, 0.3, 0.2)]:
+        for seed in range(6):
+            split = make_split(tab, MODE_RANDOM, fractions, seed=seed)
+            targets = [len(fold) for fold in (split.train, split.val, split.test)]
+            assert targets == splitting._target_counts(n, fractions)
+            assert (split.train, split.val, split.test) == reference_random_folds(
+                tab.sample_ids, targets, seed)
 
 
 def test_load_split_without_table_skips_membership(tmp_path, small_table):
     split = make_split(small_table, MODE_RANDOM, FRACTIONS, seed=0)
     path = save_split(split, tmp_path / "s.json")
     assert load_split(path) == split
-
-
-def test_load_split_rejects_unknown_ids(tmp_path, small_table):
-    split = make_split(small_table, MODE_RANDOM, FRACTIONS, seed=0)
-    path = save_split(split, tmp_path / "s.json")
-    payload = json.loads(path.read_text())
-    payload["test"][-1] = "ghost"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValidationError, match="ghost"):
-        load_split(path, table=small_table)
 
 
 def test_load_split_rejects_overlapping_folds(tmp_path, small_table):
@@ -199,21 +219,16 @@ def test_load_split_rejects_overlapping_folds(tmp_path, small_table):
         load_split(path)
 
 
-def test_load_split_names_leaking_identity(tmp_path, small_table):
-    """A file claiming subject exclusivity must actually be identity-disjoint."""
-    rs = make_split(small_table, MODE_RANDOM, FRACTIONS, seed=0)
-    rep = audit_split(small_table, rs)
-    assert rep.total_overlap > 0
-    leaker = next(iter(
-        names for names in rep.overlap_identities.values() if names
-    ))[0]
-    path = save_split(rs, tmp_path / "s.json")
-    payload = json.loads(path.read_text())
-    payload["mode"] = MODE_SUBJECT_EXCLUSIVE
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValidationError) as exc:
-        load_split(path, table=small_table)
-    assert leaker in str(exc.value) or "identity" in str(exc.value)
+@pytest.mark.parametrize("edit, named", [
+    (lambda payload: {**payload, "table": "synthA"}, r"unknown .*\['table'\]"),
+    (lambda payload: {k: v for k, v in payload.items() if k != "seed"}, r"lacks .*\['seed'\]"),
+], ids=["unknown", "missing"])
+def test_load_split_refuses_unknown_and_missing_keys(tmp_path, small_table, edit, named):
+    split = make_split(small_table, MODE_RANDOM, FRACTIONS, seed=0)
+    path = save_split(split, tmp_path / "s.json")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValidationError, match=named):
+        load_split(path)
 
 
 def test_load_split_malformed_json(tmp_path):
