@@ -17,8 +17,7 @@ from pathlib import Path
 from .data import SynthSpec, ValidationError, generate_synthetic, load_dataset, save_dataset
 from .harness import ExperimentConfig, LeakageParams, leakage_demo, run_experiment
 from .splitting import (
-    DEFAULT_BASE_SEED, DEFAULT_FRACTIONS, DEFAULT_N_SPLITS, audit_split, load_split,
-    make_split_series, parse_mode, save_split,
+    SplitConfig, audit_split, load_split, make_split_series, parse_mode, save_split,
 )
 from .stats import friedman_test, load_result_matrix, write_rank_report
 
@@ -148,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     leak = LeakageParams()
+    split = SplitConfig()
 
     p = sub.add_parser("synth", help="generate a synthetic identity-correlated dataset")
     p.add_argument("--identities", type=int, default=50)  # the leakage demo's recipe uses 60
@@ -164,10 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="write a series of split files for a dataset")
     p.add_argument("dataset", help="manifest CSV")
-    p.add_argument("--mode", default="se", help="se (subject-exclusive) or rs (random)")
-    p.add_argument("--fractions", default=",".join(map(str, DEFAULT_FRACTIONS)))
-    p.add_argument("--n", type=int, default=DEFAULT_N_SPLITS, help="number of splits")
-    p.add_argument("--base-seed", type=int, default=DEFAULT_BASE_SEED)
+    p.add_argument("--mode", default=split.mode, help="se (subject-exclusive) or rs (random)")
+    p.add_argument("--fractions", default=",".join(map(str, split.fractions)))
+    p.add_argument("--n", type=int, default=split.n_splits, help="number of splits")
+    p.add_argument("--base-seed", type=int, default=split.base_seed)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_split)
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NoReturn
+from typing import NoReturn, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,69 +39,73 @@ class ValidationError(ValueError):
     """Well-formed input that violates a structural invariant."""
 
 
-_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
-               "str": (str, "a string"), "object": (dict, "an object"), "list": (list, "a list")}
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+               str: (str, "a string")}
 
 
-def _is_kind(value, kind: str) -> bool:
-    """Whether a JSON value has the type a field annotation names: int,
-    float (any finite number), str, object, list, Optional[...] or tuple[...], a
-    list of the tuple's length (any length for tuple[x, ...])."""
-    if kind.startswith("Optional["):
-        if value is None:
-            return True
-        kind = kind[len("Optional["):-1]
-    if kind.startswith("tuple["):
-        items = [k.strip() for k in kind[len("tuple["):-1].split(",")]
+def _is_kind(value, hint) -> bool:
+    """Whether a JSON value has the type of a field annotation: int, float
+    (any finite number), str, a dataclass (an object), or tuple[...], a list
+    of the tuple's length (any length for tuple[x, ...])."""
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
         return (isinstance(value, (list, tuple))
-                and (items[-1] == "..." or len(value) == len(items))
+                and (items[-1] is Ellipsis or len(value) == len(items))
                 and all(_is_kind(v, items[0]) for v in value))
-    if kind == "float" and isinstance(value, float) and not math.isfinite(value):
+    if hint is float and isinstance(value, float) and not math.isfinite(value):
         return False  # json reads NaN and Infinity
-    return isinstance(value, _JSON_TYPES[kind][0]) and not isinstance(value, bool)
+    return isinstance(value, _JSON_TYPES[hint][0]) and not isinstance(value, bool)
 
 
-def _kind_text(kind: str) -> str:
-    if kind.startswith("Optional["):
-        return _kind_text(kind[len("Optional["):-1])
-    if kind.startswith("tuple["):
-        items = [k.strip() for k in kind[len("tuple["):-1].split(",")]
-        count = "" if items[-1] == "..." else f"{len(items)} "
-        return f"a list of {count}{_JSON_TYPES[items[0]][1].split(' ', 1)[1]}s"
-    return _JSON_TYPES[kind][1]
+def _kind_text(hint) -> str:
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        count = "" if items[-1] is Ellipsis else f"{len(items)} "
+        return f"a list of {count}{_kind_text(items[0]).split(' ', 1)[1]}s"
+    return "an object" if is_dataclass(hint) else _JSON_TYPES[hint][1]
 
 
-def _check_keys(section: str, payload: dict, allowed: set) -> None:
-    """Refuse, naming them, keys outside the allowed set."""
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ValidationError(f"unknown {section} key(s): {sorted(unknown)}")
-
-
-def _check_types(section: str, payload: dict, kinds: dict[str, str]) -> None:
-    """Refuse, naming the key, a value whose type differs from its kind."""
-    for key, value in payload.items():
-        if key in kinds and not _is_kind(value, kinds[key]):
-            raise ValidationError(
-                f"{section} key {key!r} must be {_kind_text(kinds[key])}, got {value!r}")
-
-
-def _from_json(cls, section: str, payload):
-    """Build a config dataclass (SynthSpec, TrainConfig, MethodConfig) or a
+def _from_json(cls, section: str, payload, path: str = ""):
+    """Build a config dataclass (ExperimentConfig and its sections) or a
     split file's SplitSpec from a JSON object, using only its fields.
-    Refuses, naming the key, a payload that is not an object, an unknown
-    key, a value of the wrong type and a missing required field; a list
-    becomes a tuple for a tuple[...] field."""
-    if not _is_kind(payload, "object"):
-        raise ValidationError(f"{section} must be an object, got {payload!r}")
-    kinds = {f.name: f.type for f in fields(cls)}
-    _check_keys(section, payload, set(kinds))
-    _check_types(section, payload, kinds)
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in payload]
+
+    A field whose annotation is a dataclass, or Optional[...] or
+    tuple[..., ...] of one, is read the same way, recursively; a list
+    becomes a tuple for a tuple[...] field, and null for an Optional field
+    means the key was left out. Refuses, naming the key, a payload that is
+    not an object, an unknown key, a value of the wrong type and a missing
+    required field. Messages name the top object by section and a nested
+    one by its path from there, such as datasets[1].synth."""
+    name = path or section
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{name} must be an object, got {payload!r}")
+    hints = get_type_hints(cls)
+    unknown = set(payload) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValidationError(f"unknown {name} key(s): {sorted(unknown)}")
+    values = {}
+    for key, value in payload.items():
+        hint, at = hints[key], f"{path}.{key}" if path else key
+        if get_origin(hint) is Union:  # Optional[...]
+            if value is None:
+                continue
+            hint = get_args(hint)[0]
+        item = get_args(hint)[0] if get_origin(hint) is tuple else None
+        if is_dataclass(item) and isinstance(value, list):  # each entry names its own faults
+            values[key] = tuple(_from_json(item, section, v, f"{at}[{i}]")
+                                for i, v in enumerate(value))
+        elif not _is_kind(value, hint):
+            raise ValidationError(f"{name} key {key!r} must be {_kind_text(hint)}, got {value!r}")
+        elif is_dataclass(hint):
+            values[key] = _from_json(hint, section, value, at)
+        else:
+            values[key] = value if item is None else tuple(value)
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
     if missing:
-        raise ValidationError(f"{section} lacks key(s): {missing}")
-    return cls(**{key: tuple(value) if kinds[key].startswith("tuple[") else value
-                  for key, value in payload.items()})
+        raise ValidationError(f"{name} lacks key(s): {missing}")
+    return cls(**values)
 
 
 @dataclass(frozen=True)

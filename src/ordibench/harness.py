@@ -27,25 +27,18 @@ from .data import (
     DatasetTable,
     SynthSpec,
     ValidationError,
-    _check_keys,
-    _check_types,
     _from_json,
-    _is_kind,
     generate_synthetic,
     load_dataset,
 )
 from .methods import MethodConfig
 from .splitting import (
-    DEFAULT_BASE_SEED,
-    DEFAULT_FRACTIONS,
-    DEFAULT_N_SPLITS,
     MODE_RANDOM,
     MODE_SUBJECT_EXCLUSIVE,
+    SplitConfig,
     SplitSpec,
-    _check_fractions,
     make_split,
     make_split_series,
-    parse_mode,
 )
 from .stats import ResultMatrix, save_result_matrix
 from .training import TrainConfig, TrainedRun, evaluate_mae, train
@@ -88,14 +81,13 @@ class DatasetEntry:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A grid's whole config; its fields are the config file's keys."""
+
     datasets: tuple[DatasetEntry, ...]
     methods: tuple[MethodConfig, ...]
-    split_mode: str
-    fractions: tuple[float, float, float]
-    n_splits: int
-    base_seed: int
-    train: TrainConfig
-    output_dir: str
+    split: SplitConfig = SplitConfig()
+    train: TrainConfig = TrainConfig()
+    output_dir: str = "runs"
 
     def __post_init__(self) -> None:
         if not self.datasets:
@@ -114,60 +106,27 @@ class ExperimentConfig:
         for name in names:  # "a->b" names the rows of a model trained on a, scored on b
             if "->" in name:
                 raise ValidationError(f"dataset name {name!r} must not contain '->'")
-        if self.split_mode not in (MODE_SUBJECT_EXCLUSIVE, MODE_RANDOM):
-            raise ValidationError(f"unknown split mode {self.split_mode!r}")
-        object.__setattr__(self, "fractions", _check_fractions(self.fractions))
-        if self.n_splits < 1:
-            raise ValidationError("n_splits must be >= 1")
         if not self.output_dir:
             raise ValidationError("output_dir must be set")
 
+    # bench/phase.py's check_inputs still reads the split settings by these flat names
+    split_mode = property(lambda self: self.split.mode)
+    fractions = property(lambda self: self.split.fractions)
+    n_splits = property(lambda self: self.split.n_splits)
+    base_seed = property(lambda self: self.split.base_seed)
+
     @classmethod
     def from_dict(cls, payload: dict, base_dir: Path | None = None) -> "ExperimentConfig":
-        if not _is_kind(payload, "object"):
-            raise ValidationError("a config must be a JSON object")
-        _check_keys("config", payload, {"datasets", "methods", "split", "train", "output_dir"})
-        _check_types("config", payload, {"datasets": "list", "methods": "list", "split": "object",
-                                         "train": "object", "output_dir": "str"})
+        """Read a config; relative dataset paths and output_dir resolve
+        against base_dir (the working directory if None)."""
+        config = _from_json(cls, "config", payload)
         base = Path(base_dir) if base_dir is not None else Path(".")
-
-        entries = []
-        for item in payload.get("datasets", []):
-            if not _is_kind(item, "object"):
-                raise ValidationError(f"each datasets entry must be an object, got {item!r}")
-            _check_keys("dataset entry", item, {"name", "path", "synth"})
-            _check_types("dataset entry", item, {"name": "str", "path": "str", "synth": "object"})
-            synth = _from_json(SynthSpec, "synth", item["synth"]) if "synth" in item else None
-            path = None
-            if "path" in item:
-                path = str((base / item["path"]).resolve()) if not Path(item["path"]).is_absolute() else item["path"]
-            entries.append(DatasetEntry(name=item.get("name", ""), path=path, synth=synth))
-        methods = tuple(_from_json(MethodConfig, "method", m) for m in payload.get("methods", []))
-
-        split = payload.get("split", {})
-        _check_keys("split", split, {"mode", "fractions", "n_splits", "base_seed"})
-        _check_types("split", split, {"mode": "str", "fractions": "tuple[float, float, float]",
-                                      "n_splits": "int", "base_seed": "int"})
-        mode = parse_mode(split.get("mode", MODE_SUBJECT_EXCLUSIVE))
-        fractions = tuple(split.get("fractions", DEFAULT_FRACTIONS))
-        n_splits = int(split.get("n_splits", DEFAULT_N_SPLITS))
-        base_seed = int(split.get("base_seed", DEFAULT_BASE_SEED))
-
-        train_cfg = _from_json(TrainConfig, "train", payload.get("train", {}))
-        out_dir = payload.get("output_dir", "runs")
-        out_path = Path(out_dir)
-        if not out_path.is_absolute():
-            out_path = base / out_dir
-        return cls(
-            datasets=tuple(entries),
-            methods=methods,
-            split_mode=mode,
-            fractions=fractions,  # type: ignore[arg-type]
-            n_splits=n_splits,
-            base_seed=base_seed,
-            train=train_cfg,
-            output_dir=str(out_path),
-        )
+        datasets = tuple(
+            entry if entry.path is None or Path(entry.path).is_absolute()
+            else dataclasses.replace(entry, path=str((base / entry.path).resolve()))
+            for entry in config.datasets)
+        return dataclasses.replace(config, datasets=datasets,
+                                   output_dir=str(base / config.output_dir))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -325,12 +284,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
         raise ValidationError(
             f"cross-dataset evaluation needs one shared feature width, got {sorted(dims)}"
         )
+    split = config.split
     tasks = []
     contexts: list[str] = []  # per training dataset, its intra row then its held-out rows
     for d_idx, table in enumerate(tables):
-        splits = make_split_series(
-            table, config.split_mode, config.fractions, config.base_seed, config.n_splits
-        )
+        splits = make_split_series(table, split.mode, split.fractions, split.base_seed,
+                                   split.n_splits)
         holdouts = [(f"{table.name}->{t.name}", t) for i, t in enumerate(tables) if i != d_idx]
         contexts += [table.name] + [context for context, _ in holdouts]
         cfgs = [dataclasses.replace(config.train, seed=config.train.seed + s)
@@ -374,21 +333,21 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     method_names = tuple(m.display_name for m in config.methods)
     row = {ctx: i for i, ctx in enumerate(contexts)}
     col = {m: j for j, m in enumerate(method_names)}
-    mae = np.full((len(contexts), len(method_names), config.n_splits), np.nan)
+    mae = np.full((len(contexts), len(method_names), split.n_splits), np.nan)
     for r in records:
         mae[row[r.dataset], col[r.method], r.split_index] = r.test_mae
 
     mean_matrix = None
     split_matrix = None
     if not np.isnan(mae).any():  # every cell of every context has a record
-        std = mae.std(axis=2, ddof=1) if config.n_splits > 1 else np.zeros(mae.shape[:2])
+        std = mae.std(axis=2, ddof=1) if split.n_splits > 1 else np.zeros(mae.shape[:2])
         mean_matrix = ResultMatrix(datasets=tuple(contexts), methods=method_names,
                                    mae=mae.mean(axis=2))
         files["mae_mean"] = str(save_result_matrix(mean_matrix, out_dir / "mae_mean.csv"))
         std_matrix = ResultMatrix(datasets=tuple(contexts), methods=method_names, mae=std)
         files["mae_std"] = str(save_result_matrix(std_matrix, out_dir / "mae_std.csv"))
         split_matrix = ResultMatrix(
-            datasets=tuple(f"{ctx}/split{s}" for ctx in contexts for s in range(config.n_splits)),
+            datasets=tuple(f"{ctx}/split{s}" for ctx in contexts for s in range(split.n_splits)),
             methods=method_names,
             mae=mae.transpose(0, 2, 1).reshape(-1, len(method_names)),
         )
@@ -424,7 +383,7 @@ class LeakageParams:
     synth: SynthSpec = SynthSpec(60, 4, 16, (20, 60), sigma_id=2.0, sigma_obs=0.5)
     train: TrainConfig = TrainConfig(epochs=40)
     n_seeds: int = 5
-    fractions: tuple[float, float, float] = DEFAULT_FRACTIONS
+    fractions: tuple[float, float, float] = SplitConfig.fractions
 
     def __post_init__(self) -> None:
         if self.n_seeds < 1:

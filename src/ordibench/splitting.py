@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetTable, ParseError, ValidationError, _from_json, _is_kind
+from .data import DatasetTable, ParseError, ValidationError, _from_json
 from .util import rng_from_seed
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "MODE_RANDOM",
     "FOLD_NAMES",
     "parse_mode",
+    "SplitConfig",
     "SplitSpec",
     "AuditReport",
     "make_split",
@@ -41,11 +42,6 @@ _MODES = (MODE_SUBJECT_EXCLUSIVE, MODE_RANDOM)
 _MODE_ALIASES = {"se": MODE_SUBJECT_EXCLUSIVE, MODE_SUBJECT_EXCLUSIVE: MODE_SUBJECT_EXCLUSIVE,
                  "rs": MODE_RANDOM, MODE_RANDOM: MODE_RANDOM}
 FOLD_NAMES = ("train", "val", "test")
-# The train/val/test shares, the split count and the first split's seed used
-# wherever a config or command leaves them out.
-DEFAULT_FRACTIONS = (0.6, 0.2, 0.2)
-DEFAULT_N_SPLITS = 5
-DEFAULT_BASE_SEED = 0
 
 # One bin per distinct label while the label set is small; coarse fixed-width
 # binning beyond that so stratification targets stay estimable.
@@ -71,6 +67,23 @@ def _check_fractions(fractions) -> tuple[float, float, float]:
     if abs(sum(fr) - 1.0) > 1e-9:
         raise ValidationError("fractions must sum to 1")
     return fr  # type: ignore[return-value]
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    """How a grid splits each dataset, and the defaults wherever a config or
+    command leaves a setting out: split i is made with seed base_seed + i."""
+
+    mode: str = MODE_SUBJECT_EXCLUSIVE
+    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
+    n_splits: int = 5
+    base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", parse_mode(self.mode))
+        object.__setattr__(self, "fractions", _check_fractions(self.fractions))
+        if self.n_splits < 1:
+            raise ValidationError("n_splits must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -549,6 +562,6 @@ def load_split(path) -> SplitSpec:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    if not _is_kind(payload, "object"):
+    if not isinstance(payload, dict):
         raise ParseError(f"{path}: a split file must be a JSON object")
     return _from_json(SplitSpec, f"{path}: split", payload)

@@ -457,8 +457,8 @@ def test_every_family_beats_the_train_fold_median_on_the_grid(grid_10):
     train fold's median age for every test sample of the same splits."""
     cfg, result, _, _ = grid_10
     table = cfg.datasets[0].load()
-    splits = make_split_series(table, cfg.split_mode, cfg.fractions, cfg.base_seed,
-                               cfg.n_splits)
+    splits = make_split_series(table, cfg.split.mode, cfg.split.fractions,
+                               cfg.split.base_seed, cfg.split.n_splits)
     median = np.mean([
         np.mean(np.abs(table.ages_for(s.test) - np.median(table.ages_for(s.train))))
         for s in splits

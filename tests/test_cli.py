@@ -246,6 +246,17 @@ def test_run_rejects_an_unknown_config_key_exit_2(tmp_path, capsys, section, key
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("section", ["split", "train"])
+def test_run_refuses_a_null_section_exit_2(tmp_path, capsys, section):
+    cfg_path = write_run_config(tmp_path)
+    payload = json.loads(cfg_path.read_text())
+    payload[section] = None
+    cfg_path.write_text(json.dumps(payload))
+    assert run_cli("run", cfg_path) == 2
+    assert capsys.readouterr().err.startswith(f"error: config key {section!r}")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_rejects_bad_fractions_before_writing(tmp_path, capsys):
     cfg_path = write_run_config(tmp_path)
     payload = json.loads(cfg_path.read_text())

@@ -18,7 +18,9 @@ from ordibench.data import (
     load_dataset,
     save_dataset,
 )
+from ordibench.harness import DatasetEntry, ExperimentConfig
 from ordibench.methods import MethodConfig
+from ordibench.splitting import MODE_RANDOM, SplitConfig
 from ordibench.training import TrainConfig
 from ordibench.util import rng_from_seed
 from oracles import reference_load, reference_table
@@ -444,7 +446,14 @@ def test_table_raises_what_the_reference_raises_for_the_first_fault(kind):
     (TrainConfig(epochs=12, seed=9, hidden_dims=(32,), learning_rate=3e-4), "train",
      [{"epochs": 0}, {"learning_rate": -1.0}]),
     (MethodConfig(family="dldl", sigma=2.5), "method", [{"family": "not-a-family"}]),
-], ids=["SynthSpec", "TrainConfig", "MethodConfig"])
+    (SplitConfig(MODE_RANDOM, (0.5, 0.25, 0.25), 3, 7), "split", [{"n_splits": 0}]),
+    (ExperimentConfig(
+        datasets=(DatasetEntry("a", path="a.csv"),
+                  DatasetEntry("b", synth=SynthSpec(5, 2, 3, (20, 30)))),
+        methods=(MethodConfig("sord", name="s1"), MethodConfig("sord", alpha=2.0, name="s2")),
+        split=SplitConfig(n_splits=2), train=TrainConfig(hidden_dims=(8,)), output_dir="out"),
+     "config", [{"output_dir": ""}]),
+], ids=["SynthSpec", "TrainConfig", "MethodConfig", "SplitConfig", "ExperimentConfig"])
 def test_config_round_trips_through_json(config, section, out_of_range):
     """asdict -> JSON -> _from_json gives the instance back; a value of the
     right type but out of range is still refused by the dataclass itself."""

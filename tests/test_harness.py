@@ -25,7 +25,7 @@ from ordibench.harness import (
     save_run_records,
 )
 from ordibench.splitting import (
-    DEFAULT_FRACTIONS, MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE, make_split, make_split_series,
+    MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE, SplitConfig, make_split, make_split_series,
 )
 from ordibench.methods import MethodConfig
 from ordibench.prediction import decode_output
@@ -65,11 +65,11 @@ def test_dataset_entry_needs_exactly_one_source():
 
 def test_config_parsing_defaults_and_aliases(tmp_path):
     cfg = config_for(tmp_path)
-    assert cfg.split_mode == MODE_SUBJECT_EXCLUSIVE
-    assert cfg.n_splits == 2
+    assert cfg.split.mode == MODE_SUBJECT_EXCLUSIVE
+    assert cfg.split.n_splits == 2
     assert cfg.train.epochs == 6
     rs = config_for(tmp_path, {"split": {"mode": "random", "n_splits": 1}})
-    assert rs.split_mode == MODE_RANDOM
+    assert rs.split.mode == MODE_RANDOM
 
 
 def test_config_rejects_unknown_keys_and_few_methods(tmp_path):
@@ -113,7 +113,7 @@ def _with_synth(**synth):
     ({"datasets": [_with_synth(n_identity=30)]}, "n_identity"),
     ({"train": {**BASE_CONFIG["train"], "epoch": 6}}, "unknown train key.*'epoch'"),
     ({"methods": [{"family": "sord", "alfa": 1.0}, {"family": "dldl"}]},
-     "unknown method key.*'alfa'"),
+     r"unknown methods\[0\] key.*'alfa'"),
 ])
 def test_config_rejects_unknown_keys_in_every_section(tmp_path, overrides, named):
     with pytest.raises(ValidationError, match=named):
@@ -128,7 +128,7 @@ def test_config_names_missing_synth_keys(tmp_path):
 
 
 def test_config_names_a_method_entry_without_family(tmp_path):
-    with pytest.raises(ValidationError, match="method lacks key.*'family'"):
+    with pytest.raises(ValidationError, match=r"methods\[0\] lacks key.*'family'"):
         config_for(tmp_path, {"methods": [{"sigma": 2.0}, {"family": "dldl"}]})
 
 
@@ -139,20 +139,80 @@ def test_config_names_a_method_entry_without_family(tmp_path):
     ({"split": {**BASE_CONFIG["split"], "n_splits": "2"}}, "split key 'n_splits'"),
     ({"train": {**BASE_CONFIG["train"], "epochs": 6.0}}, "train key 'epochs'"),
     ({"train": {**BASE_CONFIG["train"], "hidden_dims": 16}}, "train key 'hidden_dims'"),
-    ({"methods": [{"family": "sord", "alpha": "1"}, {"family": "dldl"}]}, "method key 'alpha'"),
-    ({"methods": ["sord", "dldl"]}, "method must be an object"),
+    ({"methods": [{"family": "sord", "alpha": "1"}, {"family": "dldl"}]},
+     r"methods\[0\] key 'alpha'"),
+    ({"methods": ["sord", "dldl"]}, r"methods\[0\] must be an object"),
     ({"output_dir": 3}, "config key 'output_dir'"),
     ({"train": {**BASE_CONFIG["train"], "learning_rate": float("nan")}},
      "train key 'learning_rate' must be a finite number"),
     ({"methods": [{"family": "sord", "alpha": float("inf")}, {"family": "dldl"}]},
-     "method key 'alpha'"),
+     r"methods\[0\] key 'alpha'"),
     ({"datasets": [_with_synth(sigma_id=float("nan"))]}, "synth key 'sigma_id'"),
+    ({"split": None}, "config key 'split' must be an object, got None"),
+    ({"train": None}, "config key 'train' must be an object, got None"),
+    ({"datasets": [_with_synth(), {**_with_synth(n_identities="20"), "name": "synthB"}]},
+     r"^datasets\[1\]\.synth key 'n_identities'"),
+    ({"methods": [{"family": "sord"}, {"family": "dldl", "sigma": "2"}]},
+     r"^methods\[1\] key 'sigma'"),
 ], ids=["n_identities", "age_range", "fractions", "n_splits", "epochs", "hidden_dims", "alpha",
-        "method_entry", "output_dir", "learning_rate_nan", "alpha_inf", "sigma_id_nan"])
+        "method_entry", "output_dir", "learning_rate_nan", "alpha_inf", "sigma_id_nan",
+        "split_null", "train_null", "second_synth", "second_method"])
 def test_config_names_a_value_of_the_wrong_type(tmp_path, overrides, named):
     payload = {**json.loads(json.dumps(BASE_CONFIG)), "output_dir": "runs", **overrides}
     with pytest.raises(ValidationError, match=named):
         ExperimentConfig.from_dict(payload, base_dir=tmp_path)
+
+
+def test_config_refuses_a_dataset_entry_whose_sources_are_both_null(tmp_path):
+    """null for path or synth means the key was left out, so DatasetEntry's
+    exactly-one check still refuses an entry that nulls both."""
+    entry = {"name": "synthA", "path": None, "synth": None}
+    with pytest.raises(ValidationError, match="exactly one of 'path' or 'synth'"):
+        config_for(tmp_path, {"datasets": [entry]})
+    cfg = config_for(tmp_path, {"datasets": [{**entry, "path": "a.csv"}]})
+    assert cfg.datasets[0] == DatasetEntry("synthA", path=str((tmp_path / "a.csv").resolve()))
+
+
+def test_config_refuses_an_empty_output_dir(tmp_path):
+    """An empty output_dir would write the grid into the config's own directory."""
+    with pytest.raises(ValidationError, match="output_dir must be set"):
+        config_for(tmp_path, {"output_dir": ""})
+
+
+def test_config_equals_the_hand_built_config(tmp_path):
+    want = ExperimentConfig(
+        datasets=(DatasetEntry("synthA", synth=SynthSpec(30, 4, 8, (20, 40), sigma_id=1.5,
+                                                         sigma_obs=0.4, seed=5)),),
+        methods=(MethodConfig("cross-entropy"), MethodConfig("regression")),
+        split=SplitConfig("se", (0.6, 0.2, 0.2), 2, 0),
+        train=TrainConfig(epochs=6, seed=0, hidden_dims=(16,)),
+        output_dir=str(tmp_path / "runs"),
+    )
+    assert ExperimentConfig.from_dict(BASE_CONFIG, base_dir=tmp_path) == want
+
+
+def test_config_without_a_split_section_gets_the_default_split(tmp_path):
+    payload = {k: v for k, v in BASE_CONFIG.items() if k != "split"}
+    assert ExperimentConfig.from_dict(payload, base_dir=tmp_path).split == SplitConfig()
+
+
+def test_flat_split_names_equal_the_split_section(tmp_path):
+    """bench/phase.py:114-115 (check_inputs) reads split_mode, fractions,
+    base_seed and n_splits off the config itself."""
+    cfg = config_for(tmp_path, {"split": {"mode": "rs", "fractions": [0.5, 0.25, 0.25],
+                                          "n_splits": 3, "base_seed": 7}})
+    assert ((cfg.split_mode, cfg.fractions, cfg.n_splits, cfg.base_seed)
+            == (cfg.split.mode, cfg.split.fractions, cfg.split.n_splits, cfg.split.base_seed)
+            == (MODE_RANDOM, (0.5, 0.25, 0.25), 3, 7))
+
+
+def test_the_readme_config_schema_loads(tmp_path):
+    """The JSON block under README's "Config schema" is a config the reader takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.from_dict(json.loads(block), base_dir=tmp_path)
+    assert cfg.datasets[0].path == str((tmp_path / "synthA.csv").resolve())
+    assert cfg.output_dir == str(tmp_path / "results")
 
 
 def test_a_missing_dataset_file_leaves_no_output_directory(tmp_path):
@@ -181,7 +241,7 @@ def test_config_checks_fractions(tmp_path, fractions):
 ])
 def test_config_split_mode_is_parsed_like_the_cli_mode(tmp_path, mode, want):
     cfg = config_for(tmp_path, {"split": {**BASE_CONFIG["split"], "mode": mode}})
-    assert cfg.split_mode == want
+    assert cfg.split.mode == want
 
 
 def test_config_rejects_unknown_split_mode(tmp_path):
@@ -269,8 +329,8 @@ def test_grid_cells_are_the_models_train_builds(tmp_path):
     cfg = config_for(tmp_path, {"methods": [{"family": "coral"}, {"family": "regression"}]})
     result = run_experiment(cfg, jobs=1)
     table = cfg.datasets[0].load()
-    splits = make_split_series(table, cfg.split_mode, cfg.fractions, cfg.base_seed,
-                               cfg.n_splits)
+    splits = make_split_series(table, cfg.split.mode, cfg.split.fractions,
+                               cfg.split.base_seed, cfg.split.n_splits)
     assert len(result.records) == 4
     for rec in result.records:
         split = splits[rec.split_index]
@@ -543,7 +603,7 @@ def test_leakage_demo_seed_k_uses_table_seed_plus_k_and_train_seed_plus_k():
     for table_seed, train_seed in ((7, 100), (8, 101)):
         table = generate_synthetic(dataclasses.replace(synth, seed=table_seed))
         for mode, maes in expected.items():
-            split = make_split(table, mode, DEFAULT_FRACTIONS, table_seed)
+            split = make_split(table, mode, SplitConfig().fractions, table_seed)
             run = train(table, split, method, dataclasses.replace(cfg, seed=train_seed))
             maes.append(float(evaluate_mae(run, table, split.test)))
     assert rep.seeds == (7, 8)

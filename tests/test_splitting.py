@@ -203,7 +203,7 @@ def test_random_split_matches_permutation_cut(n):
                 tab.sample_ids, targets, seed)
 
 
-def test_load_split_without_table_skips_membership(tmp_path, small_table):
+def test_load_split_round_trips_a_random_split(tmp_path, small_table):
     split = make_split(small_table, MODE_RANDOM, FRACTIONS, seed=0)
     path = save_split(split, tmp_path / "s.json")
     assert load_split(path) == split

@@ -57,7 +57,8 @@ def test_bench_tracer_sees_the_training_hot_path(tmp_path, monkeypatch):
     layers = tracer.layer_metrics(*t.merged(), jobs=1)
 
     table = cfg.datasets[0].load()
-    splits = make_split_series(table, cfg.split_mode, cfg.fractions, cfg.base_seed, cfg.n_splits)
+    splits = make_split_series(table, cfg.split.mode, cfg.split.fractions,
+                               cfg.split.base_seed, cfg.split.n_splits)
     methods = len(cfg.methods)
     stacks = {(len(s.train), len(s.val)) for s in splits}  # splits with equal folds share one
     minibatches = sum(epochs * -(-n_train // batch_size) for n_train, _ in stacks)
