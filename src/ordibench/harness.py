@@ -302,6 +302,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("mae_mean.csv", "mae_std.csv", "mae_splits.csv", "failures.txt"):
+        (out_dir / name).unlink(missing_ok=True)  # written below only if this run earns them
 
     workers = min(jobs, len(tasks))
     if workers > 1:

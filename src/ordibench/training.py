@@ -203,8 +203,9 @@ class ModelStack:
     every parameter and grad every gradient, in one layout, and every array
     is a view into one of them: models[k] is member k's MlpModel over theta
     and grads[k] its gradients over grad. Building a stack copies the given
-    models' parameters in. A pass writes its activations into work buffers
-    that the stack keeps for the next pass of the same shape.
+    models' parameters in; its members and layout are then fixed for its
+    life. A pass writes its activations into work buffers that the stack
+    keeps for the next pass of the same shape.
     """
 
     def __init__(self, models: list[MlpModel], groups=None):
@@ -270,20 +271,6 @@ class ModelStack:
         """Every member's weight matrices, member by member: the multiply-adds
         of one row through the stack are those of its members."""
         return [w for m in self.models for w in m.weights]
-
-    def select(self, keep: list[int]) -> tuple["ModelStack", np.ndarray]:
-        """A stack of the members at the ascending positions keep, in their
-        groups, with their parameters and gradients, and the mask of their
-        entries in this stack's flat layout."""
-        owner = np.empty(self.theta.size, dtype=np.intp)
-        for k, member in enumerate(self._members(owner)):
-            for a in member.weights + member.biases:
-                a[...] = k
-        mask = np.isin(owner, keep)
-        sizes = [sum(k in g for k in keep) for g in self.groups]
-        kept = ModelStack([self.models[k] for k in keep], [s for s in sizes if s])
-        kept.grad[...] = self.grad[mask]
-        return kept, mask
 
     def _layers(self, x: np.ndarray) -> list[np.ndarray]:
         """Each layer's input: x, the (B, n, input) stack of the members'
@@ -428,10 +415,6 @@ class _Adam:
         self.m, self.v = np.zeros(size), np.zeros(size)
         self.num, self.den = np.empty(min(size, _ADAM_BLOCK)), np.empty(min(size, _ADAM_BLOCK))
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Keep the state of the entries under mask, as ModelStack.select does."""
-        self.m, self.v = self.m[mask], self.v[mask]
-
     def step(self, theta: np.ndarray, g: np.ndarray) -> None:
         c = self.cfg
         self.t += 1
@@ -503,21 +486,30 @@ def evaluate_mae(run: TrainedRun, table: DatasetTable, fold_ids) -> float:
                       table.ages_for(ids), run.label_set))
 
 
-@dataclass(eq=False)
+@dataclass
 class _Member:
     """One (split, method) part of a lockstep run: the positions of its split
-    and its method, its targets, its model (views into the current stack)
-    and its selection state."""
+    and its method, its targets, its model (its views into the run's one
+    stack), its selection state, and whether it has failed and is frozen."""
 
     split: int
     method: int
     targets: Targets
     model: MlpModel
-    best_model: MlpModel
+    best_model: MlpModel | None = None
     history: list = field(default_factory=list)
     best_mae: float = np.inf
     best_epoch: int = 0
     epoch_loss: float = 0.0
+    failed: bool = False
+
+
+def _zero(models) -> None:
+    """Set every parameter of each model, a member's views into a stack's
+    flat layout, to 0."""
+    for model in models:
+        for a in model.weights + model.biases:
+            a[...] = 0.0
 
 
 def _joined(targets: list[Targets]) -> Targets:
@@ -545,8 +537,9 @@ def train(table: DatasetTable, splits, methods, cfgs):
     method's members forming one group. Each member starts from its split's
     seed, so all methods on a split start from the same hidden layers, and
     reads its split's minibatches, drawn by its split's seeded shuffle; each
-    gets bitwise the run it would get alone. A member whose loss diverges or
-    raises leaves the stack; the others go on.
+    gets bitwise the run it would get alone. A member whose loss, parameters
+    or val decode fail gets that failure as its outcome and stays in the
+    stack, frozen; the others go on.
 
     Only the train and val folds are ever read; the test folds stay
     untouched. Given equal inputs the result is bitwise reproducible: the
@@ -589,7 +582,13 @@ def train(table: DatasetTable, splits, methods, cfgs):
 def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[MethodConfig],
                  cfgs: list[TrainConfig], outcomes: list[list]) -> None:
     """train() for splits whose folds have equal sizes: one lockstep stack,
-    whose member (s, j) puts its outcome in outcomes[s][j]."""
+    whose member (s, j) puts its outcome in outcomes[s][j].
+
+    A member that fails keeps its place in the stack, frozen: its parameters
+    and Adam moments are zeroed once and its gradients after every step, so
+    Adam leaves them at zero. Zero parameters give finite outputs, so a
+    frozen member does not trip its group's loss or decode call again.
+    """
     label_set = table.label_set
     x_train = np.stack([table.features_for(s.train) for s in splits])
     ages_train = np.stack([table.ages_for(s.train) for s in splits])
@@ -597,7 +596,7 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     ages_val = np.stack([table.ages_for(s.val) for s in splits])
     cfg = cfgs[0]
 
-    live: list[_Member] = []
+    members: list[_Member] = []
     for j, method in enumerate(methods):
         for s, (ages, split_cfg) in enumerate(zip(ages_train, cfgs)):
             try:
@@ -611,92 +610,82 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
             if model.head_kind == HEAD_SHARED_SCORE:
                 p = np.clip(targets.row.mean(axis=0), 1e-3, 1 - 1e-3)
                 model.biases[-1][:] = np.log(p / (1 - p))
-            live.append(_Member(s, j, targets, model, model.copy()))
-    if not live:
+            members.append(_Member(s, j, targets, model))
+    if not members:
         return
 
-    stack = ModelStack([m.model for m in live],
-                       [len(list(run)) for _, run in itertools.groupby(m.method for m in live)])
+    stack = ModelStack([m.model for m in members],
+                       [len(list(run)) for _, run in itertools.groupby(m.method for m in members)])
     adam = _Adam(stack.theta.size, cfg)
+    for m, model in zip(members, stack.models):
+        m.model = model
+    group_splits = [np.array([m.split for m in members[g.start:g.stop]]) for g in stack.groups]
+    group_targets = [_joined([m.targets for m in members[g.start:g.stop]]) for g in stack.groups]
+    group_methods = [methods[members[g.start].method] for g in stack.groups]
+    inputs = np.concatenate(group_splits)  # the split of every member
+    val_x = x_val[inputs]
+    params_and_moments = [stack.models, stack._members(adam.m), stack._members(adam.v)]
 
-    def regroup() -> tuple:
-        """Point the live members at their views in the stack; the members of
-        each group, their splits and their joined targets, and the split and
-        the val rows of every member."""
-        for m, model in zip(live, stack.models):
-            m.model = model
-        groups = [live[g.start:g.stop] for g in stack.groups]
-        splits_of = [np.array([m.split for m in g]) for g in groups]
-        inputs = np.concatenate(splits_of)
-        return (groups, splits_of, [_joined([m.targets for m in g]) for g in groups],
-                inputs, x_val[inputs])
-
-    groups, group_splits, group_targets, inputs, val_x = regroup()
-
-    def drop(failed: dict) -> bool:
-        """Record the failed members' outcomes and take them out of the
-        stack; False once none is left."""
-        nonlocal stack, live, groups, group_splits, group_targets, inputs, val_x
-        if not failed:
-            return True
-        for m, exc in failed.items():
-            outcomes[m.split][m.method] = exc
-        keep = [k for k, m in enumerate(live) if m not in failed]
-        live = [live[k] for k in keep]
-        if not live:
-            return False
-        stack, mask = stack.select(keep)
-        adam.keep(mask)
-        groups, group_splits, group_targets, inputs, val_x = regroup()
-        return True
+    def freeze(failed: dict) -> bool:
+        """Record the outcomes of the failed members, keyed by position, and
+        zero their parameters and Adam moments; False once every member has
+        failed."""
+        for k, exc in failed.items():
+            members[k].failed = True
+            outcomes[members[k].split][members[k].method] = exc
+            _zero(views[k] for views in params_and_moments)
+        return any(not m.failed for m in members)
 
     rngs = [rng_from_seed(c.seed, 1) for c in cfgs]
     n, width = x_train.shape[1:]
     train_rows = x_train.reshape(-1, width)  # row r of split s is train_rows[s * n + r]
     for epoch in range(1, cfg.epochs + 1):
         orders = np.stack([rng.permutation(n) for rng in rngs])
-        for m in live:
+        for m in members:
             m.epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             rows = orders[:, start:start + cfg.batch_size]
             x = np.take(train_rows, inputs[:, None] * n + rows[inputs], axis=0, mode="clip",
-                        out=stack._buffer("x", (len(live), rows.shape[1], width)))
+                        out=stack._buffer("x", (len(members), rows.shape[1], width)))
             targets = [t[np.arange(0, len(s) * n, n)[:, None] + rows[s]]
                        for t, s in zip(group_targets, group_splits)]
-            values = batch_loss_and_grads(stack, x, targets,
-                                          [methods[g[0].method] for g in groups], label_set)
-            failed = {m: v if isinstance(v, Exception) else TrainingDiverged(epoch)
-                      for m, v in zip(live, values)
-                      if isinstance(v, Exception) or not math.isfinite(v)}
-            values = [v for m, v in zip(live, values) if m not in failed]
-            if not drop(failed):
+            values = batch_loss_and_grads(stack, x, targets, group_methods, label_set)
+            if not freeze({k: v if isinstance(v, Exception) else TrainingDiverged(epoch)
+                           for k, (m, v) in enumerate(zip(members, values))
+                           if not m.failed and (isinstance(v, Exception) or not math.isfinite(v))}):
                 return
+            _zero(stack.grads[k] for k, m in enumerate(members) if m.failed)
             adam.step(stack.theta, stack.grad)
-            for m, value in zip(live, values):
-                m.epoch_loss += value * rows.shape[1]
+            for m, value in zip(members, values):
+                if not m.failed:
+                    m.epoch_loss += value * rows.shape[1]
         if not np.isfinite(stack.theta).all():
-            failed = {m: TrainingDiverged(epoch) for m in live
-                      if not all(np.isfinite(w).all() for w in m.model.weights)}
-            if not drop(failed):
+            if not freeze({k: TrainingDiverged(epoch) for k, m in enumerate(members)
+                           if not all(np.isfinite(w).all() for w in m.model.weights)}):
                 return
         failed = {}
-        for g, s, out in zip(groups, group_splits, stack.outputs(val_x)):
-            method, ages = methods[g[0].method], ages_val[s]
+        for g, s, method, out in zip(stack.groups, group_splits, group_methods,
+                                     stack.outputs(val_x)):
+            ages = ages_val[s]
             maes = _by_member(lambda part: _mae(method, out[part], ages[part], label_set).tolist(),
                               len(g))
-            for m, val_mae in zip(g, maes):
+            for k, val_mae in zip(g, maes):
+                m = members[k]
+                if m.failed:
+                    continue
                 if isinstance(val_mae, Exception):
-                    failed[m] = val_mae
+                    failed[k] = val_mae
                     continue
                 m.history.append((m.epoch_loss / n, val_mae))
                 if val_mae < m.best_mae:
                     m.best_mae = val_mae
                     m.best_epoch = epoch
                     m.best_model = m.model.copy()
-        if not drop(failed):
+        if not freeze(failed):
             return
 
-    for m in live:
-        outcomes[m.split][m.method] = TrainedRun(
-            best_model=m.best_model, history=tuple(m.history), selected_epoch=m.best_epoch,
-            method=methods[m.method], label_set=label_set)
+    for m in members:
+        if not m.failed:
+            outcomes[m.split][m.method] = TrainedRun(
+                best_model=m.best_model, history=tuple(m.history), selected_epoch=m.best_epoch,
+                method=methods[m.method], label_set=label_set)

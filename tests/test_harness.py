@@ -499,6 +499,16 @@ def test_failed_cell_is_isolated(tmp_path):
         assert not (out / "mae_mean.csv").exists()
     assert (tmp_path / "p" / "failures.txt").read_bytes() == (tmp_path / "s" / "failures.txt").read_bytes()
 
+    # A rerun into the same directory keeps none of the last run's outputs.
+    clean = run_experiment(config_for(tmp_path, out="s"), jobs=1)
+    assert not clean.failures and clean.mean_matrix is not None
+    assert not (tmp_path / "s" / "failures.txt").exists()
+    with np.errstate(over="ignore", invalid="ignore"):
+        run_experiment(config_for(tmp_path, LR_OVERFLOW, out="s"), jobs=1)
+    assert (tmp_path / "s" / "failures.txt").exists()
+    for name in ("mae_mean.csv", "mae_std.csv", "mae_splits.csv"):
+        assert not (tmp_path / "s" / name).exists()
+
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_diverging_family_leaves_the_others_bitwise_unchanged(tmp_path, jobs):

@@ -317,7 +317,7 @@ def test_a_stack_is_bitwise_its_stacks_of_one(hidden_dims):
             assert _member_arrays(run.best_model) == _member_arrays(alone.best_model)
 
 
-def test_a_failing_method_leaves_the_stack_and_the_others_go_on():
+def test_a_failing_method_fails_alone_and_the_others_go_on():
     tab, split = clean_split_table()
     cfg = TrainConfig(epochs=3, seed=0, hidden_dims=(8,))
     methods = [MethodConfig(family="sord"),
@@ -334,16 +334,29 @@ def test_a_failing_method_leaves_the_stack_and_the_others_go_on():
         assert _member_arrays(run.best_model) == _member_arrays(alone.best_model)
 
 
-def test_selecting_members_keeps_their_parameters_and_gradients():
-    models = [init_model(4, (6, 5), k, seed=k) for k in (3, 1, 2)]
-    stack = ModelStack(models)
-    stack.grad[...] = rng_from_seed(1).normal(size=stack.grad.size)
-    kept, mask = stack.select([0, 2])
-    np.testing.assert_array_equal(kept.theta, stack.theta[mask])
-    np.testing.assert_array_equal(kept.grad, stack.grad[mask])
-    for k, j in ((0, 0), (1, 2)):
-        assert _member_arrays(kept.models[k]) == _member_arrays(models[j])
-        assert _member_arrays(kept.grads[k]) == _member_arrays(stack.grads[j])
+def test_a_failed_member_is_frozen_at_zero_in_the_one_stack(monkeypatch):
+    """The stack is built once, whatever fails; a member that fails at epoch 1
+    keeps its slot with every parameter held at 0 to the end of the run."""
+    tab, split = clean_split_table()
+    cfg = TrainConfig(epochs=3, seed=0, hidden_dims=(8,))
+    methods = [MethodConfig(family="sord"),
+               MethodConfig(family="mean-variance", lambda_mean=1e308),
+               MethodConfig(family="coral")]
+    stacks = []
+
+    def kept_stack(models, groups=None):
+        stacks.append(ModelStack(models, groups))
+        return stacks[-1]
+
+    monkeypatch.setattr(training, "ModelStack", kept_stack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = train(tab, split, methods, cfg)
+    assert isinstance(runs[1], TrainingDiverged) and runs[1].epoch == 1
+    assert all(isinstance(run, TrainedRun) for run in runs[::2])
+    assert len(stacks) == 1
+    frozen = stacks[0].models[1]
+    assert all(not a.any() for a in frozen.weights + frozen.biases)
+    assert np.isfinite(stacks[0].theta).all()
 
 
 def test_in_place_adam_is_bitwise_the_textbook_update():
