@@ -17,7 +17,7 @@ from pathlib import Path
 from .data import SynthSpec, ValidationError, generate_synthetic, load_dataset, save_dataset
 from .harness import ExperimentConfig, LeakageParams, leakage_demo, run_experiment
 from .splitting import (
-    SplitConfig, audit_split, load_split, make_split_series, parse_mode, save_split,
+    SplitConfig, audit_split, load_split, make_split_series, save_split,
 )
 from .stats import friedman_test, load_result_matrix, write_rank_report
 
@@ -63,10 +63,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    table = load_dataset(args.dataset)
-    mode = parse_mode(args.mode)
-    fractions = _parse_fractions(args.fractions)
-    splits = make_split_series(table, mode, fractions, args.base_seed, args.n)
+    cfg = SplitConfig(args.mode, _parse_fractions(args.fractions), args.n, args.base_seed)
+    splits = make_split_series(load_dataset(args.dataset), cfg.mode, cfg.fractions,
+                               cfg.base_seed, cfg.n_splits)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, split in enumerate(splits):

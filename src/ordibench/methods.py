@@ -38,6 +38,7 @@ __all__ = [
     "FAMILIES",
     "DISTRIBUTION_FAMILIES",
     "THRESHOLD_FAMILIES",
+    "SHARED_SCORE_FAMILIES",
     "MethodConfig",
     "LossEval",
     "Targets",
@@ -66,6 +67,10 @@ FAMILIES = (
 DISTRIBUTION_FAMILIES = ("cross-entropy", "dldl", "dldl-v2", "sord", "mean-variance", "unimodal")
 # Families whose head parameterizes K-1 binary threshold scores.
 THRESHOLD_FAMILIES = ("or-cnn", "coral")
+# Families whose head has one weight column: a single score that each of its
+# head_size biases shifts, so the logits stay ordered like the biases. Their
+# biases start at the train fold's threshold logits.
+SHARED_SCORE_FAMILIES = ("coral",)
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,9 @@ class MethodConfig:
         return self.name if self.name else self.family
 
     def head_size(self, n_labels: int) -> int:
-        """Width of the model head this family expects for K labels."""
+        """Outputs (biases) of the model head this family expects for K
+        labels; the head of a SHARED_SCORE_FAMILIES family has one weight
+        column whatever its size, every other head one per output."""
         if n_labels < 1:
             raise ValueError("n_labels must be >= 1")
         if self.family in DISTRIBUTION_FAMILIES:

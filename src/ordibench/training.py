@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetTable, LabelSet, ValidationError
-from .methods import MethodConfig, Targets, encode_targets, loss_eval
+from .methods import SHARED_SCORE_FAMILIES, MethodConfig, Targets, encode_targets, loss_eval
 from .prediction import decode_output
 from .splitting import SplitSpec
 from .util import rng_from_seed
@@ -33,10 +33,6 @@ __all__ = [
     "train",
     "evaluate_mae",
 ]
-
-HEAD_DENSE = "dense"
-HEAD_SHARED_SCORE = "shared-score"  # rank-1 head: one score, per-threshold biases
-_HEAD_KINDS = (HEAD_DENSE, HEAD_SHARED_SCORE)
 
 
 class TrainingDiverged(RuntimeError):
@@ -79,20 +75,23 @@ class TrainConfig:
 class MlpModel:
     """Affine-ReLU chain plus a head; the last weight/bias pair is the head.
 
-    head_kind "dense" is a regular affine head. "shared-score" keeps a single
-    hidden-to-scalar weight column and one bias per threshold, so all
-    threshold logits move together and stay ordered like the biases.
+    The head's shape is its kind. A head with one weight column per bias is
+    a regular affine (dense) head. A head with a single weight column and
+    several biases is a shared score: one hidden-to-scalar score that every
+    bias shifts, so all threshold logits move together and stay ordered like
+    the biases.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    head_kind: str = HEAD_DENSE
 
     def __post_init__(self) -> None:
-        if self.head_kind not in _HEAD_KINDS:
-            raise ValueError(f"unknown head kind {self.head_kind!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must be non-empty and aligned")
+        width = self.weights[-1].shape[-1]
+        if width not in (1, self.head_size):
+            raise ValueError(f"a head of {self.head_size} biases needs 1 or {self.head_size} "
+                             f"weight columns, got {width}")
 
     @property
     def input_dim(self) -> int:
@@ -107,26 +106,23 @@ class MlpModel:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            head_kind=self.head_kind,
-        )
+        return MlpModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
-def _init_affine(rng: np.random.Generator, fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray]:
+def _init_affine(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """A (fan_in, fan_out) weight matrix drawn uniform in +-1/sqrt(fan_in)."""
     bound = 1.0 / np.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    return w, np.zeros(fan_out)
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
 def init_model(dimension: int, hidden_dims, head_size: int, seed: int,
-               head_kind: str = HEAD_DENSE) -> MlpModel:
+               head_width: int | None = None) -> MlpModel:
     """Scaled-uniform weight init (bound 1/sqrt(fan_in)), zero biases.
 
-    Hidden layers are drawn before the head, so two models built from the
-    same seed share identical hidden parameters even when their heads have
-    different shapes.
+    The head has head_size biases and head_width weight columns: head_size
+    by default (a dense head), or 1 for a shared-score head. Hidden layers
+    are drawn before the head, so two models built from the same seed share
+    identical hidden parameters even when their heads have different shapes.
     """
     if dimension < 1 or head_size < 1:
         raise ValueError("dimension and head_size must be positive")
@@ -134,21 +130,9 @@ def init_model(dimension: int, hidden_dims, head_size: int, seed: int,
     if any(d < 1 for d in dims):
         raise ValueError("hidden dims must be positive")
     rng = rng_from_seed(seed)
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        w, b = _init_affine(rng, fan_in, fan_out)
-        weights.append(w)
-        biases.append(b)
-    if head_kind == HEAD_SHARED_SCORE:
-        w, _ = _init_affine(rng, dims[-1], 1)
-        weights.append(w)
-        biases.append(np.zeros(head_size))
-    else:
-        w, b = _init_affine(rng, dims[-1], head_size)
-        weights.append(w)
-        biases.append(b)
-    return MlpModel(weights=weights, biases=biases, head_kind=head_kind)
+    widths = dims[1:] + [head_size if head_width is None else head_width]
+    return MlpModel(weights=[_init_affine(rng, d_in, d_out) for d_in, d_out in zip(dims, widths)],
+                    biases=[np.zeros(d) for d in dims[1:] + [head_size]])
 
 
 def _affine_relu(h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -165,7 +149,7 @@ def _affine_relu(h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -
 
 def _head(h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
           score: np.ndarray) -> np.ndarray:
-    """h @ w + b into out for G heads of one kind and shape: (G, n, hidden)
+    """h @ w + b into out for G heads of one shape: (G, n, hidden)
     inputs, (G, hidden, width) weights and (G, size) biases. score takes the
     (G, n, width) product: out itself for a dense head, while a shared-score
     head's (G, n, 1) score broadcasts over its biases."""
@@ -196,7 +180,7 @@ class ModelStack:
 
     Hidden layer i of all B members is one (B, fan_in, fan_out) weight block
     and one (B, fan_out) bias block, run as one batched matmul. The members
-    come in groups of consecutive models with one head kind and shape
+    come in groups of consecutive models with one head shape
     (groups gives their sizes; by default each model is a group of its own),
     and the heads of a group of G are one (G, hidden, width) weight block and
     one (G, size) bias block, run as one batched matmul too. theta holds
@@ -222,16 +206,15 @@ class ModelStack:
         heads = [models[g.start] for g in self.groups]
         for g, lead in zip(self.groups, heads):
             for m in models[g.start:g.stop]:
-                if (m.head_kind, m.weights[-1].shape, m.biases[-1].shape) != \
-                        (lead.head_kind, lead.weights[-1].shape, lead.biases[-1].shape):
-                    raise ValueError("the models of a group must share their head kind and shape")
+                if (m.weights[-1].shape, m.biases[-1].shape) != \
+                        (lead.weights[-1].shape, lead.biases[-1].shape):
+                    raise ValueError("the models of a group must share their head shape")
         b = len(models)
         self._n_hidden = len(first.weights) - 1
         self._shapes = ([(b, *w.shape) for w in first.weights[:-1]]
                         + [(b, *x.shape) for x in first.biases[:-1]]
                         + [(len(g), *p.shape) for g, m in zip(self.groups, heads)
                            for p in (m.weights[-1], m.biases[-1])])
-        self._kinds = [m.head_kind for m in heads]
         size = sum(int(np.prod(s)) for s in self._shapes)
         self.theta = np.empty(size)
         self.grad = np.zeros(size)
@@ -255,9 +238,8 @@ class ModelStack:
     def _members(self, flat: np.ndarray) -> list[MlpModel]:
         hidden_w, hidden_b, head_w, head_b = self._blocks(flat)
         return [MlpModel(weights=[w[k] for w in hidden_w] + [head_w[j][i]],
-                         biases=[b[k] for b in hidden_b] + [head_b[j][i]], head_kind=kind)
-                for j, (g, kind) in enumerate(zip(self.groups, self._kinds))
-                for i, k in enumerate(g)]
+                         biases=[b[k] for b in hidden_b] + [head_b[j][i]])
+                for j, g in enumerate(self.groups) for i, k in enumerate(g)]
 
     def _buffer(self, name, shape: tuple, dtype=float) -> np.ndarray:
         """A work array of this stack, the same one on every call with equal arguments."""
@@ -309,15 +291,15 @@ class ModelStack:
         for j, (g, d_out) in enumerate(zip(self.groups, grad_outs)):
             h_t = np.swapaxes(h[g.start:g.stop], -1, -2)
             w, gw, gb = self._hw[j], self._ghw[j], self._ghb[j]
-            if self._kinds[j] == HEAD_SHARED_SCORE:
+            if w.shape[-1] == gb.shape[-1]:  # dense: one weight column per output
+                np.matmul(h_t, d_out, out=gw)
+                if da is not None:
+                    np.matmul(d_out, np.swapaxes(w, -1, -2), out=da[g.start:g.stop])
+            else:  # shared score: every output adds the one column's score
                 d_score = d_out.sum(axis=-1)
                 np.matmul(h_t, d_score[..., None], out=gw)
                 if da is not None:
                     np.multiply(d_score[..., None], w[:, None, :, 0], out=da[g.start:g.stop])
-            else:
-                np.matmul(h_t, d_out, out=gw)
-                if da is not None:
-                    np.matmul(d_out, np.swapaxes(w, -1, -2), out=da[g.start:g.stop])
             d_out.sum(axis=1, out=gb)
         for i in range(self._n_hidden - 1, -1, -1):
             shape = acts[i + 1].shape
@@ -461,10 +443,6 @@ class TrainedRun:
         return self.history[self.selected_epoch - 1][1]
 
 
-def head_kind_for(method: MethodConfig) -> str:
-    return HEAD_SHARED_SCORE if method.family == "coral" else HEAD_DENSE
-
-
 def _mae(method: MethodConfig, head_out: np.ndarray, ages: np.ndarray,
          label_set: LabelSet) -> np.ndarray:
     """Mean absolute error of each model's (..., n, head) outputs against (..., n) ages."""
@@ -544,10 +522,10 @@ def train(table: DatasetTable, splits, methods, cfgs):
     Only the train and val folds are ever read; the test folds stay
     untouched. Given equal inputs the result is bitwise reproducible: the
     seed drives both initialization and the per-epoch shuffles. Targets are
-    encoded from the train fold once. A shared-score (CORAL) head starts
-    with bias k at the logit of the train fold's P(label index > k), as Cao,
-    Mirjalili & Raschka (2020) do; from zero biases Adam cannot spread the
-    thresholds within a short run.
+    encoded from the train fold once. A method of SHARED_SCORE_FAMILIES
+    gets a shared-score head whose bias k starts at the logit of the train
+    fold's P(label index > k), as Cao, Mirjalili & Raschka (2020) do; from
+    zero biases Adam cannot spread the thresholds within a short run.
     """
     one_split, one_method = isinstance(splits, SplitSpec), isinstance(methods, MethodConfig)
     splits = [splits] if one_split else list(splits)
@@ -598,16 +576,17 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
 
     members: list[_Member] = []
     for j, method in enumerate(methods):
+        shared = method.family in SHARED_SCORE_FAMILIES
         for s, (ages, split_cfg) in enumerate(zip(ages_train, cfgs)):
             try:
                 targets = encode_targets(method, ages, label_set)
                 model = init_model(table.dimension, cfg.hidden_dims,
                                    method.head_size(len(label_set)), seed=split_cfg.seed,
-                                   head_kind=head_kind_for(method))
+                                   head_width=1 if shared else None)
             except Exception as exc:  # this member fails; the others go on
                 outcomes[s][j] = exc
                 continue
-            if model.head_kind == HEAD_SHARED_SCORE:
+            if shared:
                 p = np.clip(targets.row.mean(axis=0), 1e-3, 1 - 1e-3)
                 model.biases[-1][:] = np.log(p / (1 - p))
             members.append(_Member(s, j, targets, model))
@@ -661,7 +640,8 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
                     m.epoch_loss += value * rows.shape[1]
         if not np.isfinite(stack.theta).all():
             if not freeze({k: TrainingDiverged(epoch) for k, m in enumerate(members)
-                           if not all(np.isfinite(w).all() for w in m.model.weights)}):
+                           if not all(np.isfinite(a).all()
+                                      for a in m.model.weights + m.model.biases)}):
                 return
         failed = {}
         for g, s, method, out in zip(stack.groups, group_splits, group_methods,

@@ -25,6 +25,7 @@ from ordibench.data import LabelSet, SynthSpec, generate_synthetic
 from ordibench.harness import ExperimentConfig, LeakageParams, leakage_demo, run_experiment
 from ordibench.methods import (
     FAMILIES,
+    SHARED_SCORE_FAMILIES,
     MethodConfig,
     encode_targets,
     expectation,
@@ -46,7 +47,6 @@ from ordibench.training import (
     TrainConfig,
     batch_loss_and_grads,
     forward,
-    head_kind_for,
     init_model,
     train,
 )
@@ -116,7 +116,7 @@ def test_criterion_1_gradient_suite():
         for family in FAMILIES:
             cfg = MethodConfig(family=family)
             model = init_model(5, (8,), cfg.head_size(k), seed=3,
-                               head_kind=head_kind_for(cfg))
+                               head_width=1 if cfg.family in SHARED_SCORE_FAMILIES else None)
             stack = ModelStack([model])
             batch_loss_and_grads(stack, xs, [encode_targets(cfg, ages, ls)], [cfg], ls)
             gw, gb = stack.grads[0].weights, stack.grads[0].biases

@@ -71,6 +71,21 @@ def test_split_writes_series(tmp_path):
     assert audit_split(tab, split).is_subject_exclusive
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n", 0, "n_splits must be >= 1"),
+    ("--mode", "xx", "unknown mode 'xx'; use se or rs"),
+    ("--fractions", "0.5,0.5,0.5", "fractions must sum to 1"),
+])
+def test_split_flags_follow_the_split_config_rules_exit_2(tmp_path, capsys, flag, value, message):
+    """The split flags are checked as a config's split section is, by
+    SplitConfig, before any file is written."""
+    data = make_dataset(tmp_path)
+    out_dir = tmp_path / "splits"
+    assert run_cli("split", data, flag, value, "--out-dir", out_dir) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_split_missing_dataset_errors(tmp_path, capsys):
     code = run_cli("split", tmp_path / "ghost.csv", "--out-dir", tmp_path)
     assert code == 2

@@ -5,11 +5,15 @@ import pytest
 
 from gradcheck import fd_grad, flatten_params, rel_err, set_params
 from ordibench.data import LabelSet, DatasetTable, SynthSpec, generate_synthetic
-from ordibench.methods import FAMILIES, MethodConfig, encode_targets, loss_eval
+from ordibench.methods import (
+    FAMILIES,
+    SHARED_SCORE_FAMILIES,
+    MethodConfig,
+    encode_targets,
+    loss_eval,
+)
 from ordibench.splitting import MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE, SplitSpec, make_split, make_split_series
 from ordibench.training import (
-    HEAD_DENSE,
-    HEAD_SHARED_SCORE,
     MlpModel,
     ModelStack,
     TrainConfig,
@@ -18,12 +22,16 @@ from ordibench.training import (
     batch_loss_and_grads,
     evaluate_mae,
     forward,
-    head_kind_for,
     init_model,
     train,
 )
 from ordibench import training
 from ordibench.util import rng_from_seed
+
+
+def head_width(method):
+    """The head width train() gives a method: one weight column for a shared score."""
+    return 1 if method.family in SHARED_SCORE_FAMILIES else None
 
 
 def test_init_parameter_counts():
@@ -66,7 +74,7 @@ def test_hidden_layers_shared_across_head_sizes():
 
 
 def test_shared_score_head_is_rank_one():
-    m = init_model(6, (12,), 7, seed=2, head_kind=HEAD_SHARED_SCORE)
+    m = init_model(6, (12,), 7, seed=2, head_width=1)
     assert m.weights[-1].shape == (12, 1)
     assert m.biases[-1].shape == (7,)
     x = rng_from_seed(0).normal(size=(4, 6))
@@ -105,26 +113,47 @@ def test_backprop_jacobian_small_model():
         assert rel_err(analytic, fd) <= 1e-5
 
 
-def test_shared_score_backprop_matches_fd():
-    model = init_model(4, (6,), 5, seed=21, head_kind=HEAD_SHARED_SCORE)
-    ls = LabelSet(tuple(range(6)))
-    x = rng_from_seed(22).normal(size=(3, 4))
-    ages = np.array([0.0, 3.0, 5.0])
-    cfg = MethodConfig(family="coral")
+def assert_backprop_matches_fd(method, label_set, ages):
+    """The stack's parameter gradients of the mean loss over len(ages) rows
+    agree with finite differences; returns the model they were taken at."""
+    model = init_model(4, (6,), method.head_size(len(label_set)), seed=21,
+                       head_width=head_width(method))
+    x = rng_from_seed(22).normal(size=(len(ages), 4))
     stack = ModelStack([model])
-    batch_loss_and_grads(stack, x, [encode_targets(cfg, ages, ls)], [cfg], ls)
-    analytic = flatten_params(stack.grads[0])
+    batch_loss_and_grads(stack, x, [encode_targets(method, ages, label_set)], [method], label_set)
 
     def value(v):
-        m = set_params(model, v)
-        out = forward(m, x)
-        total = 0.0
-        for r in range(3):
-            total += loss_eval(cfg, out[r], encode_targets(cfg, ages[r], ls), ls).value
-        return total / 3
+        out = forward(set_params(model, v), x)
+        return sum(loss_eval(method, out[r], encode_targets(method, ages[r], label_set),
+                             label_set).value for r in range(len(ages))) / len(ages)
 
-    fd = fd_grad(value, flatten_params(model))
-    assert rel_err(analytic, fd) <= 1e-6
+    assert rel_err(flatten_params(stack.grads[0]), fd_grad(value, flatten_params(model))) <= 1e-6
+    return model
+
+
+def test_shared_score_backprop_matches_fd():
+    model = assert_backprop_matches_fd(MethodConfig(family="coral"), LabelSet(tuple(range(6))),
+                                       np.array([0.0, 3.0, 5.0]))
+    assert model.weights[-1].shape == (6, 1) and model.biases[-1].shape == (5,)
+
+
+@pytest.mark.parametrize("family", ["coral", "or-cnn"])
+def test_two_label_threshold_backprop_matches_fd(family):
+    """K = 2: a threshold head has one output and one weight column, whichever
+    head kind its family has."""
+    model = assert_backprop_matches_fd(MethodConfig(family=family), LabelSet((20, 21)),
+                                       np.array([20.0, 21.0, 21.0]))
+    assert model.weights[-1].shape == (6, 1) and model.biases[-1].shape == (1,)
+
+
+def test_a_malformed_head_is_refused():
+    """A head has one weight column or one per bias; nothing else is a head."""
+    with pytest.raises(ValueError, match="needs 1 or 4 weight columns, got 2"):
+        MlpModel(weights=[np.zeros((3, 2))], biases=[np.zeros(4)])
+    with pytest.raises(ValueError, match="got 3"):
+        init_model(3, (5,), 4, seed=0, head_width=3)
+    for width in (1, 4):
+        assert MlpModel(weights=[np.zeros((3, width))], biases=[np.zeros(4)]).head_size == 4
 
 
 def hand_table():
@@ -143,16 +172,14 @@ def run_of(model, method, label_set):
 def test_evaluate_mae_perfect_and_constant():
     tab = hand_table()
     # weights reading off the normalized age exactly
-    perfect = MlpModel(weights=[np.array([[1.0], [0.0]])],
-                       biases=[np.zeros(1)], head_kind=HEAD_DENSE)
+    perfect = MlpModel(weights=[np.array([[1.0], [0.0]])], biases=[np.zeros(1)])
     reg = MethodConfig(family="regression")
     assert evaluate_mae(run_of(perfect, reg, tab.label_set), tab, tab.sample_ids) == \
         pytest.approx(0.0)
 
     # constant head pinned at label 2 predicts 2 everywhere
     const = MlpModel(weights=[np.zeros((2, 5))],
-                     biases=[np.array([0.0, 0.0, 50.0, 0.0, 0.0])],
-                     head_kind=HEAD_DENSE)
+                     biases=[np.array([0.0, 0.0, 50.0, 0.0, 0.0])])
     ce = MethodConfig(family="cross-entropy")
     # |0-2|, |1-2|, |2-2|, |4-2| -> mean 5/4
     const_run = run_of(const, ce, tab.label_set)
@@ -264,7 +291,7 @@ def test_one_loss_call_per_minibatch_and_one_decode_per_fold(call_counts, family
     tab, split = clean_split_table()
     method = MethodConfig(family=family)
     model = init_model(tab.dimension, (8,), method.head_size(len(tab.label_set)), seed=0,
-                       head_kind=head_kind_for(method))
+                       head_width=head_width(method))
     rows = split.train[:32]
     batch_loss_and_grads(ModelStack([model]), tab.features_for(rows),
                          [encode_targets(method, tab.ages_for(rows), tab.label_set)], [method],
@@ -291,7 +318,7 @@ def test_a_stack_is_bitwise_its_stacks_of_one(hidden_dims):
     methods = [MethodConfig(family=f) for f in FAMILIES]
     ls = tab.label_set
     models = [init_model(tab.dimension, hidden_dims, m.head_size(len(ls)), seed=7,
-                         head_kind=head_kind_for(m)) for m in methods]
+                         head_width=head_width(m)) for m in methods]
     rng = rng_from_seed(8)
     for model in models:  # move every member off the shared initial hidden layers
         for a in model.weights + model.biases:
@@ -406,10 +433,38 @@ def test_coral_thresholds_start_at_the_train_fold_logits():
     np.testing.assert_allclose(run.best_model.biases[-1], np.log(p / (1 - p)), rtol=0, atol=1e-6)
 
 
-def test_head_kind_selection():
-    assert head_kind_for(MethodConfig(family="coral")) == HEAD_SHARED_SCORE
-    for fam in ("cross-entropy", "or-cnn", "regression", "dldl"):
-        assert head_kind_for(MethodConfig(family=fam)) == HEAD_DENSE
+def test_the_family_rule_gives_every_head_its_shape():
+    """SHARED_SCORE_FAMILIES is the one record of a head's kind: of the nine
+    families, train() gives CORAL a single weight column and every other
+    family one column per output."""
+    assert SHARED_SCORE_FAMILIES == ("coral",)
+    tab, split = clean_split_table()
+    methods = [MethodConfig(family=f) for f in FAMILIES]
+    runs = train(tab, split, methods, TrainConfig(epochs=1, seed=0, hidden_dims=(8,)))
+    for method, run in zip(methods, runs):
+        size = method.head_size(len(tab.label_set))
+        assert run.best_model.biases[-1].shape == (size,)
+        assert run.best_model.weights[-1].shape == (8, 1 if method.family == "coral" else size)
+
+
+def test_a_bias_only_divergence_is_reported_as_divergence():
+    """All-zero features and no hidden layer leave every head weight at its
+    start, so a huge step overflows only the biases. The epoch-end check reads
+    the biases too: each such member fails as TrainingDiverged at epoch 1, not
+    as a ValueError from decoding its non-finite val outputs."""
+    ids = [f"s{i}" for i in range(40)]
+    tab = DatasetTable("zeros", LabelSet(tuple(range(20, 30))), 2, ids, ids,
+                       [20 + i % 10 for i in range(40)], np.zeros((40, 2)))
+    split = make_split(tab, MODE_RANDOM, (0.6, 0.2, 0.2), seed=0)
+    methods = [MethodConfig(family=f) for f in FAMILIES]
+    cfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=23, hidden_dims=())
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = train(tab, split, methods, cfg)
+    for method, run in zip(methods, runs):
+        if method.family == "regression":  # its clamped output stays finite
+            assert isinstance(run, TrainedRun)
+        else:
+            assert isinstance(run, TrainingDiverged) and run.epoch == 1, (method.family, run)
 
 
 # ------------------------------------------------------- multi-split lockstep
@@ -423,6 +478,16 @@ def grid_table():
     spec = SynthSpec(n_identities=60, samples_per_identity=4, dimension=8,
                      age_range=(20, 60), sigma_id=2.0, sigma_obs=0.5, seed=11)
     return generate_synthetic(spec)
+
+
+def two_label_table():
+    """grid_table with every age above 50 made 21 and every other age 20: an
+    uneven two-label problem, so CORAL's one bias starts well off zero."""
+    tab = grid_table()
+    names = tab.identities()
+    return DatasetTable(tab.name, LabelSet((20, 21)), tab.dimension, tab.sample_ids,
+                        [names[c] for c in tab.identity_codes],
+                        [21 if age > 50 else 20 for age in tab.ages], tab.feature_matrix)
 
 
 def random_splits(tab, n):
@@ -592,3 +657,38 @@ def test_blocked_adam_is_bitwise_one_pass(monkeypatch, block):
     for g in grads:
         blocked.step(theta, g)
     assert np.array_equal(theta, whole)
+
+
+@pytest.mark.parametrize("make_table", [grid_table, two_label_table],
+                         ids=["41_labels", "two_labels"])
+def test_scoring_a_val_fold_gives_the_selected_val_mae(make_table):
+    """evaluate_mae's forward pass and the stack's val pass agree bitwise, for
+    every family and split of one lockstep call."""
+    tab = make_table()
+    splits = random_splits(tab, 3)
+    runs = train(tab, splits, [MethodConfig(family=f) for f in FAMILIES], split_cfgs(3))
+    for split, row in zip(splits, runs):
+        for run in row:
+            assert evaluate_mae(run, tab, split.val) == run.best_val_mae, run.method
+
+
+def test_two_label_coral_starts_at_the_train_fold_logit_and_runs_as_alone():
+    """K = 2: CORAL's head is one weight column and one bias, and the bias
+    starts at the logit of the train fold's P(age 21); in a stack of all nine
+    families on two splits every run is bitwise its solo run."""
+    tab = two_label_table()
+    splits = random_splits(tab, 2)
+    coral = MethodConfig(family="coral")
+    start = train(tab, splits[0], coral, TrainConfig(learning_rate=1e-9, epochs=1, seed=0,
+                                                      hidden_dims=(16, 8)))
+    p = np.mean(tab.ages_for(splits[0].train) == 21)
+    assert start.best_model.weights[-1].shape == (8, 1)
+    assert abs(np.log(p / (1 - p))) > 0.5
+    np.testing.assert_allclose(start.best_model.biases[-1], [np.log(p / (1 - p))], rtol=0, atol=1e-6)
+
+    methods = [MethodConfig(family=f) for f in FAMILIES]
+    cfgs = split_cfgs(2)
+    runs = train(tab, splits, methods, cfgs)
+    for split, cfg, row in zip(splits, cfgs, runs):
+        for method, run in zip(methods, row):
+            assert_solo(tab, split, method, cfg, run)
