@@ -8,7 +8,8 @@ an independent oracle; the two must agree everywhere.
 Every decoder but the oracle takes one head-output row or a (..., head)
 batch, such as the (G, n, head) outputs of G models; a batch decodes to a
 Prediction whose fields are (...) arrays, each row bitwise what it decodes
-to alone.
+to alone. Every decoder raises ValueError on a NaN or infinite input: no
+age is decoded from a broken model.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def _as_posterior(probs, n_labels: int) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim < 1 or p.shape[-1] != n_labels:
         raise ValueError(f"posterior length {p.shape} does not match {n_labels} labels")
+    if not np.isfinite(p).all():
+        raise ValueError("posterior must be finite")
     if np.any(p < -1e-12):
         raise ValueError("posterior has negative mass")
     mass = np.ravel(p.sum(axis=-1))
@@ -98,7 +101,7 @@ def ebc_decode(threshold_probs, label_set: LabelSet) -> Prediction:
         raise ValueError(
             f"expected {len(label_set) - 1} threshold probabilities, got shape {q.shape}"
         )
-    if np.any((q < -1e-12) | (q > 1 + 1e-12)):
+    if not np.all((q >= -1e-12) & (q <= 1 + 1e-12)):  # a NaN fails both
         raise ValueError("threshold probabilities must lie in [0, 1]")
     idx = (q > 0.5).sum(axis=-1)
     return Prediction(age=label_set.as_array()[idx], label_index=idx)
@@ -106,15 +109,24 @@ def ebc_decode(threshold_probs, label_set: LabelSet) -> Prediction:
 
 def regression_decode(raw_output, label_set: LabelSet) -> Prediction:
     """Map a normalized scalar (or array of them) back to years, clamped to the label range."""
-    age = np.clip(label_set.denormalize(raw_output), label_set.min_label, label_set.max_label)
+    raw = np.asarray(raw_output, dtype=float)
+    if not np.isfinite(raw).all():
+        raise ValueError("regression output must be finite")
+    age = np.clip(label_set.denormalize(raw), label_set.min_label, label_set.max_label)
     return Prediction(age=age, label_index=None)
 
 
 def decode_output(config: MethodConfig, head_out, label_set: LabelSet) -> Prediction:
-    """Decode one raw head-output row, or each row of a (..., head) batch."""
+    """Decode one raw head-output row, or each row of a (..., head) batch.
+
+    Raises ValueError, for every family, when an output is not finite.
+    """
+    out = np.asarray(head_out, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError("head outputs must be finite")
     if config.family == "regression":
-        return regression_decode(_regression_outputs(head_out), label_set)
+        return regression_decode(_regression_outputs(out), label_set)
     if config.family in THRESHOLD_FAMILIES:
         # sigmoid(z) > 0.5, not z > 0: the two differ for 0 < z < ~1e-16
-        return ebc_decode(sigmoid(head_out), label_set)
-    return bayes_mae_predict(softmax(head_out), label_set)
+        return ebc_decode(sigmoid(out), label_set)
+    return bayes_mae_predict(softmax(out), label_set)

@@ -36,7 +36,8 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or parameter stops being finite during training."""
+    """A model's failure in training: its train outputs, its loss, its
+    parameters or its val outputs stopped being finite in the 1-based epoch."""
 
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
@@ -46,9 +47,6 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 50
     batch_size: int = 32
     seed: int = 0
@@ -57,10 +55,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValidationError("beta1 and beta2 must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValidationError("adam_eps must be positive")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -312,26 +306,17 @@ class ModelStack:
                                out=self._buffer(("da", i), acts[i].shape))
 
 
-def _by_member(fn, size: int) -> list:
-    """fn(slice(None)), the list of the results of a group's members; if
-    that raises, each member's own result of fn(slice(k, k + 1)) or its
-    exception, so that a failure stays its member's."""
-    try:
-        return fn(slice(None))
-    except Exception as exc:  # find the members that fail; the others go on
-        if size == 1:
-            return [exc]
-    results: list = []
-    for k in range(size):
-        try:
-            results.extend(fn(slice(k, k + 1)))
-        except Exception as exc:  # this member fails; the others go on
-            results.append(exc)
-    return results
+def _finite_members(out: np.ndarray) -> np.ndarray:
+    """Which members of a group's (G, n, size) head outputs are all finite.
+    The others' outputs are zeroed in place, so that one call can score the
+    whole group: on finite outputs no loss or decoder raises."""
+    finite = np.isfinite(out).all(axis=(1, 2))
+    out[~finite] = 0.0
+    return finite
 
 
 def batch_loss_and_grads(stack: ModelStack, x: np.ndarray, targets: list[Targets],
-                         methods: list[MethodConfig], label_set: LabelSet) -> list:
+                         methods: list[MethodConfig], label_set: LabelSet) -> list[float]:
     """One training step of every member of a stack, each on its own minibatch.
 
     x is the (B, n, input) stack of the members' minibatches, or one
@@ -340,31 +325,21 @@ def batch_loss_and_grads(stack: ModelStack, x: np.ndarray, targets: list[Targets
     its method; one loss_eval call scores the group's (G, n, size) head
     outputs. The parameter gradients of each member's mean loss land in
     stack.grad. Returns the mean losses in member order. A member whose head
-    outputs are not finite gets inf, to signal divergence, and one whose
-    loss raised gets the exception instead; the gradient of a member without
-    a finite loss is zero.
+    outputs are not finite gets inf, to signal divergence; the gradient of a
+    member without a finite loss is zero.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-2]
     acts = stack._layers(x)
-    values: list = []
+    values: list[float] = []
     grad_outs: list = []
     for j, (out, t, method) in enumerate(zip(stack._heads(acts[-1]), targets, methods)):
-        grad_out = stack._buffer(("grad_out", j), out.shape)
-        finite = np.isfinite(out).all(axis=(1, 2))
-        out[~finite] = 0.0  # scored like any member, then given inf below
-
-        def losses(part):
-            ev = loss_eval(method, out[part], t[part], label_set)
-            np.divide(ev.grad, n, out=grad_out[part])
-            return (_sum_in_order(ev.value) / n).tolist()
-
-        for k, value in enumerate(_by_member(losses, len(out))):
-            if not finite[k]:
-                value = float("inf")
-            if isinstance(value, Exception) or not math.isfinite(value):
-                grad_out[k] = 0.0
-            values.append(value)
+        finite = _finite_members(out)
+        ev = loss_eval(method, out, t, label_set)
+        grad_out = np.divide(ev.grad, n, out=stack._buffer(("grad_out", j), out.shape))
+        value = np.where(finite, _sum_in_order(ev.value) / n, np.inf)
+        grad_out[~np.isfinite(value)] = 0.0
+        values.extend(value.tolist())
         grad_outs.append(grad_out)
     stack.backward(acts, grad_outs)
     return values
@@ -377,6 +352,7 @@ def _sum_in_order(values: np.ndarray) -> np.ndarray:
 
 
 _ADAM_BLOCK = 32768  # entries an Adam step updates at a time: a block's state stays in cache
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
 
 
 class _Adam:
@@ -388,35 +364,35 @@ class _Adam:
     cache from one operation to the next whatever the model count and depth.
     The operations and their order are those of
     m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
-    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), elementwise.
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), elementwise, with b1, b2
+    and eps the constants _BETA1, _BETA2 and _ADAM_EPS.
     """
 
-    def __init__(self, size: int, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, size: int, learning_rate: float):
+        self.learning_rate = learning_rate
         self.t = 0
         self.m, self.v = np.zeros(size), np.zeros(size)
         self.num, self.den = np.empty(min(size, _ADAM_BLOCK)), np.empty(min(size, _ADAM_BLOCK))
 
     def step(self, theta: np.ndarray, g: np.ndarray) -> None:
-        c = self.cfg
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        bc1 = 1.0 - _BETA1 ** self.t
+        bc2 = 1.0 - _BETA2 ** self.t
         for lo in range(0, len(theta), _ADAM_BLOCK):
             block = slice(lo, lo + _ADAM_BLOCK)
             p, gb, m, v = theta[block], g[block], self.m[block], self.v[block]
             num, den = self.num[:len(p)], self.den[:len(p)]
-            m *= c.beta1
-            m += np.multiply(1 - c.beta1, gb, out=num)
-            np.multiply(1 - c.beta2, gb, out=num)
+            m *= _BETA1
+            m += np.multiply(1 - _BETA1, gb, out=num)
+            np.multiply(1 - _BETA2, gb, out=num)
             num *= gb
-            v *= c.beta2
+            v *= _BETA2
             v += num
             np.divide(m, bc1, out=num)
-            num *= c.learning_rate
+            num *= self.learning_rate
             np.divide(v, bc2, out=den)
             np.sqrt(den, out=den)
-            den += c.adam_eps
+            den += _ADAM_EPS
             num /= den
             p -= num
 
@@ -515,9 +491,11 @@ def train(table: DatasetTable, splits, methods, cfgs):
     method's members forming one group. Each member starts from its split's
     seed, so all methods on a split start from the same hidden layers, and
     reads its split's minibatches, drawn by its split's seeded shuffle; each
-    gets bitwise the run it would get alone. A member whose loss, parameters
-    or val decode fail gets that failure as its outcome and stays in the
-    stack, frozen; the others go on.
+    gets bitwise the run it would get alone. A member whose train outputs,
+    loss, parameters or val outputs stop being finite gets TrainingDiverged
+    at that epoch as its outcome and stays in the stack, frozen; the others
+    go on. So does a member whose targets cannot be encoded or whose model
+    cannot be built, with that error. Any other exception leaves train().
 
     Only the train and val folds are ever read; the test folds stay
     untouched. Given equal inputs the result is bitwise reproducible: the
@@ -565,7 +543,7 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     A member that fails keeps its place in the stack, frozen: its parameters
     and Adam moments are zeroed once and its gradients after every step, so
     Adam leaves them at zero. Zero parameters give finite outputs, so a
-    frozen member does not trip its group's loss or decode call again.
+    frozen member does not fail again.
     """
     label_set = table.label_set
     x_train = np.stack([table.features_for(s.train) for s in splits])
@@ -595,7 +573,7 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
 
     stack = ModelStack([m.model for m in members],
                        [len(list(run)) for _, run in itertools.groupby(m.method for m in members)])
-    adam = _Adam(stack.theta.size, cfg)
+    adam = _Adam(stack.theta.size, cfg.learning_rate)
     for m, model in zip(members, stack.models):
         m.model = model
     group_splits = [np.array([m.split for m in members[g.start:g.stop]]) for g in stack.groups]
@@ -605,13 +583,13 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     val_x = x_val[inputs]
     params_and_moments = [stack.models, stack._members(adam.m), stack._members(adam.v)]
 
-    def freeze(failed: dict) -> bool:
-        """Record the outcomes of the failed members, keyed by position, and
-        zero their parameters and Adam moments; False once every member has
-        failed."""
-        for k, exc in failed.items():
+    def freeze(failed: list[int], epoch: int, message: str | None = None) -> bool:
+        """Record TrainingDiverged(epoch, message) as the outcome of the
+        members at the failed positions and zero their parameters and Adam
+        moments; False once every member has failed."""
+        for k in failed:
             members[k].failed = True
-            outcomes[members[k].split][members[k].method] = exc
+            outcomes[members[k].split][members[k].method] = TrainingDiverged(epoch, message)
             _zero(views[k] for views in params_and_moments)
         return any(not m.failed for m in members)
 
@@ -629,9 +607,8 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
             targets = [t[np.arange(0, len(s) * n, n)[:, None] + rows[s]]
                        for t, s in zip(group_targets, group_splits)]
             values = batch_loss_and_grads(stack, x, targets, group_methods, label_set)
-            if not freeze({k: v if isinstance(v, Exception) else TrainingDiverged(epoch)
-                           for k, (m, v) in enumerate(zip(members, values))
-                           if not m.failed and (isinstance(v, Exception) or not math.isfinite(v))}):
+            if not freeze([k for k, (m, v) in enumerate(zip(members, values))
+                           if not m.failed and not math.isfinite(v)], epoch):
                 return
             _zero(stack.grads[k] for k, m in enumerate(members) if m.failed)
             adam.step(stack.theta, stack.grad)
@@ -639,29 +616,28 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
                 if not m.failed:
                     m.epoch_loss += value * rows.shape[1]
         if not np.isfinite(stack.theta).all():
-            if not freeze({k: TrainingDiverged(epoch) for k, m in enumerate(members)
+            if not freeze([k for k, m in enumerate(members)
                            if not all(np.isfinite(a).all()
-                                      for a in m.model.weights + m.model.biases)}):
+                                      for a in m.model.weights + m.model.biases)], epoch):
                 return
-        failed = {}
+        failed = []
         for g, s, method, out in zip(stack.groups, group_splits, group_methods,
                                      stack.outputs(val_x)):
-            ages = ages_val[s]
-            maes = _by_member(lambda part: _mae(method, out[part], ages[part], label_set).tolist(),
-                              len(g))
-            for k, val_mae in zip(g, maes):
+            finite = _finite_members(out)
+            maes = _mae(method, out, ages_val[s], label_set).tolist()
+            for k, ok, val_mae in zip(g, finite, maes):
                 m = members[k]
                 if m.failed:
                     continue
-                if isinstance(val_mae, Exception):
-                    failed[k] = val_mae
+                if not ok:
+                    failed.append(k)
                     continue
                 m.history.append((m.epoch_loss / n, val_mae))
                 if val_mae < m.best_mae:
                     m.best_mae = val_mae
                     m.best_epoch = epoch
                     m.best_model = m.model.copy()
-        if not freeze(failed):
+        if not freeze(failed, epoch, f"val outputs not finite at epoch {epoch}"):
             return
 
     for m in members:

@@ -245,7 +245,7 @@ def test_run_rejects_a_dataset_name_with_an_arrow(tmp_path, capsys):
 
 @pytest.mark.parametrize("section, key", [
     ("split", "n_split"), ("dataset", "pathh"), ("synth", "n_identity"),
-    ("train", "epoch"), ("method", "alfa"),
+    ("train", "epoch"), ("train", "adam_eps"), ("method", "alfa"),
 ])
 def test_run_rejects_an_unknown_config_key_exit_2(tmp_path, capsys, section, key):
     cfg_path = write_run_config(tmp_path)

@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordibench import harness
-from ordibench.data import SynthSpec, ValidationError, generate_synthetic
+from ordibench import harness, training
+from ordibench.data import (
+    DatasetTable, SynthSpec, ValidationError, generate_synthetic, save_dataset,
+)
 from ordibench.harness import (
     DatasetEntry,
     ExperimentConfig,
@@ -27,7 +29,7 @@ from ordibench.harness import (
 from ordibench.splitting import (
     MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE, SplitConfig, make_split, make_split_series,
 )
-from ordibench.methods import MethodConfig
+from ordibench.methods import FAMILIES, MethodConfig
 from ordibench.prediction import decode_output
 from ordibench.stats import load_result_matrix
 from ordibench.training import TrainConfig, evaluate_mae, forward, train
@@ -529,6 +531,67 @@ def test_a_diverging_family_leaves_the_others_bitwise_unchanged(tmp_path, jobs):
         for s in range(2))
     assert (tmp_path / "mixed" / "failures.txt").read_bytes() == \
         (tmp_path / "serial" / "failures.txt").read_bytes()
+
+
+def test_non_finite_test_and_held_out_outputs_fail_only_their_cells(tmp_path):
+    """Every model's outputs overflow on a row of 1.7e308 features. Where
+    the row is scored, in a test fold or in a held-out table, the cell fails
+    for every family and writes no test MAE; where it is trained on, the cell
+    fails as divergence."""
+    tab = generate_synthetic(SynthSpec(30, 4, 8, (20, 40), 1.5, 0.4, seed=6))
+    features = tab.feature_matrix.copy()
+    features[0] = 1.7e308
+    names = tab.identities()
+    save_dataset(DatasetTable("bad", tab.label_set, tab.dimension, tab.sample_ids,
+                              [names[c] for c in tab.identity_codes], tab.ages, features),
+                 tmp_path / "bad.csv")
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["output_dir"] = str(tmp_path / "runs")
+    payload["datasets"].append({"name": "bad", "path": "bad.csv"})
+    payload["methods"] = [{"family": f} for f in FAMILIES]
+    payload["split"] = {"mode": "random", "n_splits": 2, "fractions": [0.6, 0.2, 0.2],
+                        "base_seed": 9}
+    payload["train"]["epochs"] = 3
+    cfg = ExperimentConfig.from_dict(payload, base_dir=tmp_path)
+    test_fold, train_fold = make_split_series(tab, MODE_RANDOM, (0.6, 0.2, 0.2), 9, 2)
+    assert tab.sample_ids[0] in test_fold.test and tab.sample_ids[0] in train_fold.train
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_experiment(cfg, jobs=1)
+    not_finite = "ValueError: head outputs must be finite"
+    expected = {}
+    for family in FAMILIES:
+        expected.update({f"synthA/{family}/split0": not_finite,  # synthA->bad scores the row
+                         f"synthA/{family}/split1": not_finite,
+                         f"bad/{family}/split0": not_finite,  # the row is in the test fold
+                         f"bad/{family}/split1": "TrainingDiverged: training diverged at epoch 1"})
+    assert dict(result.failures) == expected
+    assert not result.records and result.mean_matrix is None
+    assert (tmp_path / "runs" / "failures.txt").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_error_from_a_loss_leaves_train_and_fails_its_task(tmp_path, monkeypatch, jobs):
+    """Only a non-finite value fails one member alone. Any other error from
+    a loss is a bug: it leaves train(), and every cell of its task fails
+    with its message, from this process and through the pool alike."""
+    real = training.loss_eval
+
+    def broken_for_regression(method, *args):
+        if method.family == "regression":
+            raise RuntimeError("regression loss broke")
+        return real(method, *args)
+
+    monkeypatch.setattr(training, "loss_eval", broken_for_regression)
+    cfg = config_for(tmp_path)
+    table = cfg.datasets[0].load()
+    with pytest.raises(RuntimeError, match="regression loss broke"):
+        train(table, make_split(table, MODE_RANDOM, (0.6, 0.2, 0.2), 0), cfg.methods, cfg.train)
+    result = run_experiment(cfg, jobs=jobs)
+    assert not result.records
+    broke = "RuntimeError: regression loss broke"
+    assert result.failures == tuple((f"synthA/{family}/split{s}", broke)
+                                    for family in ("cross-entropy", "regression") for s in range(2))
 
 
 @pytest.mark.parametrize("jobs", [0, -1, 1.5])

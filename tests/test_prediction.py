@@ -100,6 +100,33 @@ def test_decode_output_dispatch():
     assert decode_output(MethodConfig(family="regression"), np.array([1.0]), ls).age == 3.0
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("decode, arg", [
+    (bayes_mae_predict, [NAN, 0.5, 0.5]),
+    (brute_force_bayes, [NAN, 0.5, 0.5]),
+    (ebc_decode, [NAN, 0.9]),
+    (regression_decode, NAN),
+    (regression_decode, [0.5, NAN]),
+], ids=["bayes", "brute_force", "ebc", "regression", "regression_batch"])
+def test_every_decoder_refuses_a_nan(decode, arg):
+    """A NaN passes every < and > range test, so each decoder tests for it."""
+    with pytest.raises(ValueError):
+        decode(arg, LS3)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("bad", [NAN, np.inf, -np.inf])
+def test_decode_output_refuses_non_finite_outputs_for_every_family(family, bad):
+    cfg = MethodConfig(family=family)
+    out = np.ones((2, 3, cfg.head_size(len(LS3))))
+    out[1, 2, -1] = bad
+    for head_out in (out, out[1, 2]):  # a batch, and the row alone
+        with pytest.raises(ValueError, match="head outputs must be finite"):
+            decode_output(cfg, head_out, LS3)
+
+
 def test_decode_output_rejects_wrong_width():
     ls = LabelSet((0, 1, 2, 3))
     with pytest.raises(ValueError):

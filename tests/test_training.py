@@ -387,7 +387,7 @@ def test_a_failed_member_is_frozen_at_zero_in_the_one_stack(monkeypatch):
 
 
 def test_in_place_adam_is_bitwise_the_textbook_update():
-    cfg = TrainConfig(learning_rate=3e-3, beta1=0.85, beta2=0.995, adam_eps=1e-7)
+    lr, beta1, beta2, eps = 3e-3, training._BETA1, training._BETA2, training._ADAM_EPS
     model = init_model(5, (7, 4), 3, seed=2)
     ref = model.copy()
     params = ref.weights + ref.biases
@@ -395,19 +395,19 @@ def test_in_place_adam_is_bitwise_the_textbook_update():
     v = [np.zeros_like(p) for p in params]
     stack = ModelStack([model])
     model, grad_views = stack.models[0], stack.grads[0].weights + stack.grads[0].biases
-    adam = training._Adam(stack.theta.size, cfg)
+    adam = training._Adam(stack.theta.size, lr)
     rng = np.random.default_rng(0)
     for t in range(1, 31):
         grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape) for p in params]
         for view, g in zip(grad_views, grads):
             view[...] = g
         adam.step(stack.theta, stack.grad)
-        bc1 = 1.0 - cfg.beta1 ** t
-        bc2 = 1.0 - cfg.beta2 ** t
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
         for i, (p, g) in enumerate(zip(params, grads)):
-            m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
-            v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
-            p -= cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.adam_eps)
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v[i] = beta2 * v[i] + (1 - beta2) * g * g
+            p -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
     for got, want in zip(model.weights + model.biases, params):
         np.testing.assert_array_equal(got, want)
 
@@ -465,6 +465,20 @@ def test_a_bias_only_divergence_is_reported_as_divergence():
             assert isinstance(run, TrainedRun)
         else:
             assert isinstance(run, TrainingDiverged) and run.epoch == 1, (method.family, run)
+
+
+def test_outputs_that_overflow_fail_every_family_as_divergence():
+    """A huge first step leaves the parameters finite but overflows the
+    outputs. Every family fails as TrainingDiverged at epoch 1: none raises
+    from its loss or decode, and none is selected from NaN val MAEs."""
+    tab = generate_synthetic(SynthSpec(40, 1, 4, (20, 29), 1.0, 0.5, seed=0))
+    split = make_split(tab, MODE_RANDOM, (0.6, 0.2, 0.2), seed=0)
+    cfg = TrainConfig(learning_rate=1e160, epochs=1, batch_size=64, seed=0, hidden_dims=(8, 8))
+    methods = [MethodConfig(family=f) for f in FAMILIES]
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = train(tab, split, methods, cfg)
+    for method, run in zip(methods, runs):
+        assert isinstance(run, TrainingDiverged) and run.epoch == 1, (method.family, run)
 
 
 # ------------------------------------------------------- multi-split lockstep
@@ -550,9 +564,10 @@ def test_a_split_whose_members_diverge_leaves_the_other_splits_unchanged():
         assert_solo(tab, in_test, method, cfgs[0], run)
 
 
-def test_a_member_whose_val_outputs_fail_to_decode_fails_alone():
-    """One decode call scores a method's members; when it raises, each
-    member is decoded alone, and only those whose own decode raises fail."""
+def test_a_member_whose_val_outputs_are_not_finite_diverges_alone():
+    """A member whose val outputs are not finite fails as TrainingDiverged,
+    whatever its family: CORAL's thresholds would otherwise decode a NaN to
+    an age. The members that never score the bad row run as alone."""
     tab = grid_table()
     bad = tab.sample_ids[0]
     features = tab.feature_matrix.copy()
@@ -572,8 +587,9 @@ def test_a_member_whose_val_outputs_fail_to_decode_fails_alone():
                         train(tab, split, method, cfg)
                 else:
                     assert_solo(tab, split, method, cfg, run)
-    assert isinstance(runs[1][0], ValueError)  # a softmax of non-finite logits
-    assert isinstance(runs[0][0], TrainedRun) and isinstance(runs[1][1], TrainedRun)
+    assert all(isinstance(run, TrainedRun) for run in runs[0])
+    assert all(isinstance(run, TrainingDiverged) and run.epoch == 1 for run in runs[1])
+    assert str(runs[1][0]) == "val outputs not finite at epoch 1"
 
 
 def test_splits_whose_folds_differ_in_size_train_in_separate_stacks(monkeypatch):
@@ -643,17 +659,16 @@ def test_train_takes_one_config_per_split_differing_only_in_seed():
 def test_blocked_adam_is_bitwise_one_pass(monkeypatch, block):
     """Walking the flat vector in blocks, a partial last block included,
     changes no bit of the update."""
-    cfg = TrainConfig(learning_rate=3e-3)
     rng = np.random.default_rng(1)
     size = 1000
     theta, grads = rng.normal(size=size), rng.normal(size=(5, size))
     whole = theta.copy()
     monkeypatch.setattr(training, "_ADAM_BLOCK", size)
-    one_pass = training._Adam(size, cfg)
+    one_pass = training._Adam(size, 3e-3)
     for g in grads:
         one_pass.step(whole, g)
     monkeypatch.setattr(training, "_ADAM_BLOCK", block)
-    blocked = training._Adam(size, cfg)
+    blocked = training._Adam(size, 3e-3)
     for g in grads:
         blocked.step(theta, g)
     assert np.array_equal(theta, whole)
