@@ -27,6 +27,7 @@ that are used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,6 +95,9 @@ class MethodConfig:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown method family {self.family!r}")
+        for attr in ("sigma", "alpha", "lambda_expect", "lambda_mean", "lambda_var", "lambda_uni"):
+            if not math.isfinite(getattr(self, attr)):
+                raise ValidationError(f"{attr} must be finite")
         if self.sigma <= 0:
             raise ValidationError("sigma must be positive")
         if self.alpha <= 0:

@@ -53,6 +53,8 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (64, 64)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.learning_rate):
+            raise ValidationError("learning_rate must be finite")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
         if self.epochs < 1:
@@ -63,6 +65,7 @@ class TrainConfig:
         if any(d < 1 for d in dims):
             raise ValidationError("hidden_dims must be positive")
         object.__setattr__(self, "hidden_dims", dims)
+        object.__setattr__(self, "learning_rate", float(self.learning_rate))
 
 
 @dataclass
@@ -101,6 +104,11 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         return MlpModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+
+    def astype(self, dtype) -> "MlpModel":
+        """A copy with every parameter rounded to dtype."""
+        return MlpModel([w.astype(dtype) for w in self.weights],
+                        [b.astype(dtype) for b in self.biases])
 
 
 def _init_affine(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -152,8 +160,10 @@ def _head(h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
-    """Head outputs for a single feature vector or a batch of them."""
-    arr = np.asarray(x, dtype=float)
+    """Float64 head outputs for a single feature vector or a batch of them,
+    computed in the dtype of the model's parameters as a ModelStack does."""
+    dtype = model.weights[0].dtype
+    arr = np.asarray(x, dtype=dtype)
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
@@ -161,11 +171,11 @@ def forward(model: MlpModel, x) -> np.ndarray:
         raise ValueError(f"expected features of width {model.input_dim}, got shape {arr.shape}")
     h = arr[None]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = _affine_relu(h, w[None], b[None], np.empty((1, len(arr), w.shape[1])))
+        h = _affine_relu(h, w[None], b[None], np.empty((1, len(arr), w.shape[1]), dtype))
     w, b = model.weights[-1], model.biases[-1]
-    out = np.empty((1, len(arr), len(b)))
-    score = out if w.shape[1] == len(b) else np.empty((1, len(arr), 1))
-    out = _head(h, w[None], b[None], out, score)[0]
+    out = np.empty((1, len(arr), len(b)), dtype)
+    score = out if w.shape[1] == len(b) else np.empty((1, len(arr), 1), dtype)
+    out = _head(h, w[None], b[None], out, score)[0].astype(np.float64)
     return out[0] if single else out
 
 
@@ -183,7 +193,9 @@ class ModelStack:
     and grads[k] its gradients over grad. Building a stack copies the given
     models' parameters in; its members and layout are then fixed for its
     life. A pass writes its activations into work buffers that the stack
-    keeps for the next pass of the same shape.
+    keeps for the next pass of the same shape. theta, grad, the inputs and
+    the work buffers have the dtype of the first model's parameters; head
+    outputs come out in float64 for the loss and the decoders.
     """
 
     def __init__(self, models: list[MlpModel], groups=None):
@@ -210,8 +222,8 @@ class ModelStack:
                         + [(len(g), *p.shape) for g, m in zip(self.groups, heads)
                            for p in (m.weights[-1], m.biases[-1])])
         size = sum(int(np.prod(s)) for s in self._shapes)
-        self.theta = np.empty(size)
-        self.grad = np.zeros(size)
+        self.theta = np.empty(size, first.weights[0].dtype)
+        self.grad = np.zeros_like(self.theta)
         self._work: dict = {}
         self._w, self._b, self._hw, self._hb = self._blocks(self.theta)
         self._gw, self._gb, self._ghw, self._ghb = self._blocks(self.grad)
@@ -235,11 +247,12 @@ class ModelStack:
                          biases=[b[k] for b in hidden_b] + [head_b[j][i]])
                 for j, g in enumerate(self.groups) for i, k in enumerate(g)]
 
-    def _buffer(self, name, shape: tuple, dtype=float) -> np.ndarray:
-        """A work array of this stack, the same one on every call with equal arguments."""
-        key = (name, shape, dtype)
+    def _buffer(self, name, shape: tuple, dtype=None) -> np.ndarray:
+        """A work array of this stack, the same one on every call with equal
+        arguments; dtype defaults to the stack's."""
+        key = (name, shape, self.theta.dtype if dtype is None else dtype)
         if key not in self._work:
-            self._work[key] = np.empty(shape, dtype)
+            self._work[key] = np.empty(shape, key[2])
         return self._work[key]
 
     @property
@@ -250,8 +263,9 @@ class ModelStack:
 
     def _layers(self, x: np.ndarray) -> list[np.ndarray]:
         """Each layer's input: x, the (B, n, input) stack of the members'
-        batches or one (n, input) batch they all read, then each hidden
-        layer's (B, n, fan_out) activations."""
+        batches or one (n, input) batch they all read, in the stack's dtype,
+        then each hidden layer's (B, n, fan_out) activations."""
+        x = np.asarray(x, self.theta.dtype)
         acts = [np.broadcast_to(x, (len(self.models), *x.shape[-2:]))]
         for i, (w, b) in enumerate(zip(self._w, self._b)):
             out = self._buffer(("act", i), (len(w), x.shape[-2], w.shape[-1]))
@@ -259,14 +273,17 @@ class ModelStack:
         return acts
 
     def _heads(self, h: np.ndarray) -> list[np.ndarray]:
-        """Each group's (G, n, size) head outputs for the (B, n, hidden) head inputs."""
+        """Each group's (G, n, size) head outputs for the (B, n, hidden) head
+        inputs, computed in the stack's dtype and returned in float64."""
         outs = []
         for j, g in enumerate(self.groups):
             w, b = self._hw[j], self._hb[j]
             out = self._buffer(("out", j), (len(g), h.shape[-2], b.shape[-1]))
             score = out if w.shape[-1] == b.shape[-1] else \
                 self._buffer(("score", j), (len(g), h.shape[-2], 1))
-            outs.append(_head(h[g.start:g.stop], w, b, out, score))
+            wide = self._buffer(("out64", j), out.shape, np.float64)
+            wide[...] = _head(h[g.start:g.stop], w, b, out, score)
+            outs.append(wide)
         return outs
 
     def outputs(self, x: np.ndarray) -> list[np.ndarray]:
@@ -326,10 +343,10 @@ def batch_loss_and_grads(stack: ModelStack, x: np.ndarray, targets: list[Targets
     outputs. The parameter gradients of each member's mean loss land in
     stack.grad. Returns the mean losses in member order. A member whose head
     outputs are not finite gets inf, to signal divergence; the gradient of a
-    member without a finite loss is zero.
+    member without a finite loss is zero. The losses run on the float64
+    head outputs, and their gradients go back in the stack's dtype.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-2]
+    n = np.shape(x)[-2]
     acts = stack._layers(x)
     values: list[float] = []
     grad_outs: list = []
@@ -351,6 +368,7 @@ def _sum_in_order(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=-1)[..., -1]
 
 
+_TRUNK_DTYPE = np.float32  # train()'s parameters, Adam state and activations; losses stay float64
 _ADAM_BLOCK = 32768  # entries an Adam step updates at a time: a block's state stays in cache
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
 
@@ -365,34 +383,38 @@ class _Adam:
     The operations and their order are those of
     m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), elementwise, with b1, b2
-    and eps the constants _BETA1, _BETA2 and _ADAM_EPS.
+    and eps the constants _BETA1, _BETA2 and _ADAM_EPS. Every scalar is
+    rounded to the vector's dtype, so a step computes in that dtype.
     """
 
-    def __init__(self, size: int, learning_rate: float):
-        self.learning_rate = learning_rate
+    def __init__(self, theta: np.ndarray, learning_rate: float):
+        self.scalar = theta.dtype.type
+        self.lr, self.b1, self.b2, self.c1, self.c2, self.eps = map(
+            self.scalar, (learning_rate, _BETA1, _BETA2, 1 - _BETA1, 1 - _BETA2, _ADAM_EPS))
         self.t = 0
-        self.m, self.v = np.zeros(size), np.zeros(size)
-        self.num, self.den = np.empty(min(size, _ADAM_BLOCK)), np.empty(min(size, _ADAM_BLOCK))
+        self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
+        block = min(theta.size, _ADAM_BLOCK)
+        self.num, self.den = np.empty(block, theta.dtype), np.empty(block, theta.dtype)
 
     def step(self, theta: np.ndarray, g: np.ndarray) -> None:
         self.t += 1
-        bc1 = 1.0 - _BETA1 ** self.t
-        bc2 = 1.0 - _BETA2 ** self.t
+        bc1 = self.scalar(1.0 - _BETA1 ** self.t)
+        bc2 = self.scalar(1.0 - _BETA2 ** self.t)
         for lo in range(0, len(theta), _ADAM_BLOCK):
             block = slice(lo, lo + _ADAM_BLOCK)
             p, gb, m, v = theta[block], g[block], self.m[block], self.v[block]
             num, den = self.num[:len(p)], self.den[:len(p)]
-            m *= _BETA1
-            m += np.multiply(1 - _BETA1, gb, out=num)
-            np.multiply(1 - _BETA2, gb, out=num)
+            m *= self.b1
+            m += np.multiply(self.c1, gb, out=num)
+            np.multiply(self.c2, gb, out=num)
             num *= gb
-            v *= _BETA2
+            v *= self.b2
             v += num
             np.divide(m, bc1, out=num)
-            num *= self.learning_rate
+            num *= self.lr
             np.divide(v, bc2, out=den)
             np.sqrt(den, out=den)
-            den += _ADAM_EPS
+            den += self.eps
             num /= den
             p -= num
 
@@ -403,7 +425,8 @@ class TrainedRun:
 
     history holds one (train_loss, val_mae) pair per epoch; selected_epoch
     is 1-based and points at the first epoch achieving the minimum
-    validation MAE, whose parameter snapshot is best_model. method and
+    validation MAE, whose parameter snapshot is best_model, in the dtype
+    it trained in (_TRUNK_DTYPE from train()). method and
     label_set are those the model was trained with, so the run alone knows
     how to decode its outputs into ages.
     """
@@ -499,7 +522,9 @@ def train(table: DatasetTable, splits, methods, cfgs):
 
     Only the train and val folds are ever read; the test folds stay
     untouched. Given equal inputs the result is bitwise reproducible: the
-    seed drives both initialization and the per-epoch shuffles. Targets are
+    seed drives both initialization and the per-epoch shuffles. Each model
+    is drawn in float64 and trains in _TRUNK_DTYPE, float32, as do the
+    folds; losses and decoders get its head outputs in float64. Targets are
     encoded from the train fold once. A method of SHARED_SCORE_FAMILIES
     gets a shared-score head whose bias k starts at the logit of the train
     fold's P(label index > k), as Cao, Mirjalili & Raschka (2020) do; from
@@ -546,9 +571,9 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     frozen member does not fail again.
     """
     label_set = table.label_set
-    x_train = np.stack([table.features_for(s.train) for s in splits])
+    x_train = np.stack([table.features_for(s.train) for s in splits]).astype(_TRUNK_DTYPE)
     ages_train = np.stack([table.ages_for(s.train) for s in splits])
-    x_val = np.stack([table.features_for(s.val) for s in splits])
+    x_val = np.stack([table.features_for(s.val) for s in splits]).astype(_TRUNK_DTYPE)
     ages_val = np.stack([table.ages_for(s.val) for s in splits])
     cfg = cfgs[0]
 
@@ -571,9 +596,9 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     if not members:
         return
 
-    stack = ModelStack([m.model for m in members],
+    stack = ModelStack([m.model.astype(_TRUNK_DTYPE) for m in members],
                        [len(list(run)) for _, run in itertools.groupby(m.method for m in members)])
-    adam = _Adam(stack.theta.size, cfg.learning_rate)
+    adam = _Adam(stack.theta, cfg.learning_rate)
     for m, model in zip(members, stack.models):
         m.model = model
     group_splits = [np.array([m.split for m in members[g.start:g.stop]]) for g in stack.groups]

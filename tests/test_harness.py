@@ -65,6 +65,22 @@ def test_dataset_entry_needs_exactly_one_source():
         DatasetEntry(name="")
 
 
+NON_FINITE_FIELDS = [(TrainConfig, {}, "learning_rate")] + [
+    (MethodConfig, {"family": "dldl"}, f)
+    for f in ("sigma", "alpha", "lambda_expect", "lambda_mean", "lambda_var", "lambda_uni")]
+
+
+@pytest.mark.parametrize("cls, base, field", NON_FINITE_FIELDS,
+                         ids=[f for _, _, f in NON_FINITE_FIELDS])
+def test_a_config_built_in_code_refuses_a_non_finite_float(cls, base, field):
+    """The JSON reader refuses NaN and inf, and so does the constructor of a
+    config built in code: a NaN learning rate would otherwise surface as
+    every member diverging."""
+    for value in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
+            cls(**base, **{field: value})
+
+
 def test_config_parsing_defaults_and_aliases(tmp_path):
     cfg = config_for(tmp_path)
     assert cfg.split.mode == MODE_SUBJECT_EXCLUSIVE

@@ -386,19 +386,22 @@ def test_a_failed_member_is_frozen_at_zero_in_the_one_stack(monkeypatch):
     assert np.isfinite(stacks[0].theta).all()
 
 
-def test_in_place_adam_is_bitwise_the_textbook_update():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_in_place_adam_is_bitwise_the_textbook_update(dtype):
+    """The update in the parameters' dtype, with Python-float scalars."""
     lr, beta1, beta2, eps = 3e-3, training._BETA1, training._BETA2, training._ADAM_EPS
-    model = init_model(5, (7, 4), 3, seed=2)
+    model = init_model(5, (7, 4), 3, seed=2).astype(dtype)
     ref = model.copy()
     params = ref.weights + ref.biases
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     stack = ModelStack([model])
     model, grad_views = stack.models[0], stack.grads[0].weights + stack.grads[0].biases
-    adam = training._Adam(stack.theta.size, lr)
+    adam = training._Adam(stack.theta, lr)
     rng = np.random.default_rng(0)
     for t in range(1, 31):
-        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape) for p in params]
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape).astype(dtype)
+                 for p in params]
         for view, g in zip(grad_views, grads):
             view[...] = g
         adam.step(stack.theta, stack.grad)
@@ -410,6 +413,62 @@ def test_in_place_adam_is_bitwise_the_textbook_update():
             p -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
     for got, want in zip(model.weights + model.biases, params):
         np.testing.assert_array_equal(got, want)
+
+
+def test_a_stack_and_its_adam_take_the_dtype_of_their_models(monkeypatch):
+    """float64 models give a float64 stack, Adam state and work buffers,
+    the path criterion 1 and the gradient tests take; float32 models give
+    float32 ones. Either way the loss and forward() see float64 head outputs."""
+    tab, split = clean_split_table()
+    x = tab.features_for(split.train[:16])
+    method = MethodConfig(family="coral")
+    targets = encode_targets(method, tab.ages_for(split.train[:16]), tab.label_set)
+    seen = []
+    loss = training.loss_eval
+    monkeypatch.setattr(training, "loss_eval",
+                        lambda m, out, *args: seen.append(out.dtype) or loss(m, out, *args))
+    for dtype in (np.float64, np.float32):
+        model = init_model(tab.dimension, (8,), method.head_size(len(tab.label_set)), seed=0,
+                           head_width=1).astype(dtype)
+        stack = ModelStack([model])
+        batch_loss_and_grads(stack, x, [targets], [method], tab.label_set)
+        adam = training._Adam(stack.theta, 1e-3)
+        adam.step(stack.theta, stack.grad)
+        assert seen.pop() == np.float64
+        for a in (stack.theta, stack.grad, adam.m, adam.v, adam.num, adam.den):
+            assert a.dtype == dtype
+        for (name, _, _), buf in stack._work.items():
+            kind = name[0] if isinstance(name, tuple) else name
+            assert buf.dtype == {"out64": np.float64, "on": bool}.get(kind, dtype), kind
+        assert forward(model, x).dtype == np.float64
+        assert forward(model, x[0]).dtype == np.float64
+
+
+def test_train_returns_float32_models_drawn_in_float64():
+    """Each member is drawn in float64 and rounded to float32 once: steps
+    too small to move a weight leave the rounded draw."""
+    tab, split = clean_split_table()
+    run = train(tab, split, MethodConfig(family="cross-entropy"),
+                TrainConfig(learning_rate=1e-30, epochs=1, seed=3, hidden_dims=(8,)))
+    drawn = init_model(tab.dimension, (8,), len(tab.label_set), seed=3)
+    assert all(a.dtype == np.float32 for a in run.best_model.weights + run.best_model.biases)
+    for got, want in zip(run.best_model.weights, drawn.weights):
+        np.testing.assert_array_equal(got, want.astype(np.float32))
+
+
+def test_a_numpy_learning_rate_trains_bitwise_as_its_python_float():
+    """Under numpy 2, a float32 array times an np.float64 computes in float64;
+    the learning rate is rounded to the trunk's dtype, so its type does not
+    change a run."""
+    tab, split = clean_split_table()
+    lr = np.linspace(1e-3, 4e-3, 4)[1]
+    assert type(TrainConfig(learning_rate=lr).learning_rate) is float
+    methods = [MethodConfig(family=f) for f in LOCKSTEP_FAMILIES]
+    as_numpy = train(tab, split, methods, TrainConfig(learning_rate=lr, epochs=3, seed=1))
+    as_float = train(tab, split, methods, TrainConfig(learning_rate=float(lr), epochs=3, seed=1))
+    for a, b in zip(as_numpy, as_float):
+        assert a.history == b.history
+        assert _member_arrays(a.best_model) == _member_arrays(b.best_model)
 
 
 def test_train_rejects_empty_folds():
@@ -447,38 +506,60 @@ def test_the_family_rule_gives_every_head_its_shape():
         assert run.best_model.weights[-1].shape == (8, 1 if method.family == "coral" else size)
 
 
-def test_a_bias_only_divergence_is_reported_as_divergence():
+@pytest.mark.parametrize("learning_rate", [3e38, 1e308], ids=["lr3e38", "lr1e308"])
+def test_a_bias_only_divergence_is_reported_as_divergence(monkeypatch, learning_rate):
     """All-zero features and no hidden layer leave every head weight at its
     start, so a huge step overflows only the biases. The epoch-end check reads
     the biases too: each such member fails as TrainingDiverged at epoch 1, not
-    as a ValueError from decoding its non-finite val outputs."""
+    as a ValueError from decoding its non-finite val outputs.
+
+    A step of 3e38 is finite in float32: seven families overflow their biases
+    alone, with every weight finite, while CORAL's and regression's biases
+    stay finite and they finish. A step of 1e308 is inf in float32, so it
+    makes every parameter non-finite and every member diverges."""
     ids = [f"s{i}" for i in range(40)]
     tab = DatasetTable("zeros", LabelSet(tuple(range(20, 30))), 2, ids, ids,
                        [20 + i % 10 for i in range(40)], np.zeros((40, 2)))
     split = make_split(tab, MODE_RANDOM, (0.6, 0.2, 0.2), seed=0)
     methods = [MethodConfig(family=f) for f in FAMILIES]
-    cfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=23, hidden_dims=())
+    cfg = TrainConfig(learning_rate=learning_rate, epochs=1, batch_size=23, hidden_dims=())
+    zeroed = []  # a copy of every model train() zeroes: a failed member's parameters and moments
+    zero = training._zero
+
+    def keep(models):
+        models = list(models)
+        zeroed.extend(m.copy() for m in models)
+        zero(models)
+
+    monkeypatch.setattr(training, "_zero", keep)
     with np.errstate(over="ignore", invalid="ignore"):
         runs = train(tab, split, methods, cfg)
+    finish = ("coral", "regression") if learning_rate == 3e38 else ()
     for method, run in zip(methods, runs):
-        if method.family == "regression":  # its clamped output stays finite
-            assert isinstance(run, TrainedRun)
+        if method.family in finish:
+            assert isinstance(run, TrainedRun), method.family
         else:
             assert isinstance(run, TrainingDiverged) and run.epoch == 1, (method.family, run)
+    if learning_rate == 3e38:
+        assert sum(not all(np.isfinite(b).all() for b in m.biases) for m in zeroed) == 7
+        assert all(np.isfinite(w).all() for m in zeroed for w in m.weights)
 
 
 def test_outputs_that_overflow_fail_every_family_as_divergence():
     """A huge first step leaves the parameters finite but overflows the
     outputs. Every family fails as TrainingDiverged at epoch 1: none raises
-    from its loss or decode, and none is selected from NaN val MAEs."""
+    from its loss or decode, and none is selected from NaN val MAEs. The
+    step, 1e36, is finite in float32 (1e160 would make the parameters inf
+    and fail them before the outputs are read)."""
     tab = generate_synthetic(SynthSpec(40, 1, 4, (20, 29), 1.0, 0.5, seed=0))
     split = make_split(tab, MODE_RANDOM, (0.6, 0.2, 0.2), seed=0)
-    cfg = TrainConfig(learning_rate=1e160, epochs=1, batch_size=64, seed=0, hidden_dims=(8, 8))
+    cfg = TrainConfig(learning_rate=1e36, epochs=1, batch_size=64, seed=0, hidden_dims=(8, 8))
     methods = [MethodConfig(family=f) for f in FAMILIES]
     with np.errstate(over="ignore", invalid="ignore"):
         runs = train(tab, split, methods, cfg)
     for method, run in zip(methods, runs):
         assert isinstance(run, TrainingDiverged) and run.epoch == 1, (method.family, run)
+        assert str(run) == "val outputs not finite at epoch 1", method.family
 
 
 # ------------------------------------------------------- multi-split lockstep
@@ -664,11 +745,11 @@ def test_blocked_adam_is_bitwise_one_pass(monkeypatch, block):
     theta, grads = rng.normal(size=size), rng.normal(size=(5, size))
     whole = theta.copy()
     monkeypatch.setattr(training, "_ADAM_BLOCK", size)
-    one_pass = training._Adam(size, 3e-3)
+    one_pass = training._Adam(whole, 3e-3)
     for g in grads:
         one_pass.step(whole, g)
     monkeypatch.setattr(training, "_ADAM_BLOCK", block)
-    blocked = training._Adam(size, 3e-3)
+    blocked = training._Adam(theta, 3e-3)
     for g in grads:
         blocked.step(theta, g)
     assert np.array_equal(theta, whole)
