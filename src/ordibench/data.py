@@ -77,7 +77,8 @@ def _from_json(cls, section: str, payload, path: str = ""):
     means the key was left out. Refuses, naming the key, a payload that is
     not an object, an unknown key, a value of the wrong type and a missing
     required field. Messages name the top object by section and a nested
-    one by its path from there, such as datasets[1].synth."""
+    one by its path from there, such as datasets[1].synth; so does a nested
+    object's own refusal, such as "methods[3]: sigma must be positive"."""
     name = path or section
     if not isinstance(payload, dict):
         raise ValidationError(f"{name} must be an object, got {payload!r}")
@@ -105,7 +106,10 @@ def _from_json(cls, section: str, payload, path: str = ""):
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
     if missing:
         raise ValidationError(f"{name} lacks key(s): {missing}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") if path else exc
 
 
 @dataclass(frozen=True)

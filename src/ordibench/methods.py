@@ -1,35 +1,28 @@
 """Loss families for ordinal heads: target encodings, loss values, and
 analytic gradients with respect to the raw head outputs.
 
-Nine families are implemented. Five of them score a categorical
-distribution over the labels (cross-entropy, two soft-target variants, a
-mean-variance penalty, a unimodality penalty), two reduce the problem to
-binary threshold classifiers (independent or with a shared consistency
-score), one regresses a normalized scalar, and the remaining soft-target
-variant adds an expectation anchor. Every loss returns LossEval(value,
-grad) where grad matches the head output elementwise; gradients are what
-the trainer backpropagates, so each formula here is paired with a
-finite-difference check in the test suite.
+FAMILIES holds one Family record per family, and head_size,
+encode_targets, soft_targets, loss_eval, the decoder and the trainer read a
+family from there alone. Every loss returns LossEval(value, grad) where
+grad matches the head output elementwise; gradients are what the trainer
+backpropagates, so each formula here is paired with a finite-difference
+check in the test suite.
 
-loss_eval is the one public way to compute a loss, and the one family
-dispatch: the trainer, the demos and the gradient check all call it. It
-takes one head-output row or a (..., head) batch of rows, such as the
-(n, head) rows of one model or the (G, n, head) rows of G models, and every
-shape runs the same array code, on the last axis. Each family's
-formula is a private kernel (_soft_ce, _ebc, _l1, _dldlv2, _meanvar,
-_unimodal) that checks no input. loss_eval takes the targets encode_targets
-built, not ages: a run encodes and validates its train fold's targets once,
-and each minibatch indexes their rows. The soft targets of dldl, dldl-v2 and
-sord come from soft_targets alone: encode_targets builds them and the
-acceptance gate checks them, so the targets that are tested are the targets
-that are used.
+loss_eval is the one public way to compute a loss. It takes one head-output
+row or a (..., head) batch of rows, such as the (n, head) rows of one model
+or the (G, n, head) rows of G models, and every shape runs the same array
+code, on the last axis. Each kernel (_ce, _ebc, _l1, _dldlv2, _meanvar,
+_unimodal) takes (config, z, targets, label_set) and checks no input; the
+targets are those encode_targets built, once per train fold, and each
+minibatch indexes their rows. The soft targets come from soft_targets
+alone, so the targets the acceptance gate checks are the ones trained on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,9 +30,7 @@ from .data import LabelSet, ValidationError
 
 __all__ = [
     "FAMILIES",
-    "DISTRIBUTION_FAMILIES",
-    "THRESHOLD_FAMILIES",
-    "SHARED_SCORE_FAMILIES",
+    "Family",
     "MethodConfig",
     "LossEval",
     "Targets",
@@ -52,26 +43,6 @@ __all__ = [
     "encode_targets",
     "loss_eval",
 ]
-
-FAMILIES = (
-    "cross-entropy",
-    "regression",
-    "or-cnn",
-    "coral",
-    "dldl",
-    "dldl-v2",
-    "sord",
-    "mean-variance",
-    "unimodal",
-)
-# Families whose head parameterizes a softmax over the K labels.
-DISTRIBUTION_FAMILIES = ("cross-entropy", "dldl", "dldl-v2", "sord", "mean-variance", "unimodal")
-# Families whose head parameterizes K-1 binary threshold scores.
-THRESHOLD_FAMILIES = ("or-cnn", "coral")
-# Families whose head has one weight column: a single score that each of its
-# head_size biases shifts, so the logits stay ordered like the biases. Their
-# biases start at the train fold's threshold logits.
-SHARED_SCORE_FAMILIES = ("coral",)
 
 
 @dataclass(frozen=True)
@@ -95,34 +66,37 @@ class MethodConfig:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown method family {self.family!r}")
-        for attr in ("sigma", "alpha", "lambda_expect", "lambda_mean", "lambda_var", "lambda_uni"):
-            if not math.isfinite(getattr(self, attr)):
-                raise ValidationError(f"{attr} must be finite")
-        if self.sigma <= 0:
-            raise ValidationError("sigma must be positive")
-        if self.alpha <= 0:
-            raise ValidationError("alpha must be positive")
+        hyper = [f for f in fields(self) if f.name not in ("family", "name")]
+        for f in hyper:
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite")
+        for attr in ("sigma", "alpha"):
+            if getattr(self, attr) <= 0:
+                raise ValidationError(f"{attr} must be positive")
         for attr in ("lambda_expect", "lambda_mean", "lambda_var", "lambda_uni"):
             if getattr(self, attr) < 0:
                 raise ValidationError(f"{attr} must be non-negative")
+        reads = FAMILIES[self.family].params
+        for f in hyper:  # a value the loss never reads would tune nothing
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValidationError(f"family {self.family!r} does not read {f.name}")
 
     @property
     def display_name(self) -> str:
         return self.name if self.name else self.family
 
     def head_size(self, n_labels: int) -> int:
-        """Outputs (biases) of the model head this family expects for K
-        labels; the head of a SHARED_SCORE_FAMILIES family has one weight
-        column whatever its size, every other head one per output."""
+        """Outputs (biases) of this family's head for K labels: K for "labels",
+        1 for "scalar", K - 1 for the threshold heads. A "shared" head has one
+        weight column whatever its size, every other head one per output."""
         if n_labels < 1:
             raise ValueError("n_labels must be >= 1")
-        if self.family in DISTRIBUTION_FAMILIES:
-            return n_labels
-        if self.family in THRESHOLD_FAMILIES:
-            if n_labels < 2:
-                raise ValueError(f"{self.family} needs at least 2 labels")
-            return n_labels - 1
-        return 1
+        head = FAMILIES[self.family].head
+        if head in ("labels", "scalar"):
+            return n_labels if head == "labels" else 1
+        if n_labels < 2:
+            raise ValueError(f"{self.family} needs at least 2 labels")
+        return n_labels - 1
 
 
 def _unwrap(x):
@@ -189,6 +163,11 @@ def _soft_ce(z: np.ndarray, q: np.ndarray) -> tuple[LossEval, np.ndarray]:
     return LossEval(m + np.log(s) - _rowdot(q, z), p - q), p
 
 
+def _ce(config, z, targets, label_set) -> LossEval:
+    """Cross-entropy against the one-hot or soft target rows."""
+    return _soft_ce(z, targets.row)[0]
+
+
 def sigmoid(x):
     """Elementwise logistic function, stable for large |x|."""
     x = np.asarray(x, dtype=float)
@@ -204,13 +183,10 @@ def _check_index(index, n: int) -> np.ndarray:
     return idx
 
 
-def _l1(output, target) -> LossEval:
-    """Absolute error of a scalar head against a (normalized) target age.
-
-    The gradient is the sign of the residual; at zero residual the
-    subgradient 0 is returned.
-    """
-    diff = np.asarray(output, dtype=float) - np.asarray(target, dtype=float)
+def _l1(config, z, targets, label_set) -> LossEval:
+    """Absolute error of a scalar head against the (normalized) target age;
+    the gradient is the sign of the residual, 0 at a zero residual."""
+    diff = z - np.asarray(targets.row, dtype=float)
     return LossEval(np.abs(diff), np.sign(diff)[..., None])
 
 
@@ -227,8 +203,8 @@ def _bce_with_logits(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
 
 
-def _ebc(z: np.ndarray, t: np.ndarray) -> LossEval:
-    return LossEval(_bce_with_logits(z, t).sum(axis=-1), sigmoid(z) - t)
+def _ebc(config, z, targets, label_set) -> LossEval:
+    return LossEval(_bce_with_logits(z, targets.row).sum(axis=-1), sigmoid(z) - targets.row)
 
 
 def soft_targets(config: MethodConfig, true_index, label_set: LabelSet) -> np.ndarray:
@@ -239,14 +215,11 @@ def soft_targets(config: MethodConfig, true_index, label_set: LabelSet) -> np.nd
     exp(-alpha |label distance|) (Diaz & Marathe, CVPR 2019). One label
     index gives a (K,) row, n indices an (n, K) batch; every row sums to one.
     """
-    if config.family not in ("dldl", "dldl-v2", "sord"):
+    log_weight = FAMILIES[config.family].soft
+    if log_weight is None:
         raise ValueError(f"family {config.family!r} has no soft targets")
     y = label_set.as_array()
-    dist = y - y[_check_index(true_index, len(y))][..., None]
-    if config.family == "sord":
-        expo = -config.alpha * np.abs(dist)
-    else:
-        expo = -(dist ** 2) / (2.0 * config.sigma * config.sigma)
+    expo = log_weight(config, y - y[_check_index(true_index, len(y))][..., None])
     w = np.exp(expo - expo.max(axis=-1, keepdims=True))  # peak 1 per row
     return w / w.sum(axis=-1, keepdims=True)
 
@@ -271,26 +244,26 @@ def variance(probs, label_set: LabelSet):
     return _unwrap(_moments(probs, label_set)[1])
 
 
-def _dldlv2(z, q, label_set, true_age, lambda_expect) -> LossEval:
-    """Soft cross-entropy plus lambda_expect |E[label] - age|; the anchor's
-    subgradient at a zero residual is 0."""
-    base, p = _soft_ce(z, q)
+def _dldlv2(config, z, targets, label_set) -> LossEval:
+    """Soft cross-entropy plus lambda_expect |E[label] - age|, with the label at
+    the target index as the age; the anchor's subgradient at 0 is 0."""
+    base, p = _soft_ce(z, targets.row)
     e, _, dev = _moments(p, label_set)
-    diff = e - true_age
-    value = base.value + lambda_expect * np.abs(diff)
-    grad = base.grad + (lambda_expect * np.sign(diff))[..., None] * p * dev
+    diff = e - label_set.as_array()[targets.index]
+    value = base.value + config.lambda_expect * np.abs(diff)
+    grad = base.grad + (config.lambda_expect * np.sign(diff))[..., None] * p * dev
     return LossEval(value, grad)
 
 
-def _meanvar(z, one_hot, t, label_set, lambda_mean, lambda_var) -> LossEval:
+def _meanvar(config, z, targets, label_set) -> LossEval:
     """ce + (lambda_mean / 2) (E[label] - y)^2 + lambda_var Var[label]."""
-    base, p = _soft_ce(z, one_hot)
+    base, p = _soft_ce(z, targets.row)
     e, var, dev = _moments(p, label_set)
-    miss = e - label_set.as_array()[t]
-    value = base.value + 0.5 * lambda_mean * miss ** 2 + lambda_var * var
+    miss = e - label_set.as_array()[targets.index]
+    value = base.value + 0.5 * config.lambda_mean * miss ** 2 + config.lambda_var * var
     d_e = p * dev                            # gradient of E[label] wrt logits
     d_var = p * (dev ** 2 - var[..., None])  # gradient of Var[label] wrt logits
-    grad = base.grad + ((lambda_mean * miss)[..., None] * d_e + lambda_var * d_var)
+    grad = base.grad + ((config.lambda_mean * miss)[..., None] * d_e + config.lambda_var * d_var)
     return LossEval(value, grad)
 
 
@@ -310,14 +283,14 @@ def _unimodal_hinges(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.maximum(gap, 0.0).sum(axis=-1), g
 
 
-def _unimodal(z, one_hot, t, lambda_uni) -> LossEval:
+def _unimodal(config, z, targets, label_set) -> LossEval:
     """ce + lambda_uni times the hinge penalty; the penalty is piecewise
     linear, so the gradient is a subgradient (inactive branch at a kink)."""
-    base, p = _soft_ce(z, one_hot)
-    penalty, g = _unimodal_hinges(p, t)
-    value = base.value + lambda_uni * penalty
+    base, p = _soft_ce(z, targets.row)
+    penalty, g = _unimodal_hinges(p, targets.index)
+    value = base.value + config.lambda_uni * penalty
     # softmax Jacobian applied to d(penalty)/d(probs)
-    grad = base.grad + lambda_uni * p * (g - _rowdot(p, g)[..., None])
+    grad = base.grad + config.lambda_uni * p * (g - _rowdot(p, g)[..., None])
     return LossEval(value, grad)
 
 
@@ -350,22 +323,58 @@ class Targets:
         return Targets(None if self.index is None else self.index[rows], self.row[rows])
 
 
+@dataclass(frozen=True)
+class Family:
+    """One loss family: its head ("labels": K softmax logits, "thresholds":
+    K - 1 threshold logits, "shared": the same on one weight column, or
+    "scalar": one normalised age), which decides its targets and decoder;
+    the MethodConfig fields its loss reads; its loss kernel; and, for a
+    soft-target family, the log-weight of its targets at a label distance."""
+
+    head: str
+    params: tuple[str, ...]
+    loss: Callable[..., LossEval]  # (config, z, targets, label_set)
+    soft: Optional[Callable[[MethodConfig, np.ndarray], np.ndarray]] = None
+
+
+def _gaussian(config, dist):
+    return -(dist ** 2) / (2.0 * config.sigma * config.sigma)
+
+
+def _laplace(config, dist):
+    return -config.alpha * np.abs(dist)
+
+
+FAMILIES: dict[str, Family] = {
+    "cross-entropy": Family("labels", (), _ce),
+    "regression": Family("scalar", (), _l1),
+    "or-cnn": Family("thresholds", (), _ebc),
+    "coral": Family("shared", (), _ebc),
+    "dldl": Family("labels", ("sigma",), _ce, _gaussian),
+    "dldl-v2": Family("labels", ("sigma", "lambda_expect"), _dldlv2, _gaussian),
+    "sord": Family("labels", ("alpha",), _ce, _laplace),
+    "mean-variance": Family("labels", ("lambda_mean", "lambda_var"), _meanvar),
+    "unimodal": Family("labels", ("lambda_uni",), _unimodal),
+}
+
+
 def encode_targets(config: MethodConfig, ages, label_set: LabelSet) -> Targets:
     """Encode ages (an (n,) array, or one age) into the targets of config's loss.
 
-    Every family but regression needs each age, truncated to whole years,
-    in the label set, and raises ValidationError otherwise. The row is
-    one-hot for cross-entropy, mean-variance and unimodal, soft_targets for
-    dldl, dldl-v2 and sord, ebc_encode for the threshold families, and the
-    age normalised over the label range for regression.
+    Every head but "scalar" needs each age, truncated to whole years, in the
+    label set, and raises ValidationError otherwise. The row is soft_targets
+    for a family with soft targets, one-hot for the other "labels" heads,
+    ebc_encode for the threshold heads, and the age normalised over the
+    label range for "scalar".
     """
+    family = FAMILIES[config.family]
     ages = np.asarray(ages, dtype=float)
-    if config.family == "regression":
+    if family.head == "scalar":
         return Targets(None, np.asarray(label_set.normalize(ages)))
     t = label_set.indices_of(ages)
-    if config.family in THRESHOLD_FAMILIES:
+    if family.head != "labels":
         row = ebc_encode(t, len(label_set))
-    elif config.family in ("dldl", "dldl-v2", "sord"):
+    elif family.soft:
         row = soft_targets(config, t, label_set)
     else:
         row = _one_hot(t, len(label_set))
@@ -379,23 +388,8 @@ def loss_eval(config: MethodConfig, head_out, targets: Targets, label_set: Label
     batch's rows (stacked to the batch's leading shape), and are not checked
     again. A single row gives a float value and a (head,) gradient; a batch
     gives per-row values (...) and gradients (..., head), each bitwise what
-    the row alone gives. dldl-v2 anchors its expectation on the label at the target
-    index, which is the age itself for whole-year ages.
+    the row alone gives.
     """
-    family = config.family
-    if family == "regression":
-        return _l1(_regression_outputs(head_out), targets.row)
-    z = _as_logits(head_out)
-    if family in ("cross-entropy", "dldl", "sord"):
-        return _soft_ce(z, targets.row)[0]
-    if family in THRESHOLD_FAMILIES:
-        return _ebc(z, targets.row)
-    if family == "mean-variance":
-        return _meanvar(z, targets.row, targets.index, label_set,
-                        config.lambda_mean, config.lambda_var)
-    if family == "unimodal":
-        return _unimodal(z, targets.row, targets.index, config.lambda_uni)
-    if family == "dldl-v2":
-        return _dldlv2(z, targets.row, label_set, label_set.as_array()[targets.index],
-                       config.lambda_expect)
-    raise ValueError(f"unknown method family {family!r}")
+    family = FAMILIES[config.family]
+    z = _regression_outputs(head_out) if family.head == "scalar" else _as_logits(head_out)
+    return family.loss(config, z, targets, label_set)

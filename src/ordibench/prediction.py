@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .data import LabelSet
-from .methods import THRESHOLD_FAMILIES, MethodConfig, _regression_outputs, sigmoid, softmax
+from .methods import FAMILIES, MethodConfig, _regression_outputs, sigmoid, softmax
 
 __all__ = [
     "Prediction",
@@ -117,16 +117,18 @@ def regression_decode(raw_output, label_set: LabelSet) -> Prediction:
 
 
 def decode_output(config: MethodConfig, head_out, label_set: LabelSet) -> Prediction:
-    """Decode one raw head-output row, or each row of a (..., head) batch.
+    """Decode one raw head-output row, or each row of a (..., head) batch,
+    by the decoder of its family's head.
 
     Raises ValueError, for every family, when an output is not finite.
     """
     out = np.asarray(head_out, dtype=float)
     if not np.isfinite(out).all():
         raise ValueError("head outputs must be finite")
-    if config.family == "regression":
+    head = FAMILIES[config.family].head
+    if head == "labels":
+        return bayes_mae_predict(softmax(out), label_set)
+    if head == "scalar":
         return regression_decode(_regression_outputs(out), label_set)
-    if config.family in THRESHOLD_FAMILIES:
-        # sigmoid(z) > 0.5, not z > 0: the two differ for 0 < z < ~1e-16
-        return ebc_decode(sigmoid(out), label_set)
-    return bayes_mae_predict(softmax(out), label_set)
+    # sigmoid(z) > 0.5, not z > 0: the two differ for 0 < z < ~1e-16
+    return ebc_decode(sigmoid(out), label_set)

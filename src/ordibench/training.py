@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetTable, LabelSet, ValidationError
-from .methods import SHARED_SCORE_FAMILIES, MethodConfig, Targets, encode_targets, loss_eval
+from .methods import FAMILIES, MethodConfig, Targets, encode_targets, loss_eval
 from .prediction import decode_output
 from .splitting import SplitSpec
 from .util import rng_from_seed
@@ -525,10 +525,10 @@ def train(table: DatasetTable, splits, methods, cfgs):
     seed drives both initialization and the per-epoch shuffles. Each model
     is drawn in float64 and trains in _TRUNK_DTYPE, float32, as do the
     folds; losses and decoders get its head outputs in float64. Targets are
-    encoded from the train fold once. A method of SHARED_SCORE_FAMILIES
-    gets a shared-score head whose bias k starts at the logit of the train
-    fold's P(label index > k), as Cao, Mirjalili & Raschka (2020) do; from
-    zero biases Adam cannot spread the thresholds within a short run.
+    encoded from the train fold once. A family with a "shared" head gets one
+    weight column, and its bias k starts at the logit of the train fold's
+    P(label index > k), as Cao, Mirjalili & Raschka (2020) do; from zero
+    biases Adam cannot spread the thresholds within a short run.
     """
     one_split, one_method = isinstance(splits, SplitSpec), isinstance(methods, MethodConfig)
     splits = [splits] if one_split else list(splits)
@@ -579,7 +579,7 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
 
     members: list[_Member] = []
     for j, method in enumerate(methods):
-        shared = method.family in SHARED_SCORE_FAMILIES
+        shared = FAMILIES[method.family].head == "shared"
         for s, (ages, split_cfg) in enumerate(zip(ages_train, cfgs)):
             try:
                 targets = encode_targets(method, ages, label_set)

@@ -25,7 +25,6 @@ from ordibench.data import LabelSet, SynthSpec, generate_synthetic
 from ordibench.harness import ExperimentConfig, LeakageParams, leakage_demo, run_experiment
 from ordibench.methods import (
     FAMILIES,
-    SHARED_SCORE_FAMILIES,
     MethodConfig,
     encode_targets,
     expectation,
@@ -116,7 +115,7 @@ def test_criterion_1_gradient_suite():
         for family in FAMILIES:
             cfg = MethodConfig(family=family)
             model = init_model(5, (8,), cfg.head_size(k), seed=3,
-                               head_width=1 if cfg.family in SHARED_SCORE_FAMILIES else None)
+                               head_width=1 if FAMILIES[cfg.family].head == "shared" else None)
             stack = ModelStack([model])
             batch_loss_and_grads(stack, xs, [encode_targets(cfg, ages, ls)], [cfg], ls)
             gw, gb = stack.grads[0].weights, stack.grads[0].biases

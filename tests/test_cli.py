@@ -282,6 +282,30 @@ def test_run_rejects_bad_fractions_before_writing(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("config", "output_dir", "", "output_dir must be set"),
+    ("dataset", "name", "", "datasets[0]: dataset entry needs a name"),
+    ("synth", "n_identities", 0, "datasets[0].synth: n_identities must be >= 1"),
+    ("method", "alpha", -1.0, "methods[1]: alpha must be positive"),
+    ("method", "sigma", 2.0, "methods[1]: family 'sord' does not read sigma"),
+    ("split", "n_splits", 0, "split: n_splits must be >= 1"),
+    ("train", "epochs", 0, "train: epochs must be >= 1"),
+], ids=["config", "dataset", "synth", "method", "method_unread", "split", "train"])
+def test_run_names_the_path_of_a_value_out_of_range_exit_2(tmp_path, capsys, section, key,
+                                                            value, message):
+    """A section's own range check is prefixed with the section's path in the
+    config; a top-level refusal stays as it is."""
+    cfg_path = write_run_config(tmp_path)
+    payload = json.loads(cfg_path.read_text())
+    {"config": payload, "dataset": payload["datasets"][0], "synth": payload["datasets"][0]["synth"],
+     "method": payload["methods"][1], "split": payload["split"],
+     "train": payload["train"]}[section][key] = value
+    cfg_path.write_text(json.dumps(payload))
+    assert run_cli("run", cfg_path) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("synth", "n_identities", "20"), ("split", "fractions", 0.5),
 ])

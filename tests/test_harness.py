@@ -65,9 +65,9 @@ def test_dataset_entry_needs_exactly_one_source():
         DatasetEntry(name="")
 
 
+HYPERPARAMETERS = ("sigma", "alpha", "lambda_expect", "lambda_mean", "lambda_var", "lambda_uni")
 NON_FINITE_FIELDS = [(TrainConfig, {}, "learning_rate")] + [
-    (MethodConfig, {"family": "dldl"}, f)
-    for f in ("sigma", "alpha", "lambda_expect", "lambda_mean", "lambda_var", "lambda_uni")]
+    (MethodConfig, {"family": "dldl"}, f) for f in HYPERPARAMETERS]
 
 
 @pytest.mark.parametrize("cls, base, field", NON_FINITE_FIELDS,
@@ -79,6 +79,20 @@ def test_a_config_built_in_code_refuses_a_non_finite_float(cls, base, field):
     for value in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
         with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
             cls(**base, **{field: value})
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_config_method_refuses_a_hyperparameter_its_family_does_not_read(tmp_path, family):
+    """{"family": "coral", "lambda_uni": 5} used to load and train the plain
+    coral loss under a tuned name; now only the family's own fields load."""
+    for field in HYPERPARAMETERS:
+        methods = [{"family": family, "name": "tuned", field: 5}, {"family": family}]
+        if field in FAMILIES[family].params:
+            assert getattr(config_for(tmp_path, {"methods": methods}).methods[0], field) == 5
+        else:
+            with pytest.raises(ValidationError,
+                               match=rf"^methods\[0\]: family '{family}' does not read {field}$"):
+                config_for(tmp_path, {"methods": methods})
 
 
 def test_config_parsing_defaults_and_aliases(tmp_path):

@@ -9,9 +9,7 @@ from gradcheck import fd_grad, rel_err
 from oracles import reference_sigmoid
 from ordibench.data import LabelSet, ValidationError
 from ordibench.methods import (
-    DISTRIBUTION_FAMILIES,
     FAMILIES,
-    THRESHOLD_FAMILIES,
     MethodConfig,
     Targets,
     ebc_encode,
@@ -192,16 +190,23 @@ def test_soft_targets_reject_other_families(family):
         soft_targets(MethodConfig(family=family), 0, LS3)
 
 
-@pytest.mark.parametrize("family", ["dldl", "dldl-v2", "sord"])
-def test_loss_eval_trains_on_soft_targets(family):
-    """The soft-target families' loss is exactly their loss on soft_targets."""
-    cfg = MethodConfig(family=family, sigma=1.7, alpha=0.4, lambda_expect=0.8)
+@pytest.mark.parametrize("family, params", [
+    ("dldl", {"sigma": 1.7}),
+    ("dldl-v2", {"sigma": 1.7, "lambda_expect": 0.8}),
+    ("sord", {"alpha": 0.4}),
+], ids=["dldl", "dldl-v2", "sord"])
+def test_loss_eval_trains_on_soft_targets(family, params):
+    """The soft-target families' loss is exactly their loss on soft_targets;
+    dldl-v2 anchors on the label at the target index, which is the age."""
+    cfg = MethodConfig(family=family, **params)
     rng = rng_from_seed(303)
     for _ in range(20):
         ls, z, ages = _random_batch(rng, cfg)
-        q = soft_targets(cfg, ls.indices_of(ages), ls)
+        t = ls.indices_of(ages)
+        q = soft_targets(cfg, t, ls)
         if family == "dldl-v2":
-            want = methods._dldlv2(z, q, ls, ages, cfg.lambda_expect)
+            assert np.array_equal(ls.as_array()[t], ages)
+            want = methods._dldlv2(cfg, z, Targets(t, q), ls)
         else:
             want = methods._soft_ce(z, q)[0]
         got = loss_eval(cfg, z, encode_targets(cfg, ages, ls), ls)
@@ -369,7 +374,7 @@ def test_stacked_batches_are_bitwise_their_slices(family):
             alone = loss_eval(cfg, z[i], encode_targets(cfg, ages[i], ls), ls)
             assert np.array_equal(stacked.value[i], alone.value)
             assert np.array_equal(stacked.grad[i], alone.grad)
-        if family in DISTRIBUTION_FAMILIES:
+        if FAMILIES[family].head == "labels":
             p = softmax(z)
             for i in range(s):
                 assert np.array_equal(p[i], softmax(z[i]))
@@ -411,8 +416,54 @@ def test_config_head_sizes():
 
 
 def test_config_families_partition():
-    assert set(THRESHOLD_FAMILIES) | set(DISTRIBUTION_FAMILIES) | {"regression"} == set(FAMILIES)
-    assert not set(THRESHOLD_FAMILIES) & set(DISTRIBUTION_FAMILIES)
+    """Each family has one of the four heads, and its head alone sets its
+    size: six softmax heads, two threshold heads (CORAL's shared), one scalar."""
+    heads = {f: FAMILIES[f].head for f in FAMILIES}
+    assert list(heads) == ["cross-entropy", "regression", "or-cnn", "coral", "dldl",
+                           "dldl-v2", "sord", "mean-variance", "unimodal"]
+    assert heads == {**dict.fromkeys(FAMILIES, "labels"), "regression": "scalar",
+                     "or-cnn": "thresholds", "coral": "shared"}
+    size = {"labels": 12, "thresholds": 11, "shared": 11, "scalar": 1}
+    assert all(MethodConfig(family=f).head_size(12) == size[h] for f, h in heads.items())
+    assert [f for f in FAMILIES if FAMILIES[f].soft] == ["dldl", "dldl-v2", "sord"]
+    assert {p for f in FAMILIES.values() for p in f.params} == set(HYPERPARAMETERS)
+
+
+HYPERPARAMETERS = ("sigma", "alpha", "lambda_expect", "lambda_mean", "lambda_var", "lambda_uni")
+
+
+def tuned(field):
+    """A value of field, in range, other than its default."""
+    return getattr(MethodConfig(family="cross-entropy"), field) * 2 + 0.5
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_family_refuses_a_hyperparameter_it_does_not_read(family):
+    """A tuned value of a field the family's loss never reads would train the
+    defaults under a tuned name, so the config refuses it; the family's own
+    fields, and any field at its default, are accepted."""
+    for field in HYPERPARAMETERS:
+        if field in FAMILIES[family].params:
+            cfg = MethodConfig(family=family, **{field: tuned(field)})
+            assert getattr(cfg, field) == tuned(field)
+        else:
+            with pytest.raises(ValidationError,
+                               match=f"^family '{family}' does not read {field}$"):
+                MethodConfig(family=family, **{field: tuned(field)})
+        default = getattr(MethodConfig(family=family), field)
+        assert MethodConfig(family=family, **{field: default}) == MethodConfig(family=family)
+
+
+@pytest.mark.parametrize("family, field", [(f, p) for f in FAMILIES for p in FAMILIES[f].params])
+def test_a_family_reads_each_of_its_params(family, field):
+    """Every field a record lists changes the loss on a fixed batch, or the
+    rows encode_targets builds: a params list cannot name a field the kernel
+    ignores."""
+    base, other = MethodConfig(family=family), MethodConfig(family=family, **{field: tuned(field)})
+    ls, z, ages = _random_batch(rng_from_seed(404), base)
+    targets = [encode_targets(cfg, ages, ls) for cfg in (base, other)]
+    values = [loss_eval(cfg, z, t, ls).value for cfg, t in zip((base, other), targets)]
+    assert not (np.array_equal(*values) and np.array_equal(targets[0].row, targets[1].row))
 
 
 def test_display_name_defaults_to_family():

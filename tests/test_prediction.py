@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ordibench.data import LabelSet
-from ordibench.methods import FAMILIES, THRESHOLD_FAMILIES, MethodConfig
+from ordibench.methods import FAMILIES, MethodConfig
 from ordibench.prediction import (
     bayes_mae_predict,
     brute_force_bayes,
@@ -138,6 +138,7 @@ def test_decode_output_rejects_wrong_width():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_batched_decode_equals_rows_exactly(family):
     cfg = MethodConfig(family=family)
+    head = FAMILIES[family].head
     rng = rng_from_seed(29)
     for _ in range(40):
         k = int(rng.integers(2, 81))
@@ -145,17 +146,17 @@ def test_batched_decode_equals_rows_exactly(family):
         ls = LabelSet(tuple(range(lo, lo + k)))
         n = int(rng.integers(1, 40))
         out = rng.normal(size=(n, cfg.head_size(k))) * 3.0
-        if family in THRESHOLD_FAMILIES:
+        if head in ("thresholds", "shared"):
             # logits where sigmoid(z) > 0.5 and z > 0 disagree, or sit on the edge
             mask = rng.random(out.shape) < 0.3
             out[mask] = rng.choice([0.0, 1e-300, -1e-300], size=int(mask.sum()))
-        elif family == "regression":
+        elif head == "scalar":
             out = rng.uniform(-0.5, 1.5, size=(n, 1))
         batch = decode_output(cfg, out, ls)
         rows = [decode_output(cfg, out[i], ls) for i in range(n)]
         assert batch.age.shape == (n,)
         assert batch.age.tolist() == [r.age for r in rows]
-        if family == "regression":
+        if head == "scalar":
             assert batch.label_index is None
             assert all(r.label_index is None for r in rows)
         else:
@@ -168,20 +169,21 @@ def test_stacked_decode_is_bitwise_its_slices(family):
     """An (S, n, head) call, as the trainer makes for S models of one method,
     decodes to bitwise the ages and indices of S (n, head) calls."""
     cfg = MethodConfig(family=family)
+    scalar = FAMILIES[family].head == "scalar"
     rng = rng_from_seed(31)
     for _ in range(20):
         k = int(rng.integers(2, 81))
         ls = LabelSet(tuple(range(20, 20 + k)))
         shape = (int(rng.integers(1, 6)), int(rng.integers(1, 40)), cfg.head_size(k))
         out = rng.normal(size=shape) * 3.0
-        if family == "regression":
+        if scalar:
             out = rng.uniform(-0.5, 1.5, size=shape)
         stacked = decode_output(cfg, out, ls)
         assert stacked.age.shape == shape[:2]
         for i in range(shape[0]):
             alone = decode_output(cfg, out[i], ls)
             assert np.array_equal(stacked.age[i], alone.age)
-            if family == "regression":
+            if scalar:
                 assert stacked.label_index is None and alone.label_index is None
             else:
                 assert np.array_equal(stacked.label_index[i], alone.label_index)

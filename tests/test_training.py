@@ -7,7 +7,6 @@ from gradcheck import fd_grad, flatten_params, rel_err, set_params
 from ordibench.data import LabelSet, DatasetTable, SynthSpec, generate_synthetic
 from ordibench.methods import (
     FAMILIES,
-    SHARED_SCORE_FAMILIES,
     MethodConfig,
     encode_targets,
     loss_eval,
@@ -31,7 +30,7 @@ from ordibench.util import rng_from_seed
 
 def head_width(method):
     """The head width train() gives a method: one weight column for a shared score."""
-    return 1 if method.family in SHARED_SCORE_FAMILIES else None
+    return 1 if FAMILIES[method.family].head == "shared" else None
 
 
 def test_init_parameter_counts():
@@ -493,10 +492,10 @@ def test_coral_thresholds_start_at_the_train_fold_logits():
 
 
 def test_the_family_rule_gives_every_head_its_shape():
-    """SHARED_SCORE_FAMILIES is the one record of a head's kind: of the nine
-    families, train() gives CORAL a single weight column and every other
-    family one column per output."""
-    assert SHARED_SCORE_FAMILIES == ("coral",)
+    """A family's head is the one record of its kind: of the nine families,
+    train() gives CORAL, the one "shared" head, a single weight column and
+    every other family one column per output."""
+    assert [f for f in FAMILIES if FAMILIES[f].head == "shared"] == ["coral"]
     tab, split = clean_split_table()
     methods = [MethodConfig(family=f) for f in FAMILIES]
     runs = train(tab, split, methods, TrainConfig(epochs=1, seed=0, hidden_dims=(8,)))
