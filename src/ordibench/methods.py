@@ -121,12 +121,10 @@ class LossEval:
 
 
 def _as_logits(logits) -> np.ndarray:
-    """One head-output row (head,) or a batch of rows (..., head), all finite."""
+    """One head-output row (head,) or a batch of rows (..., head)."""
     z = np.asarray(logits, dtype=float)
     if z.ndim < 1 or z.shape[-1] < 1:
         raise ValueError("logits must be a non-empty row or a batch of rows")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
     return z
 
 
@@ -146,6 +144,8 @@ def _one_hot(t: np.ndarray, n_labels: int) -> np.ndarray:
 def softmax(logits) -> np.ndarray:
     """Numerically stable softmax of a logit row, or of each row of a batch."""
     z = _as_logits(logits)
+    if not np.isfinite(z).all():
+        raise ValueError("logits must be finite")
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -388,8 +388,12 @@ def loss_eval(config: MethodConfig, head_out, targets: Targets, label_set: Label
     batch's rows (stacked to the batch's leading shape), and are not checked
     again. A single row gives a float value and a (head,) gradient; a batch
     gives per-row values (...) and gradients (..., head), each bitwise what
-    the row alone gives.
+    the row alone gives. Raises ValueError, for every family, when an output
+    is not finite, as decode_output does.
     """
     family = FAMILIES[config.family]
-    z = _regression_outputs(head_out) if family.head == "scalar" else _as_logits(head_out)
+    z = np.asarray(head_out, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("head outputs must be finite")
+    z = _regression_outputs(z) if family.head == "scalar" else _as_logits(z)
     return family.loss(config, z, targets, label_set)

@@ -137,46 +137,15 @@ def init_model(dimension: int, hidden_dims, head_size: int, seed: int,
                     biases=[np.zeros(d) for d in dims[1:] + [head_size]])
 
 
-def _affine_relu(h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """max(h @ w + b, 0) into out, for B models side by side: (B, n, fan_in)
-    inputs, (B, fan_in, fan_out) weights and (B, fan_out) biases.
-
-    Every slice of a batched matmul is the BLAS call the 2-d product of that
-    slice makes, so each model gets bitwise what it would get alone.
-    """
-    np.matmul(h, w, out=out)
-    out += b[:, None, :]
-    return np.maximum(out, 0.0, out=out)
-
-
-def _head(h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
-          score: np.ndarray) -> np.ndarray:
-    """h @ w + b into out for G heads of one shape: (G, n, hidden)
-    inputs, (G, hidden, width) weights and (G, size) biases. score takes the
-    (G, n, width) product: out itself for a dense head, while a shared-score
-    head's (G, n, 1) score broadcasts over its biases."""
-    np.matmul(h, w, out=score)
-    return np.add(score, b[:, None, :], out=out)
-
-
 def forward(model: MlpModel, x) -> np.ndarray:
-    """Float64 head outputs for a single feature vector or a batch of them,
-    computed in the dtype of the model's parameters as a ModelStack does."""
-    dtype = model.weights[0].dtype
-    arr = np.asarray(x, dtype=dtype)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != model.input_dim:
+    """Float64 head outputs for a single feature vector or a batch of them:
+    the pass of a one-member ModelStack, in the dtype of the model's
+    parameters."""
+    arr = np.asarray(x, dtype=model.weights[0].dtype)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != model.input_dim:
         raise ValueError(f"expected features of width {model.input_dim}, got shape {arr.shape}")
-    h = arr[None]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = _affine_relu(h, w[None], b[None], np.empty((1, len(arr), w.shape[1]), dtype))
-    w, b = model.weights[-1], model.biases[-1]
-    out = np.empty((1, len(arr), len(b)), dtype)
-    score = out if w.shape[1] == len(b) else np.empty((1, len(arr), 1), dtype)
-    out = _head(h, w[None], b[None], out, score)[0].astype(np.float64)
-    return out[0] if single else out
+    out = ModelStack([model]).outputs(np.atleast_2d(arr))[0][0]
+    return out[0] if arr.ndim == 1 else out
 
 
 class ModelStack:
@@ -184,10 +153,12 @@ class ModelStack:
 
     Hidden layer i of all B members is one (B, fan_in, fan_out) weight block
     and one (B, fan_out) bias block, run as one batched matmul. The members
-    come in groups of consecutive models with one head shape
-    (groups gives their sizes; by default each model is a group of its own),
-    and the heads of a group of G are one (G, hidden, width) weight block and
-    one (G, size) bias block, run as one batched matmul too. theta holds
+    come in groups of consecutive models with one head shape (groups gives
+    their sizes; by default each model is a group of its own), and the heads
+    of a group of G are one (G, hidden, width) weight block and one (G, size)
+    bias block, run as one batched matmul too. Each slice of a batched matmul
+    is the BLAS call the 2-d product of that slice makes, so every member,
+    and forward()'s stack of one, gets bitwise what it gets alone. theta holds
     every parameter and grad every gradient, in one layout, and every array
     is a view into one of them: models[k] is member k's MlpModel over theta
     and grads[k] its gradients over grad. Building a stack copies the given
@@ -204,14 +175,14 @@ class ModelStack:
         sizes = [1] * len(models) if groups is None else [int(g) for g in groups]
         if min(sizes) < 1 or sum(sizes) != len(models):
             raise ValueError("group sizes must be positive and add up to the model count")
-        self.groups = [range(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+        self.groups = [range(end - size, end)
+                       for size, end in zip(sizes, itertools.accumulate(sizes))]
         first = models[0]
-        for m in models:
-            if [w.shape for w in m.weights[:-1]] != [w.shape for w in first.weights[:-1]]:
-                raise ValueError("stacked models must share their hidden-layer shapes")
         heads = [models[g.start] for g in self.groups]
         for g, lead in zip(self.groups, heads):
             for m in models[g.start:g.stop]:
+                if [w.shape for w in m.weights[:-1]] != [w.shape for w in first.weights[:-1]]:
+                    raise ValueError("stacked models must share their hidden-layer shapes")
                 if (m.weights[-1].shape, m.biases[-1].shape) != \
                         (lead.weights[-1].shape, lead.biases[-1].shape):
                     raise ValueError("the models of a group must share their head shape")
@@ -221,8 +192,8 @@ class ModelStack:
                         + [(b, *x.shape) for x in first.biases[:-1]]
                         + [(len(g), *p.shape) for g, m in zip(self.groups, heads)
                            for p in (m.weights[-1], m.biases[-1])])
-        size = sum(int(np.prod(s)) for s in self._shapes)
-        self.theta = np.empty(size, first.weights[0].dtype)
+        self._ends = list(itertools.accumulate(map(math.prod, self._shapes)))
+        self.theta = np.empty(self._ends[-1], first.weights[0].dtype)
         self.grad = np.zeros_like(self.theta)
         self._work: dict = {}
         self._w, self._b, self._hw, self._hb = self._blocks(self.theta)
@@ -236,8 +207,8 @@ class ModelStack:
     def _blocks(self, flat: np.ndarray) -> tuple[list, list, list, list]:
         """The hidden weight and bias blocks and the head weight and bias
         blocks of a flat vector in this stack's layout."""
-        ends = np.cumsum([int(np.prod(s)) for s in self._shapes])
-        views = [flat[end - int(np.prod(s)):end].reshape(s) for s, end in zip(self._shapes, ends)]
+        views = [flat[lo:end].reshape(s)
+                 for s, lo, end in zip(self._shapes, [0] + self._ends, self._ends)]
         n = self._n_hidden
         return views[:n], views[n:2 * n], views[2 * n::2], views[2 * n + 1::2]
 
@@ -257,8 +228,8 @@ class ModelStack:
 
     @property
     def weights(self) -> list[np.ndarray]:
-        """Every member's weight matrices, member by member: the multiply-adds
-        of one row through the stack are those of its members."""
+        """Every member's weight matrices, member by member: a row's multiply-adds
+        through the stack. Only bench/tracer.py reads them, to count a step's flop."""
         return [w for m in self.models for w in m.weights]
 
     def _layers(self, x: np.ndarray) -> list[np.ndarray]:
@@ -269,12 +240,15 @@ class ModelStack:
         acts = [np.broadcast_to(x, (len(self.models), *x.shape[-2:]))]
         for i, (w, b) in enumerate(zip(self._w, self._b)):
             out = self._buffer(("act", i), (len(w), x.shape[-2], w.shape[-1]))
-            acts.append(_affine_relu(acts[-1], w, b, out))
+            np.matmul(acts[-1], w, out=out)
+            out += b[:, None, :]
+            acts.append(np.maximum(out, 0.0, out=out))
         return acts
 
     def _heads(self, h: np.ndarray) -> list[np.ndarray]:
         """Each group's (G, n, size) head outputs for the (B, n, hidden) head
-        inputs, computed in the stack's dtype and returned in float64."""
+        inputs, computed in the stack's dtype and returned in float64; a
+        shared-score head's (G, n, 1) score broadcasts over its biases."""
         outs = []
         for j, g in enumerate(self.groups):
             w, b = self._hw[j], self._hb[j]
@@ -282,7 +256,8 @@ class ModelStack:
             score = out if w.shape[-1] == b.shape[-1] else \
                 self._buffer(("score", j), (len(g), h.shape[-2], 1))
             wide = self._buffer(("out64", j), out.shape, np.float64)
-            wide[...] = _head(h[g.start:g.stop], w, b, out, score)
+            np.matmul(h[g.start:g.stop], w, out=score)
+            wide[...] = np.add(score, b[:, None, :], out=out)
             outs.append(wide)
         return outs
 
@@ -455,6 +430,7 @@ def evaluate_mae(run: TrainedRun, table: DatasetTable, fold_ids) -> float:
     Outputs are decoded with the run's method and label set, the labels the
     model was trained on. Errors are taken against the table's true ages,
     so a run can be scored on a table whose label set differs from its own.
+    bench/tracer.py counts this pass's flop by patching forward in this module.
     """
     ids = tuple(fold_ids)
     if not ids:

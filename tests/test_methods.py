@@ -393,6 +393,20 @@ def test_batched_loss_rejects_age_outside_label_set(family):
         loss_eval(cfg, z[0], encode_targets(cfg, 24.0, ls), ls)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_loss_eval_refuses_a_non_finite_output_for_every_family(family, bad):
+    """One rule and one message for every head, for a row and for a batch."""
+    cfg = MethodConfig(family=family)
+    z = np.zeros((3, cfg.head_size(len(LS4))))
+    z[1, -1] = bad
+    ages = np.array([0.0, 1.0, 3.0])
+    with pytest.raises(ValueError, match="^head outputs must be finite$"):
+        loss_eval(cfg, z, encode_targets(cfg, ages, LS4), LS4)
+    with pytest.raises(ValueError, match="^head outputs must be finite$"):
+        loss_eval(cfg, z[1], encode_targets(cfg, ages[1], LS4), LS4)
+
+
 def test_unimodal_penalty_batch_matches_rows():
     cfg = MethodConfig(family="unimodal")
     ls = LabelSet(tuple(range(12)))

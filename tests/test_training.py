@@ -332,6 +332,18 @@ def test_a_stack_is_bitwise_its_stacks_of_one(hidden_dims):
             assert batch_loss_and_grads(alone, x, [targets[k]], [method], ls) == [values[k]]
             assert _member_arrays(alone.grads[0]) == _member_arrays(stack.grads[k]), method
 
+    # forward() is the pass of a stack of one: bitwise each member's outputs,
+    # into arrays of its own that a later call leaves alone
+    x, row = tab.features_for(split.val), tab.features_for(split.val[:1])
+    batch = [out[0].copy() for out in stack.outputs(x)]
+    single = [out[0, 0].copy() for out in stack.outputs(row)]
+    for k, model in enumerate(models):
+        first = forward(model, x)
+        assert first.tobytes() == batch[k].tobytes(), methods[k]
+        assert forward(model, row[0]).tobytes() == single[k].tobytes(), methods[k]
+        forward(model, x[::-1])
+        assert first.tobytes() == batch[k].tobytes(), methods[k]
+
     n = len(split.train)
     for batch_size in (n - 1, 10):  # last minibatches of 1 and of n % 10 = 6 rows
         cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=2, hidden_dims=hidden_dims)
