@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -40,9 +39,7 @@ def _parse_jobs(text: str) -> int:
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer (from --jobs or ORDIBENCH_JOBS), got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return jobs
 
 
@@ -56,7 +53,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         sigma_obs=args.sigma_obs,
         seed=args.seed,
     )
-    table = generate_synthetic(spec, name=args.name)
+    table = generate_synthetic(spec)
     out = save_dataset(table, args.out)
     print(f"wrote {len(table)} samples ({args.identities} identities) to {out}")
     return 0
@@ -157,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-id", type=float, default=leak.synth.sigma_id)
     p.add_argument("--sigma-obs", type=float, default=leak.synth.sigma_obs)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--name", default="synthetic")
     p.add_argument("-o", "--out", required=True, help="manifest CSV to write")
     p.set_defaults(func=_cmd_synth)
 
@@ -181,10 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=_parse_jobs,
-        default=os.environ.get("ORDIBENCH_JOBS", "1"),
+        default=1,
         help="worker processes for the tasks; each dataset's splits are cut into "
              "min(splits, ceil(jobs / datasets)) tasks that each train in lockstep, and "
-             "there are never more workers than tasks (default: ORDIBENCH_JOBS or 1)",
+             "there are never more workers than tasks (default: 1)",
     )
     p.add_argument("--output-dir", default=None, help="override the config's output_dir")
     p.set_defaults(func=_cmd_run)

@@ -385,7 +385,6 @@ class LeakageParams:
     synth: SynthSpec = SynthSpec(60, 4, 16, (20, 60), sigma_id=2.0, sigma_obs=0.5)
     train: TrainConfig = TrainConfig(epochs=40)
     n_seeds: int = 5
-    fractions: tuple[float, float, float] = SplitConfig.fractions
 
     def __post_init__(self) -> None:
         if self.n_seeds < 1:
@@ -452,10 +451,11 @@ class LeakageReport:
 def leakage_demo(params: LeakageParams = LeakageParams()) -> LeakageReport:
     """Train the same method under random and subject-exclusive splits.
 
-    For each seed one synthetic table is generated and split both ways with
-    that seed, and one train() call fits a cross-entropy model per split with
-    that seed's TrainConfig (the seed rule is in LeakageParams). The reported
-    seeds are the table seeds and the numbers are test-fold MAEs. With
+    For each seed one synthetic table is generated and split both ways, at
+    SplitConfig's default fractions, with that seed, and one train() call
+    fits a cross-entropy model per split with that seed's TrainConfig (the
+    seed rule is in LeakageParams). The reported seeds are the table seeds
+    and the numbers are test-fold MAEs. With
     identity-correlated features the random split lets the model recognize
     people it saw in training, so its test score is optimistically low.
     """
@@ -466,7 +466,7 @@ def leakage_demo(params: LeakageParams = LeakageParams()) -> LeakageReport:
         table = generate_synthetic(dataclasses.replace(params.synth, seed=seed),
                                    name=f"leakage_seed{seed}")
         cfg = dataclasses.replace(params.train, seed=params.train.seed + k)
-        splits = [make_split(table, mode, params.fractions, seed)
+        splits = [make_split(table, mode, SplitConfig.fractions, seed)
                   for mode in (MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE)]
         for split, run in zip(splits, train(table, splits, method, [cfg, cfg])):
             if isinstance(run, Exception):

@@ -171,7 +171,7 @@ def make_split(table: DatasetTable, mode: str, fractions, seed: int) -> SplitSpe
     first, to the fold where they least overshoot the target sample count and
     most improve the fold's age histogram match. Ties in identity size are
     broken by a seeded shuffle and cost ties by fold order, so equal seeds
-    give equal splits.
+    give equal splits; every fold gets at least one identity.
     """
     if mode not in _MODES:
         raise ValidationError(f"unknown split mode {mode!r}")
@@ -229,7 +229,10 @@ def _subject_exclusive_folds(table: DatasetTable, fr: tuple[float, float, float]
     count_targets = np.asarray(targets, dtype=float)
     hist_targets = np.outer(fr, global_hist)
     fold = _greedy_assignment(sizes, hists, count_targets, hist_targets)
-
+    # repair never fills a fold that greedy left empty: move into it the
+    # last-assigned (smallest) identity of the fold with the most identities
+    while (members := np.bincount(fold, minlength=3)).min() == 0:
+        fold[np.flatnonzero(fold == members.argmax())[-1]] = members.argmin()
     _repair_assignment(sizes, hists, fold, count_targets, hist_targets)
     return fold[owner]
 

@@ -138,13 +138,13 @@ def init_model(dimension: int, hidden_dims, head_size: int, seed: int,
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
-    """Float64 head outputs for a single feature vector or a batch of them:
-    the pass of a one-member ModelStack, in the dtype of the model's
-    parameters."""
+    """Head outputs for a single feature vector or a batch of them: the pass
+    of a one-member ModelStack, in the dtype of the model's parameters,
+    returned in float64."""
     arr = np.asarray(x, dtype=model.weights[0].dtype)
     if arr.ndim not in (1, 2) or arr.shape[-1] != model.input_dim:
         raise ValueError(f"expected features of width {model.input_dim}, got shape {arr.shape}")
-    out = ModelStack([model]).outputs(np.atleast_2d(arr))[0][0]
+    out = np.asarray(ModelStack([model]).outputs(np.atleast_2d(arr))[0][0], dtype=float)
     return out[0] if arr.ndim == 1 else out
 
 
@@ -164,9 +164,9 @@ class ModelStack:
     and grads[k] its gradients over grad. Building a stack copies the given
     models' parameters in; its members and layout are then fixed for its
     life. A pass writes its activations into work buffers that the stack
-    keeps for the next pass of the same shape. theta, grad, the inputs and
-    the work buffers have the dtype of the first model's parameters; head
-    outputs come out in float64 for the loss and the decoders.
+    keeps for the next pass of the same shape. theta, grad, the inputs, the
+    work buffers and the head outputs have the dtype of the first model's
+    parameters; the loss and the decoders widen head outputs to float64.
     """
 
     def __init__(self, models: list[MlpModel], groups=None):
@@ -247,18 +247,16 @@ class ModelStack:
 
     def _heads(self, h: np.ndarray) -> list[np.ndarray]:
         """Each group's (G, n, size) head outputs for the (B, n, hidden) head
-        inputs, computed in the stack's dtype and returned in float64; a
-        shared-score head's (G, n, 1) score broadcasts over its biases."""
+        inputs, in the stack's dtype; a shared-score head's (G, n, 1) score
+        broadcasts over its biases."""
         outs = []
         for j, g in enumerate(self.groups):
             w, b = self._hw[j], self._hb[j]
             out = self._buffer(("out", j), (len(g), h.shape[-2], b.shape[-1]))
             score = out if w.shape[-1] == b.shape[-1] else \
                 self._buffer(("score", j), (len(g), h.shape[-2], 1))
-            wide = self._buffer(("out64", j), out.shape, np.float64)
             np.matmul(h[g.start:g.stop], w, out=score)
-            wide[...] = np.add(score, b[:, None, :], out=out)
-            outs.append(wide)
+            outs.append(np.add(score, b[:, None, :], out=out))
         return outs
 
     def outputs(self, x: np.ndarray) -> list[np.ndarray]:
@@ -318,8 +316,8 @@ def batch_loss_and_grads(stack: ModelStack, x: np.ndarray, targets: list[Targets
     outputs. The parameter gradients of each member's mean loss land in
     stack.grad. Returns the mean losses in member order. A member whose head
     outputs are not finite gets inf, to signal divergence; the gradient of a
-    member without a finite loss is zero. The losses run on the float64
-    head outputs, and their gradients go back in the stack's dtype.
+    member without a finite loss is zero. The losses widen the head outputs
+    to float64, and their gradients go back in the stack's dtype.
     """
     n = np.shape(x)[-2]
     acts = stack._layers(x)
@@ -500,7 +498,7 @@ def train(table: DatasetTable, splits, methods, cfgs):
     untouched. Given equal inputs the result is bitwise reproducible: the
     seed drives both initialization and the per-epoch shuffles. Each model
     is drawn in float64 and trains in _TRUNK_DTYPE, float32, as do the
-    folds; losses and decoders get its head outputs in float64. Targets are
+    folds; losses and decoders widen its head outputs to float64. Targets are
     encoded from the train fold once. A family with a "shared" head gets one
     weight column, and its bias k starts at the logit of the train fold's
     P(label index > k), as Cao, Mirjalili & Raschka (2020) do; from zero

@@ -142,6 +142,24 @@ def test_fraction_drift_warns():
     assert not caught
 
 
+@pytest.mark.filterwarnings("ignore:subject-exclusive split deviates")
+@pytest.mark.parametrize("sizes", [(10, 1, 1), (20, 1, 1, 1, 1)])
+def test_subject_exclusive_split_leaves_no_fold_empty(sizes):
+    """Greedy puts the big identity in train and every singleton, each of its
+    own age, in val; repair moves no identity into an empty fold. A split
+    with no empty fold exists, and every seed must find one."""
+    ages = [20 + 10 * i for i in range(len(sizes))]
+    tab = DatasetTable("uneven", LabelSet(tuple(ages)), 2,
+                       [f"p{i}_{j}" for i, size in enumerate(sizes) for j in range(size)],
+                       [f"p{i}" for i, size in enumerate(sizes) for _ in range(size)],
+                       [age for age, size in zip(ages, sizes) for _ in range(size)],
+                       np.zeros((sum(sizes), 2)))
+    for seed in range(20):
+        split = make_split(tab, MODE_SUBJECT_EXCLUSIVE, FRACTIONS, seed=seed)
+        assert all(split.folds().values()), (seed, [len(f) for f in split.folds().values()])
+        assert audit_split(tab, split).is_subject_exclusive
+
+
 def test_series_first_element_matches_single_call(small_table):
     series = make_split_series(small_table, MODE_SUBJECT_EXCLUSIVE, FRACTIONS,
                                base_seed=7, n=3)

@@ -1,5 +1,7 @@
 """The MLP, its optimizer loop and model selection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from ordibench.training import (
     init_model,
     train,
 )
-from ordibench import training
+from ordibench import prediction, training
 from ordibench.util import rng_from_seed
 
 
@@ -427,17 +429,22 @@ def test_in_place_adam_is_bitwise_the_textbook_update(dtype):
 
 
 def test_a_stack_and_its_adam_take_the_dtype_of_their_models(monkeypatch):
-    """float64 models give a float64 stack, Adam state and work buffers,
-    the path criterion 1 and the gradient tests take; float32 models give
-    float32 ones. Either way the loss and forward() see float64 head outputs."""
+    """float64 models give a float64 stack, Adam state, work buffers and
+    head outputs, the path criterion 1 and the gradient tests take; float32
+    models give float32 ones, and no float64 buffer. Either way the loss
+    kernel and the decoder compute in float64 and forward() returns float64."""
     tab, split = clean_split_table()
     x = tab.features_for(split.train[:16])
+    ages = tab.ages_for(split.train[:16])
     method = MethodConfig(family="coral")
-    targets = encode_targets(method, tab.ages_for(split.train[:16]), tab.label_set)
+    targets = encode_targets(method, ages, tab.label_set)
     seen = []
-    loss = training.loss_eval
-    monkeypatch.setattr(training, "loss_eval",
-                        lambda m, out, *args: seen.append(out.dtype) or loss(m, out, *args))
+    family = FAMILIES["coral"]
+    monkeypatch.setitem(FAMILIES, "coral", dataclasses.replace(
+        family, loss=lambda m, z, *args: seen.append(z.dtype) or family.loss(m, z, *args)))
+    decode = prediction.ebc_decode
+    monkeypatch.setattr(prediction, "ebc_decode",
+                        lambda q, *args: seen.append(q.dtype) or decode(q, *args))
     for dtype in (np.float64, np.float32):
         model = init_model(tab.dimension, (8,), method.head_size(len(tab.label_set)), seed=0,
                            head_width=1).astype(dtype)
@@ -445,12 +452,15 @@ def test_a_stack_and_its_adam_take_the_dtype_of_their_models(monkeypatch):
         batch_loss_and_grads(stack, x, [targets], [method], tab.label_set)
         adam = training._Adam(stack.theta, 1e-3)
         adam.step(stack.theta, stack.grad)
-        assert seen.pop() == np.float64
-        for a in (stack.theta, stack.grad, adam.m, adam.v, adam.num, adam.den):
+        out, = stack.outputs(x)
+        training._mae(method, out, ages, tab.label_set)
+        assert seen == [np.float64, np.float64]
+        seen.clear()
+        for a in (stack.theta, stack.grad, adam.m, adam.v, adam.num, adam.den, out):
             assert a.dtype == dtype
         for (name, _, _), buf in stack._work.items():
             kind = name[0] if isinstance(name, tuple) else name
-            assert buf.dtype == {"out64": np.float64, "on": bool}.get(kind, dtype), kind
+            assert buf.dtype == (bool if kind == "on" else dtype), kind
         assert forward(model, x).dtype == np.float64
         assert forward(model, x[0]).dtype == np.float64
 
