@@ -88,7 +88,8 @@ class SplitConfig:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """A concrete three-way partition of sample ids."""
+    """A concrete three-way partition of sample ids: three non-empty folds
+    with no id twice."""
 
     mode: str
     seed: int
@@ -104,6 +105,8 @@ class SplitSpec:
         folds = [tuple(self.train), tuple(self.val), tuple(self.test)]
         members = [set(fold) for fold in folds]
         for name, fold, seen in zip(FOLD_NAMES, folds, members):
+            if not fold:
+                raise ValidationError(f"fold {name!r} is empty")
             if len(seen) != len(fold):
                 raise ValidationError(f"fold {name!r} contains duplicate sample ids")
         object.__setattr__(self, "train", folds[0])
@@ -518,23 +521,18 @@ def audit_split(table: DatasetTable, split: SplitSpec) -> AuditReport:
 
     bin_idx, n_bins = _age_bins(table)
     global_counts = np.bincount(bin_idx, minlength=n_bins).astype(float)
-    global_hist = global_counts / max(len(table), 1)
+    global_hist = global_counts / len(table)
 
     histograms: dict[str, tuple[float, ...]] = {}
     max_dev = 0.0
-    n_split = max(len(split), 1)
     for name in FOLD_NAMES:
         idx = rows[name]
-        if len(idx) == 0:
-            hist = np.zeros(n_bins)
-        else:
-            hist = np.bincount(bin_idx[idx], minlength=n_bins).astype(float) / len(idx)
+        hist = np.bincount(bin_idx[idx], minlength=n_bins).astype(float) / len(idx)
         histograms[name] = tuple(float(h) for h in hist)
-        if len(idx) > 0:
-            max_dev = max(max_dev, float(np.max(np.abs(hist - global_hist))))
+        max_dev = max(max_dev, float(np.max(np.abs(hist - global_hist))))
 
     sizes = {name: int(len(rows[name])) for name in FOLD_NAMES}
-    achieved = tuple(sizes[name] / n_split for name in FOLD_NAMES)
+    achieved = tuple(sizes[name] / len(split) for name in FOLD_NAMES)
     return AuditReport(
         fold_sizes=sizes,
         achieved_fractions=achieved,  # type: ignore[arg-type]
@@ -557,8 +555,9 @@ def load_split(path) -> SplitSpec:
 
     Raises ParseError when the file is not a JSON object, and
     ValidationError, naming the key, for an unknown or missing key or a
-    value of the wrong type. Whether the ids belong to a table, and whether
-    its identities leak between folds, is audit_split's to check.
+    value of the wrong type, and naming the fold, for an empty fold or an id
+    in two places. Whether the ids belong to a table, and whether its
+    identities leak between folds, is audit_split's to check.
     """
     path = Path(path)
     try:

@@ -480,8 +480,7 @@ def train(table: DatasetTable, splits, methods, cfgs):
     outcomes come as outcomes[split][method], without the level of an
     argument given singly: one split and one method give that TrainedRun and
     raise its failure, and otherwise an outcome is a TrainedRun or the
-    exception that stopped it. A split with an empty train or val fold fails
-    its own outcomes only.
+    exception that stopped it. No fold of a SplitSpec is empty.
 
     The splits whose train and val folds have equal sizes train in lockstep
     as one ModelStack of all their (split, method) members, method-major, a
@@ -517,11 +516,7 @@ def train(table: DatasetTable, splits, methods, cfgs):
     outcomes: list = [[None] * len(methods) for _ in splits]
     stacks: dict = {}
     for s, split in enumerate(splits):
-        empty = [fold for fold in ("train", "val") if not getattr(split, fold)]
-        if empty:
-            outcomes[s] = [ValueError(f"split has an empty {empty[0]} fold")] * len(methods)
-        else:
-            stacks.setdefault((len(split.train), len(split.val)), []).append(s)
+        stacks.setdefault((len(split.train), len(split.val)), []).append(s)
     for group in stacks.values():
         _train_stack(table, [splits[s] for s in group], methods, [cfgs[s] for s in group],
                      [outcomes[s] for s in group])

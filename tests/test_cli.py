@@ -187,7 +187,8 @@ def test_audit_unknown_ids_exit_2(tmp_path, capsys):
     (lambda payload: {**payload, "fractions": 0.5}, "'fractions' must be a list of 3 finite numbers"),
     (lambda payload: {**payload, "seed": None}, "'seed' must be an integer"),
     (lambda payload: {**payload, "train": payload["train"][0]}, "'train' must be a list of strings"),
-], ids=["number", "string", "fractions", "seed", "fold_string"])
+    (lambda payload: {**payload, "val": payload["val"] + payload["test"], "test": []}, "fold 'test' is empty"),
+], ids=["number", "string", "fractions", "seed", "fold_string", "empty_fold"])
 def test_audit_split_file_of_the_wrong_type_exit_2(tmp_path, capsys, edit, named):
     data = make_dataset(tmp_path)
     assert run_cli("split", data, "--mode", "se", "--n", 1,

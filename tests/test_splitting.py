@@ -56,6 +56,10 @@ def test_spec_validation_rejects_overlap_and_bad_fractions():
     with pytest.raises(ValidationError):
         SplitSpec(mode="bogus", seed=0, fractions=FRACTIONS,
                   train=("a",), val=("b",), test=("c",))
+    for fold in ("train", "val", "test"):
+        folds = {"train": ("a",), "val": ("b",), "test": ("c",), fold: ()}
+        with pytest.raises(ValidationError, match=f"fold '{fold}' is empty"):
+            SplitSpec(mode=MODE_RANDOM, seed=0, fractions=FRACTIONS, **folds)
 
 
 def test_random_split_partitions_every_sample(small_table):
