@@ -9,6 +9,7 @@ scoring the test fold is a separate call the caller makes once.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -161,7 +162,9 @@ class ModelStack:
     and forward()'s stack of one, gets bitwise what it gets alone. theta holds
     every parameter and grad every gradient, in one layout, and every array
     is a view into one of them: models[k] is member k's MlpModel over theta
-    and grads[k] its gradients over grad. Building a stack copies the given
+    and grads[k] its gradients over grad. grad, grads and the gradient
+    blocks are built on first use, so a stack that only runs passes, as
+    forward()'s does, never allocates them. Building a stack copies the given
     models' parameters in; its members and layout are then fixed for its
     life. A pass writes its activations into work buffers that the stack
     keeps for the next pass of the same shape. theta, grad, the inputs, the
@@ -194,15 +197,24 @@ class ModelStack:
                            for p in (m.weights[-1], m.biases[-1])])
         self._ends = list(itertools.accumulate(map(math.prod, self._shapes)))
         self.theta = np.empty(self._ends[-1], first.weights[0].dtype)
-        self.grad = np.zeros_like(self.theta)
         self._work: dict = {}
         self._w, self._b, self._hw, self._hb = self._blocks(self.theta)
-        self._gw, self._gb, self._ghw, self._ghb = self._blocks(self.grad)
         self.models = self._members(self.theta)
-        self.grads = self._members(self.grad)
         for dst, src in zip(self.models, models):
             for a, p in zip(dst.weights + dst.biases, src.weights + src.biases):
                 a[...] = p
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        return np.zeros_like(self.theta)
+
+    @functools.cached_property
+    def grads(self) -> list[MlpModel]:
+        return self._members(self.grad)
+
+    @functools.cached_property
+    def _grad_blocks(self) -> tuple[list, list, list, list]:
+        return self._blocks(self.grad)
 
     def _blocks(self, flat: np.ndarray) -> tuple[list, list, list, list]:
         """The hidden weight and bias blocks and the head weight and bias
@@ -271,10 +283,11 @@ class ModelStack:
         No gradient is computed for the input.
         """
         h = acts[-1]
+        grad_w, grad_b, grad_hw, grad_hb = self._grad_blocks
         da = self._buffer("da", h.shape) if self._n_hidden else None
         for j, (g, d_out) in enumerate(zip(self.groups, grad_outs)):
             h_t = np.swapaxes(h[g.start:g.stop], -1, -2)
-            w, gw, gb = self._hw[j], self._ghw[j], self._ghb[j]
+            w, gw, gb = self._hw[j], grad_hw[j], grad_hb[j]
             if w.shape[-1] == gb.shape[-1]:  # dense: one weight column per output
                 np.matmul(h_t, d_out, out=gw)
                 if da is not None:
@@ -289,8 +302,8 @@ class ModelStack:
             shape = acts[i + 1].shape
             dz = np.multiply(da, np.greater(acts[i + 1], 0, out=self._buffer(("on", i), shape, bool)),
                              out=self._buffer(("dz", i), shape))
-            np.matmul(np.swapaxes(acts[i], -1, -2), dz, out=self._gw[i])
-            dz.sum(axis=1, out=self._gb[i])
+            np.matmul(np.swapaxes(acts[i], -1, -2), dz, out=grad_w[i])
+            dz.sum(axis=1, out=grad_b[i])
             if i:
                 da = np.matmul(dz, np.swapaxes(self._w[i], -1, -2),
                                out=self._buffer(("da", i), acts[i].shape))

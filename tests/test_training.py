@@ -97,6 +97,25 @@ def test_forward_rejects_wrong_width():
         forward(m, np.zeros(5))
 
 
+def test_forward_builds_no_gradient(monkeypatch):
+    """An inference pass allocates no gradient vector, member views or blocks;
+    a training step builds them on first use."""
+    stacks = []
+    monkeypatch.setattr(training, "ModelStack",
+                        lambda models, groups=None: stacks.append(ModelStack(models, groups))
+                        or stacks[-1])
+    m = init_model(3, (4,), 2, seed=0)
+    forward(m, np.ones((5, 3)))
+    lazy = {"grad", "grads", "_grad_blocks"}
+    assert len(stacks) == 1 and not lazy & set(vars(stacks[0]))
+    method = MethodConfig(family="cross-entropy")
+    batch_loss_and_grads(stacks[0], np.ones((2, 3)),
+                         [encode_targets(method, np.array([0.0, 1.0]), LabelSet((0, 1)))],
+                         [method], LabelSet((0, 1)))
+    assert {"grad", "_grad_blocks"} <= set(vars(stacks[0]))
+    assert stacks[0].grad.any()
+
+
 def test_backprop_jacobian_small_model():
     """Each head unit's parameter gradient agrees with finite differences."""
     model = init_model(3, (2,), 2, seed=13)
