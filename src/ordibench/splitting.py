@@ -556,8 +556,9 @@ def load_split(path) -> SplitSpec:
     Raises ParseError when the file is not a JSON object, and
     ValidationError, naming the key, for an unknown or missing key or a
     value of the wrong type, and naming the fold, for an empty fold or an id
-    in two places. Whether the ids belong to a table, and whether its
-    identities leak between folds, is audit_split's to check.
+    in two places; every message starts with the path. Whether the ids
+    belong to a table, and whether its identities leak between folds, is
+    audit_split's to check.
     """
     path = Path(path)
     try:
@@ -566,4 +567,7 @@ def load_split(path) -> SplitSpec:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: a split file must be a JSON object")
-    return _from_json(SplitSpec, f"{path}: split", payload)
+    try:
+        return _from_json(SplitSpec, "split", payload)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -188,8 +188,10 @@ def test_audit_unknown_ids_exit_2(tmp_path, capsys):
     (lambda payload: {**payload, "seed": None}, "'seed' must be an integer"),
     (lambda payload: {**payload, "train": payload["train"][0]}, "'train' must be a list of strings"),
     (lambda payload: {**payload, "val": payload["val"] + payload["test"], "test": []}, "fold 'test' is empty"),
-], ids=["number", "string", "fractions", "seed", "fold_string", "empty_fold"])
+    (lambda payload: {**payload, "val": payload["val"] + payload["test"][:1]}, "'val' and 'test'"),
+], ids=["number", "string", "fractions", "seed", "fold_string", "empty_fold", "overlap"])
 def test_audit_split_file_of_the_wrong_type_exit_2(tmp_path, capsys, edit, named):
+    """Exit 2 with one error: line that names the split file and the fault."""
     data = make_dataset(tmp_path)
     assert run_cli("split", data, "--mode", "se", "--n", 1,
                    "--out-dir", tmp_path / "s") == 0
@@ -198,7 +200,7 @@ def test_audit_split_file_of_the_wrong_type_exit_2(tmp_path, capsys, edit, named
     capsys.readouterr()
     assert run_cli("audit", p, data) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
+    assert err.startswith(f"error: {p}") and named in err
 
 
 def write_run_config(tmp_path, out_dir="runs", n_splits=2, epochs=5):
