@@ -169,8 +169,8 @@ class LabelSet:
     def span(self) -> int:
         return self.values[-1] - self.values[0]
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+    def as_array(self, dtype=float) -> np.ndarray:
+        return np.asarray(self.values, dtype=dtype)
 
     def normalize(self, age):
         """Map an age in years (or an array of ages) onto [0, 1] over the label range."""

@@ -16,6 +16,12 @@ _unimodal) takes (config, z, targets, label_set) and checks no input; the
 targets are those encode_targets built, once per train fold, and each
 minibatch indexes their rows. The soft targets come from soft_targets
 alone, so the targets the acceptance gate checks are the ones trained on.
+
+A loss computes in the dtype of the head outputs it gets: float32 outputs,
+as the trainer's float32 stacks give, get float32 values and gradients,
+and float64 outputs float64 ones; any other input widens to float64. The
+target rows and label values follow the outputs' dtype. The decoders in
+prediction widen every input to float64.
 """
 
 from __future__ import annotations
@@ -70,6 +76,9 @@ class MethodConfig:
         for f in hyper:
             if not math.isfinite(getattr(self, f.name)):
                 raise ValidationError(f"{f.name} must be finite")
+            # a Python float, so a float32 loss stays float32 (numpy 2 widens
+            # a float32 array times an np.float64 to float64)
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         for attr in ("sigma", "alpha"):
             if getattr(self, attr) <= 0:
                 raise ValidationError(f"{attr} must be positive")
@@ -120,9 +129,16 @@ class LossEval:
         self.value = _unwrap(self.value)
 
 
+def _float_array(x) -> np.ndarray:
+    """x as an array of its own dtype when that is float32 or float64, else
+    widened to float64."""
+    a = np.asarray(x)
+    return a if a.dtype in (np.float32, np.float64) else a.astype(float)
+
+
 def _as_logits(logits) -> np.ndarray:
     """One head-output row (head,) or a batch of rows (..., head)."""
-    z = np.asarray(logits, dtype=float)
+    z = _float_array(logits)
     if z.ndim < 1 or z.shape[-1] < 1:
         raise ValueError("logits must be a non-empty row or a batch of rows")
     return z
@@ -170,7 +186,7 @@ def _ce(config, z, targets, label_set) -> LossEval:
 
 def sigmoid(x):
     """Elementwise logistic function, stable for large |x|."""
-    x = np.asarray(x, dtype=float)
+    x = _float_array(x)
     e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below: never overflows
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
@@ -186,7 +202,7 @@ def _check_index(index, n: int) -> np.ndarray:
 def _l1(config, z, targets, label_set) -> LossEval:
     """Absolute error of a scalar head against the (normalized) target age;
     the gradient is the sign of the residual, 0 at a zero residual."""
-    diff = z - np.asarray(targets.row, dtype=float)
+    diff = z - targets.row
     return LossEval(np.abs(diff), np.sign(diff)[..., None])
 
 
@@ -226,8 +242,8 @@ def soft_targets(config: MethodConfig, true_index, label_set: LabelSet) -> np.nd
 
 def _moments(probs, label_set: LabelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean and variance of the label under each posterior row, and label - mean."""
-    p = np.asarray(probs, dtype=float)
-    y = label_set.as_array()
+    p = _float_array(probs)
+    y = label_set.as_array(p.dtype)
     if p.shape[-1:] != y.shape:
         raise ValueError(f"posterior length {p.shape} != label count {y.shape}")
     e = _rowdot(p, y)
@@ -249,7 +265,7 @@ def _dldlv2(config, z, targets, label_set) -> LossEval:
     the target index as the age; the anchor's subgradient at 0 is 0."""
     base, p = _soft_ce(z, targets.row)
     e, _, dev = _moments(p, label_set)
-    diff = e - label_set.as_array()[targets.index]
+    diff = e - label_set.as_array(z.dtype)[targets.index]
     value = base.value + config.lambda_expect * np.abs(diff)
     grad = base.grad + (config.lambda_expect * np.sign(diff))[..., None] * p * dev
     return LossEval(value, grad)
@@ -259,7 +275,7 @@ def _meanvar(config, z, targets, label_set) -> LossEval:
     """ce + (lambda_mean / 2) (E[label] - y)^2 + lambda_var Var[label]."""
     base, p = _soft_ce(z, targets.row)
     e, var, dev = _moments(p, label_set)
-    miss = e - label_set.as_array()[targets.index]
+    miss = e - label_set.as_array(z.dtype)[targets.index]
     value = base.value + 0.5 * config.lambda_mean * miss ** 2 + config.lambda_var * var
     d_e = p * dev                            # gradient of E[label] wrt logits
     d_var = p * (dev ** 2 - var[..., None])  # gradient of Var[label] wrt logits
@@ -274,7 +290,8 @@ def _unimodal_hinges(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     stepping the wrong way contributes its gap.
     """
     rise = p[..., 1:] - p[..., :-1]
-    wrong_way = np.where(np.arange(p.shape[-1] - 1) < t[..., None], -1.0, 1.0)
+    one = p.dtype.type(1.0)
+    wrong_way = np.where(np.arange(p.shape[-1] - 1) < t[..., None], -one, one)
     gap = wrong_way * rise
     active = np.where(gap > 0, wrong_way, 0.0)
     g = np.zeros_like(p)
@@ -297,7 +314,7 @@ def _unimodal(config, z, targets, label_set) -> LossEval:
 def _regression_outputs(head_out) -> np.ndarray:
     """The scalar output of a regression head: 0-d for one row, (...) for a
     (..., 1) batch."""
-    out = np.asarray(head_out, dtype=float)
+    out = _float_array(head_out)
     if out.ndim < 2:
         out = out.reshape(-1)
     if out.shape[-1] != 1:
@@ -388,12 +405,17 @@ def loss_eval(config: MethodConfig, head_out, targets: Targets, label_set: Label
     batch's rows (stacked to the batch's leading shape), and are not checked
     again. A single row gives a float value and a (head,) gradient; a batch
     gives per-row values (...) and gradients (..., head), each bitwise what
-    the row alone gives. Raises ValueError, for every family, when an output
-    is not finite, as decode_output does.
+    the row alone gives. The loss computes in the dtype of head_out, float32
+    or float64 (anything else widens to float64), and casts target rows of
+    another dtype to it; the trainer hands it rows already in its dtype.
+    Raises ValueError, for every family, when an output is not finite, as
+    decode_output does.
     """
     family = FAMILIES[config.family]
-    z = np.asarray(head_out, dtype=float)
+    z = _float_array(head_out)
     if not np.isfinite(z).all():
         raise ValueError("head outputs must be finite")
+    if targets.row.dtype != z.dtype:
+        targets = Targets(targets.index, targets.row.astype(z.dtype))
     z = _regression_outputs(z) if family.head == "scalar" else _as_logits(z)
     return family.loss(config, z, targets, label_set)

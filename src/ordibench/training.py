@@ -169,7 +169,8 @@ class ModelStack:
     life. A pass writes its activations into work buffers that the stack
     keeps for the next pass of the same shape. theta, grad, the inputs, the
     work buffers and the head outputs have the dtype of the first model's
-    parameters; the loss and the decoders widen head outputs to float64.
+    parameters; the loss computes in that dtype too, and the decoders widen
+    head outputs to float64.
     """
 
     def __init__(self, models: list[MlpModel], groups=None):
@@ -314,7 +315,8 @@ def _finite_members(out: np.ndarray) -> np.ndarray:
     The others' outputs are zeroed in place, so that one call can score the
     whole group: on finite outputs no loss or decoder raises."""
     finite = np.isfinite(out).all(axis=(1, 2))
-    out[~finite] = 0.0
+    if not finite.all():
+        out[~finite] = 0.0
     return finite
 
 
@@ -329,8 +331,9 @@ def batch_loss_and_grads(stack: ModelStack, x: np.ndarray, targets: list[Targets
     outputs. The parameter gradients of each member's mean loss land in
     stack.grad. Returns the mean losses in member order. A member whose head
     outputs are not finite gets inf, to signal divergence; the gradient of a
-    member without a finite loss is zero. The losses widen the head outputs
-    to float64, and their gradients go back in the stack's dtype.
+    member without a finite loss is zero. The losses compute in the stack's
+    dtype, so targets in that dtype (as train() gives them) are read as they
+    are.
     """
     n = np.shape(x)[-2]
     acts = stack._layers(x)
@@ -341,7 +344,9 @@ def batch_loss_and_grads(stack: ModelStack, x: np.ndarray, targets: list[Targets
         ev = loss_eval(method, out, t, label_set)
         grad_out = np.divide(ev.grad, n, out=stack._buffer(("grad_out", j), out.shape))
         value = np.where(finite, _sum_in_order(ev.value) / n, np.inf)
-        grad_out[~np.isfinite(value)] = 0.0
+        failed = ~np.isfinite(value)
+        if failed.any():
+            grad_out[failed] = 0.0
         values.extend(value.tolist())
         grad_outs.append(grad_out)
     stack.backward(acts, grad_outs)
@@ -354,7 +359,7 @@ def _sum_in_order(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=-1)[..., -1]
 
 
-_TRUNK_DTYPE = np.float32  # train()'s parameters, Adam state and activations; losses stay float64
+_TRUNK_DTYPE = np.float32  # train()'s parameters, Adam state, activations, targets and losses
 _ADAM_BLOCK = 32768  # entries an Adam step updates at a time: a block's state stays in cache
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
 
@@ -362,21 +367,23 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denomin
 class _Adam:
     """Adam over one flat parameter vector, updated in place.
 
-    The moments are single preallocated vectors. A step walks the vector in
-    blocks of _ADAM_BLOCK entries, with a fixed handful of array operations
-    per block into two preallocated temporaries, so a block's state stays in
-    cache from one operation to the next whatever the model count and depth.
-    The operations and their order are those of
-    m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
-    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), elementwise, with b1, b2
-    and eps the constants _BETA1, _BETA2 and _ADAM_EPS. Every scalar is
-    rounded to the vector's dtype, so a step computes in that dtype.
+    The moments are preallocated vectors kept unscaled: m and v hold Kingma
+    & Ba's m_t / (1 - b1) and v_t / (1 - b2). Step t is m = b1 * m + g,
+    v = b2 * v + g * g and p -= lr_t * (m / (sqrt(v) + eps_t)), with
+    lr_t = lr * (1 - b1) / sqrt(1 - b2) * sqrt(1 - b2^t) / (1 - b1^t) and
+    eps_t = eps * sqrt(1 - b2^t) / sqrt(1 - b2): Algorithm 1's update in ten
+    array passes, for b1, b2 and eps the constants _BETA1, _BETA2 and
+    _ADAM_EPS. Every scalar is rounded to the vector's dtype, so a step
+    computes in that dtype; lr_t and eps_t are computed in Python floats
+    first, so no rounded intermediate overflows. A step walks the vector in
+    blocks of _ADAM_BLOCK entries into two preallocated temporaries, so a
+    block's state stays in cache whatever the model count and depth.
     """
 
     def __init__(self, theta: np.ndarray, learning_rate: float):
         self.scalar = theta.dtype.type
-        self.lr, self.b1, self.b2, self.c1, self.c2, self.eps = map(
-            self.scalar, (learning_rate, _BETA1, _BETA2, 1 - _BETA1, 1 - _BETA2, _ADAM_EPS))
+        self.lr = float(learning_rate)
+        self.b1, self.b2 = self.scalar(_BETA1), self.scalar(_BETA2)
         self.t = 0
         self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
         block = min(theta.size, _ADAM_BLOCK)
@@ -384,24 +391,22 @@ class _Adam:
 
     def step(self, theta: np.ndarray, g: np.ndarray) -> None:
         self.t += 1
-        bc1 = self.scalar(1.0 - _BETA1 ** self.t)
-        bc2 = self.scalar(1.0 - _BETA2 ** self.t)
+        root_bc2 = math.sqrt(1.0 - _BETA2 ** self.t)
+        lr_t = self.scalar(self.lr * ((1 - _BETA1) / math.sqrt(1 - _BETA2) * root_bc2
+                                      / (1.0 - _BETA1 ** self.t)))
+        eps_t = self.scalar(_ADAM_EPS * root_bc2 / math.sqrt(1 - _BETA2))
         for lo in range(0, len(theta), _ADAM_BLOCK):
             block = slice(lo, lo + _ADAM_BLOCK)
             p, gb, m, v = theta[block], g[block], self.m[block], self.v[block]
             num, den = self.num[:len(p)], self.den[:len(p)]
             m *= self.b1
-            m += np.multiply(self.c1, gb, out=num)
-            np.multiply(self.c2, gb, out=num)
-            num *= gb
+            m += gb
             v *= self.b2
-            v += num
-            np.divide(m, bc1, out=num)
-            num *= self.lr
-            np.divide(v, bc2, out=den)
-            np.sqrt(den, out=den)
-            den += self.eps
-            num /= den
+            v += np.multiply(gb, gb, out=num)
+            np.sqrt(v, out=den)
+            den += eps_t
+            np.divide(m, den, out=num)
+            num *= lr_t
             p -= num
 
 
@@ -476,11 +481,17 @@ def _zero(models) -> None:
             a[...] = 0.0
 
 
-def _joined(targets: list[Targets]) -> Targets:
-    """The targets of members with n rows each, one after another: member i's
-    row r is row i * n + r."""
+def _joined(targets: list[Targets], dtype) -> Targets:
+    """The targets of members with n rows each, one after another, their rows
+    in dtype: member i's row r is row i * n + r."""
     index = None if targets[0].index is None else np.concatenate([t.index for t in targets])
-    return Targets(index, np.concatenate([t.row for t in targets]))
+    return Targets(index, np.concatenate([t.row for t in targets], dtype=dtype))
+
+
+def _take(stack: ModelStack, name, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a's entries at rows, along its first axis, in the stack's work buffer name."""
+    return np.take(a, rows, axis=0, mode="clip",
+                   out=stack._buffer(name, rows.shape + a.shape[1:], a.dtype))
 
 
 def train(table: DatasetTable, splits, methods, cfgs):
@@ -510,8 +521,9 @@ def train(table: DatasetTable, splits, methods, cfgs):
     untouched. Given equal inputs the result is bitwise reproducible: the
     seed drives both initialization and the per-epoch shuffles. Each model
     is drawn in float64 and trains in _TRUNK_DTYPE, float32, as do the
-    folds; losses and decoders widen its head outputs to float64. Targets are
-    encoded from the train fold once. A family with a "shared" head gets one
+    folds, the target rows and the losses; the decoders widen its head
+    outputs to float64. Targets are encoded from the train fold once and
+    cast to float32 once per stack. A family with a "shared" head gets one
     weight column, and its bias k starts at the logit of the train fold's
     P(label index > k), as Cao, Mirjalili & Raschka (2020) do; from zero
     biases Adam cannot spread the thresholds within a short run.
@@ -584,7 +596,8 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     for m, model in zip(members, stack.models):
         m.model = model
     group_splits = [np.array([m.split for m in members[g.start:g.stop]]) for g in stack.groups]
-    group_targets = [_joined([m.targets for m in members[g.start:g.stop]]) for g in stack.groups]
+    group_targets = [_joined([m.targets for m in members[g.start:g.stop]], stack.theta.dtype)
+                     for g in stack.groups]
     group_methods = [methods[members[g.start].method] for g in stack.groups]
     inputs = np.concatenate(group_splits)  # the split of every member
     val_x = x_val[inputs]
@@ -604,16 +617,22 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     n, width = x_train.shape[1:]
     train_rows = x_train.reshape(-1, width)  # row r of split s is train_rows[s * n + r]
     for epoch in range(1, cfg.epochs + 1):
+        # each member's rows and each group's targets in this epoch's order,
+        # taken once; a minibatch is a slice of them
         orders = np.stack([rng.permutation(n) for rng in rngs])
+        x_epoch = _take(stack, "x", train_rows, inputs[:, None] * n + orders[inputs])
+        t_epoch = []
+        for j, (t, s) in enumerate(zip(group_targets, group_splits)):
+            rows = np.arange(0, len(s) * n, n)[:, None] + orders[s]
+            index = None if t.index is None else _take(stack, ("index", j), t.index, rows)
+            t_epoch.append(Targets(index, _take(stack, ("target", j), t.row, rows)))
         for m in members:
             m.epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
-            rows = orders[:, start:start + cfg.batch_size]
-            x = np.take(train_rows, inputs[:, None] * n + rows[inputs], axis=0, mode="clip",
-                        out=stack._buffer("x", (len(members), rows.shape[1], width)))
-            targets = [t[np.arange(0, len(s) * n, n)[:, None] + rows[s]]
-                       for t, s in zip(group_targets, group_splits)]
-            values = batch_loss_and_grads(stack, x, targets, group_methods, label_set)
+            batch = slice(start, start + cfg.batch_size)
+            x = x_epoch[:, batch]
+            values = batch_loss_and_grads(stack, x, [t[:, batch] for t in t_epoch],
+                                          group_methods, label_set)
             if not freeze([k for k, (m, v) in enumerate(zip(members, values))
                            if not m.failed and not math.isfinite(v)], epoch):
                 return
@@ -621,7 +640,7 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
             adam.step(stack.theta, stack.grad)
             for m, value in zip(members, values):
                 if not m.failed:
-                    m.epoch_loss += value * rows.shape[1]
+                    m.epoch_loss += value * x.shape[1]
         if not np.isfinite(stack.theta).all():
             if not freeze([k for k, m in enumerate(members)
                            if not all(np.isfinite(a).all()

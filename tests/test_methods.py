@@ -382,6 +382,36 @@ def test_stacked_batches_are_bitwise_their_slices(family):
                 assert np.array_equal(variance(p, ls)[i], variance(p[i], ls))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_float32_outputs_give_a_float32_loss(family):
+    """float32 head outputs, as the trainer's stacks give, get a float32 value
+    and gradient, also from float64 targets and numpy-float hyperparameters;
+    each row of a (S, n, head) batch is bitwise its single-row result, and
+    the float64 loss of the same outputs agrees to float32 round-off."""
+    rng = rng_from_seed(204)
+    params = {p: np.float64(getattr(MethodConfig(family=family), p))
+              for p in FAMILIES[family].params}
+    for cfg in (MethodConfig(family=family), MethodConfig(family=family, **params)):
+        for _ in range(10):
+            ls, z, _ = _random_batch(rng, cfg)
+            z = np.stack([z, rng.normal(size=z.shape) * 3.0]).astype(np.float32)
+            ages = rng.choice(ls.as_array(), size=z.shape[:2]).astype(float)
+            targets = encode_targets(cfg, ages, ls)
+            batch = loss_eval(cfg, z, targets, ls)
+            assert batch.value.dtype == batch.grad.dtype == np.float32
+            for i, j in np.ndindex(*z.shape[:2]):
+                row = loss_eval(cfg, z[i, j], encode_targets(cfg, ages[i, j], ls), ls)
+                assert row.grad.dtype == np.float32
+                assert batch.value[i, j] == row.value
+                assert np.array_equal(batch.grad[i, j], row.grad)
+            wide = loss_eval(cfg, z.astype(float), targets, ls)
+            assert wide.value.dtype == np.float64
+            # a gradient entry that cancels to near 0 is compared at the scale of its batch
+            np.testing.assert_allclose(batch.value, wide.value, rtol=1e-4, atol=0)
+            np.testing.assert_allclose(batch.grad, wide.grad, rtol=1e-4,
+                                       atol=1e-6 * np.abs(wide.grad).max())
+
+
 @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "regression"])
 def test_batched_loss_rejects_age_outside_label_set(family):
     cfg = MethodConfig(family=family)

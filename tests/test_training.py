@@ -1,6 +1,7 @@
 """The MLP, its optimizer loop and model selection."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -420,13 +421,19 @@ def test_a_failed_member_is_frozen_at_zero_in_the_one_stack(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_in_place_adam_is_bitwise_the_textbook_update(dtype):
-    """The update in the parameters' dtype, with Python-float scalars."""
+    """The update in the parameters' dtype is bitwise Adam on unscaled
+    moments, with its two scalars computed in Python floats and rounded
+    once, and agrees with Kingma & Ba's Algorithm 1 (computed in float64
+    from the same start and gradients) to round-off of the dtype."""
     lr, beta1, beta2, eps = 3e-3, training._BETA1, training._BETA2, training._ADAM_EPS
     model = init_model(5, (7, 4), 3, seed=2).astype(dtype)
     ref = model.copy()
     params = ref.weights + ref.biases
+    textbook = [p.astype(np.float64) for p in params]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
+    m64 = [np.zeros_like(p) for p in textbook]
+    v64 = [np.zeros_like(p) for p in textbook]
     stack = ModelStack([model])
     model, grad_views = stack.models[0], stack.grads[0].weights + stack.grads[0].biases
     adam = training._Adam(stack.theta, lr)
@@ -439,19 +446,27 @@ def test_in_place_adam_is_bitwise_the_textbook_update(dtype):
         adam.step(stack.theta, stack.grad)
         bc1 = 1.0 - beta1 ** t
         bc2 = 1.0 - beta2 ** t
+        lr_t = dtype(lr * ((1 - beta1) / math.sqrt(1 - beta2) * math.sqrt(bc2) / bc1))
+        eps_t = dtype(eps * math.sqrt(bc2) / math.sqrt(1 - beta2))
         for i, (p, g) in enumerate(zip(params, grads)):
-            m[i] = beta1 * m[i] + (1 - beta1) * g
-            v[i] = beta2 * v[i] + (1 - beta2) * g * g
-            p -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
-    for got, want in zip(model.weights + model.biases, params):
+            m[i] = dtype(beta1) * m[i] + g
+            v[i] = dtype(beta2) * v[i] + g * g
+            p -= lr_t * (m[i] / (np.sqrt(v[i]) + eps_t))
+            m64[i] = beta1 * m64[i] + (1 - beta1) * g
+            v64[i] = beta2 * v64[i] + (1 - beta2) * g.astype(np.float64) ** 2
+            textbook[i] -= lr * (m64[i] / bc1) / (np.sqrt(v64[i] / bc2) + eps)
+    for got, want, alg1 in zip(model.weights + model.biases, params, textbook):
+        assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(got, alg1, rtol=1e-12 if dtype == np.float64 else 1e-5, atol=0)
 
 
 def test_a_stack_and_its_adam_take_the_dtype_of_their_models(monkeypatch):
-    """float64 models give a float64 stack, Adam state, work buffers and
-    head outputs, the path criterion 1 and the gradient tests take; float32
-    models give float32 ones, and no float64 buffer. Either way the loss
-    kernel and the decoder compute in float64 and forward() returns float64."""
+    """float64 models give a float64 stack, Adam state, work buffers, head
+    outputs and loss, the path criterion 1 and the gradient tests take;
+    float32 models give float32 ones, and no float64 buffer. The loss kernel
+    computes in the stack's dtype, from float64 targets too; the decoder
+    computes in float64 either way, and forward() returns float64."""
     tab, split = clean_split_table()
     x = tab.features_for(split.train[:16])
     ages = tab.ages_for(split.train[:16])
@@ -473,7 +488,7 @@ def test_a_stack_and_its_adam_take_the_dtype_of_their_models(monkeypatch):
         adam.step(stack.theta, stack.grad)
         out, = stack.outputs(x)
         training._mae(method, out, ages, tab.label_set)
-        assert seen == [np.float64, np.float64]
+        assert seen == [dtype, np.float64]
         seen.clear()
         for a in (stack.theta, stack.grad, adam.m, adam.v, adam.num, adam.den, out):
             assert a.dtype == dtype
@@ -498,8 +513,8 @@ def test_train_returns_float32_models_drawn_in_float64():
 
 def test_a_numpy_learning_rate_trains_bitwise_as_its_python_float():
     """Under numpy 2, a float32 array times an np.float64 computes in float64;
-    the learning rate is rounded to the trunk's dtype, so its type does not
-    change a run."""
+    Adam's step size is rounded to the trunk's dtype, so the learning rate's
+    type does not change a run."""
     tab, split = clean_split_table()
     lr = np.linspace(1e-3, 4e-3, 4)[1]
     assert type(TrainConfig(learning_rate=lr).learning_rate) is float
@@ -544,13 +559,18 @@ def test_a_bias_only_divergence_is_reported_as_divergence(monkeypatch, learning_
     the biases too: each such member fails as TrainingDiverged at epoch 1, not
     as a ValueError from decoding its non-finite val outputs.
 
-    A step of 3e38 is finite in float32: seven families overflow their biases
-    alone, with every weight finite, while CORAL's and regression's biases
-    stay finite and they finish. A step of 1e308 is inf in float32, so it
-    makes every parameter non-finite and every member diverges."""
+    Every age is 20, the lowest label, so both steps of the epoch (23 rows,
+    then 1) push a labels head's target logit up and its other logits down,
+    and a threshold head's biases down. Its float32 loss stays finite, 0 at
+    the second step, while the second step of 3e38, finite in float32,
+    overflows the biases: the eight label and threshold families fail with
+    every weight finite at the epoch-end check, and regression, whose one
+    output starts at its target, finishes. A step of 1e308 is inf in
+    float32, so it makes every parameter non-finite and every member
+    diverges."""
     ids = [f"s{i}" for i in range(40)]
-    tab = DatasetTable("zeros", LabelSet(tuple(range(20, 30))), 2, ids, ids,
-                       [20 + i % 10 for i in range(40)], np.zeros((40, 2)))
+    tab = DatasetTable("zeros", LabelSet(tuple(range(20, 30))), 2, ids, ids, [20] * 40,
+                       np.zeros((40, 2)))
     split = make_split(tab, MODE_RANDOM, (0.6, 0.2, 0.2), seed=0)
     methods = [MethodConfig(family=f) for f in FAMILIES]
     cfg = TrainConfig(learning_rate=learning_rate, epochs=1, batch_size=23, hidden_dims=())
@@ -565,14 +585,15 @@ def test_a_bias_only_divergence_is_reported_as_divergence(monkeypatch, learning_
     monkeypatch.setattr(training, "_zero", keep)
     with np.errstate(over="ignore", invalid="ignore"):
         runs = train(tab, split, methods, cfg)
-    finish = ("coral", "regression") if learning_rate == 3e38 else ()
+    finish = ("regression",) if learning_rate == 3e38 else ()
     for method, run in zip(methods, runs):
         if method.family in finish:
             assert isinstance(run, TrainedRun), method.family
         else:
             assert isinstance(run, TrainingDiverged) and run.epoch == 1, (method.family, run)
+            assert str(run) == "training diverged at epoch 1", method.family
     if learning_rate == 3e38:
-        assert sum(not all(np.isfinite(b).all() for b in m.biases) for m in zeroed) == 7
+        assert sum(not all(np.isfinite(b).all() for b in m.biases) for m in zeroed) == 8
         assert all(np.isfinite(w).all() for m in zeroed for w in m.weights)
 
 
