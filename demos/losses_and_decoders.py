@@ -20,7 +20,7 @@ from ordibench.methods import (
     soft_targets,
     softmax,
 )
-from ordibench.prediction import bayes_mae_predict, brute_force_bayes, decode_output
+from ordibench.prediction import bayes_mae_predict, decode_output
 from ordibench.util import rng_from_seed
 
 
@@ -40,8 +40,9 @@ def main():
 
     print()
     print("=== Soft targets for age 23 ===")
-    d = soft_targets(MethodConfig(family="dldl", sigma=1.0), labels.index_of(23), labels)
-    s = soft_targets(MethodConfig(family="sord", alpha=1.0), labels.index_of(23), labels)
+    at_23 = labels.indices_of(23)
+    d = soft_targets(MethodConfig(family="dldl", sigma=1.0), at_23, labels)
+    s = soft_targets(MethodConfig(family="sord", alpha=1.0), at_23, labels)
     print("normal-shaped:", np.round(d, 3))
     print("exp-distance :", np.round(s, 3))
 
@@ -50,9 +51,11 @@ def main():
     z = rng.normal(size=k) * 2
     p = softmax(z)
     med = bayes_mae_predict(p, labels)
-    brute = brute_force_bayes(p, labels)
+    # brute force: the age of least expected absolute error, the first on a tie
+    ages = labels.as_array()
+    brute = ages[np.argmin([np.abs(ages - a) @ p for a in ages])]
     print("posterior:", np.round(p, 3))
-    print(f"median decoder -> age {med.age}, brute force -> age {brute.age}")
+    print(f"median decoder -> age {med}, brute force -> age {brute}")
 
     # decode_output picks the right route for each family
     print()
@@ -60,8 +63,7 @@ def main():
     for family in ("cross-entropy", "or-cnn", "coral", "regression"):
         cfg = MethodConfig(family=family)
         z = rng.normal(size=cfg.head_size(k))
-        pred = decode_output(cfg, z, labels)
-        print(f"{family:<14} -> age {pred.age}")
+        print(f"{family:<14} -> age {decode_output(cfg, z, labels)}")
 
 
 if __name__ == "__main__":

@@ -29,9 +29,7 @@ from .methods import (
     loss_eval,
 )
 from .prediction import (
-    Prediction,
     bayes_mae_predict,
-    brute_force_bayes,
     decode_output,
 )
 from .training import (

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import NoReturn, Union, get_args, get_origin, get_type_hints
 
@@ -126,28 +125,12 @@ class LabelSet:
             raise ValidationError("label values must be strictly increasing")
         object.__setattr__(self, "values", values)
 
-    @cached_property
-    def _pos(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.values)}
-
     def __len__(self) -> int:
         return len(self.values)
 
-    def __contains__(self, age: object) -> bool:
-        try:
-            return int(age) in self._pos  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return False
-
-    def index_of(self, age: int) -> int:
-        try:
-            return self._pos[int(age)]
-        except KeyError:
-            raise ValidationError(f"age {age} is not in the label set") from None
-
     def indices_of(self, ages) -> np.ndarray:
-        """index_of for an array of ages at once: each age, truncated to whole
-        years, must be in the label set."""
+        """The label index of each age, or of one age, truncated to whole
+        years; raises ValidationError for an age outside the label set."""
         y = self.as_array()
         years = np.trunc(ages)
         idx = np.searchsorted(y, years)
@@ -195,7 +178,7 @@ def _raise_first_fault(label_set: LabelSet, dimension: int, rows) -> NoReturn:
         if not identity_id:
             raise ValidationError(f"sample {sample_id!r} has an empty identity_id")
         age = int(age)
-        if age not in label_set:
+        if age not in label_set.values:
             raise ValidationError(f"sample {sample_id!r}: age {age} is outside the label set")
         feats = np.array(features, dtype=float)
         if feats.shape != (dimension,):
@@ -242,7 +225,7 @@ class DatasetTable:
         codes: dict[str, int] = {}  # identity -> its first-appearance rank
         row_codes = [codes.setdefault(ident, len(codes)) for ident in identity_ids]
         if (len(row_index) != n or not all(codes) or int_ages is None
-                or not all(age in label_set for age in set(int_ages))
+                or not set(int_ages) <= set(label_set.values)
                 or matrix.shape != (n, dimension) or not np.isfinite(matrix).all()):
             _raise_first_fault(label_set, dimension,
                                zip(sample_ids, identity_ids, ages, features))

@@ -1,21 +1,17 @@
-"""Decision layer: turn head outputs into a single predicted age.
+"""Decision layer: turn head outputs into predicted ages.
 
 For distribution heads the decoder is the minimizer of the expected
 absolute error under the posterior, which is a weighted median of the
-labels. A brute-force scan over all candidate labels is kept alongside as
-an independent oracle; the two must agree everywhere.
+labels; the tests check it against a brute-force scan over every label.
 
-Every decoder but the oracle takes one head-output row or a (..., head)
-batch, such as the (G, n, head) outputs of G models; a batch decodes to a
-Prediction whose fields are (...) arrays, each row bitwise what it decodes
-to alone. Every decoder raises ValueError on a NaN or infinite input: no
-age is decoded from a broken model.
+Every decoder takes one head-output row or a (..., head) batch, such as the
+(G, n, head) outputs of G models, and returns the ages it decodes: an
+np.float64 for one row, a (...) array for a batch, each row bitwise what it
+decodes to alone. Every decoder raises ValueError on a NaN or infinite
+input: no age is decoded from a broken model.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,33 +19,13 @@ from .data import LabelSet
 from .methods import FAMILIES, MethodConfig, _regression_outputs, sigmoid, softmax
 
 __all__ = [
-    "Prediction",
     "bayes_mae_predict",
-    "brute_force_bayes",
     "ebc_decode",
     "regression_decode",
     "decode_output",
 ]
 
 _SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """A predicted age in years; label_index is None for continuous outputs.
-
-    Decoding one row gives a float age and an int index; decoding a
-    (..., head) batch gives (...) arrays.
-    """
-
-    age: float | np.ndarray
-    label_index: Optional[int | np.ndarray]
-
-    def __post_init__(self) -> None:
-        if np.ndim(self.age) == 0:
-            object.__setattr__(self, "age", float(self.age))
-            if self.label_index is not None:
-                object.__setattr__(self, "label_index", int(self.label_index))
 
 
 def _as_posterior(probs, n_labels: int) -> np.ndarray:
@@ -67,7 +43,7 @@ def _as_posterior(probs, n_labels: int) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def bayes_mae_predict(probs, label_set: LabelSet) -> Prediction:
+def bayes_mae_predict(probs, label_set: LabelSet) -> np.ndarray | float:
     """Label minimizing the expected absolute error under the posterior.
 
     This is the lower weighted median: the smallest label whose cumulative
@@ -78,23 +54,10 @@ def bayes_mae_predict(probs, label_set: LabelSet) -> Prediction:
     p = _as_posterior(probs, len(label_set))
     below = (np.cumsum(p, axis=-1) < 0.5).sum(axis=-1)
     idx = np.minimum(below, len(label_set) - 1)
-    return Prediction(age=label_set.as_array()[idx], label_index=idx)
+    return label_set.as_array()[idx]
 
 
-def brute_force_bayes(probs, label_set: LabelSet) -> Prediction:
-    """Oracle twin of bayes_mae_predict: scan every candidate label.
-
-    Evaluates the expected absolute error of predicting each label and takes
-    the smallest argmin. Quadratic in K, kept for verification.
-    """
-    p = _as_posterior(probs, len(label_set))
-    y = label_set.as_array()
-    risks = np.abs(y[:, None] - y[None, :]) @ p
-    idx = int(np.argmin(risks))  # first minimum = smallest label
-    return Prediction(age=float(label_set.values[idx]), label_index=idx)
-
-
-def ebc_decode(threshold_probs, label_set: LabelSet) -> Prediction:
+def ebc_decode(threshold_probs, label_set: LabelSet) -> np.ndarray | float:
     """Rank decoding for threshold heads: count thresholds voting "above"."""
     q = np.asarray(threshold_probs, dtype=float)
     if q.ndim < 1 or q.shape[-1] != len(label_set) - 1:
@@ -104,19 +67,18 @@ def ebc_decode(threshold_probs, label_set: LabelSet) -> Prediction:
     if not np.all((q >= -1e-12) & (q <= 1 + 1e-12)):  # a NaN fails both
         raise ValueError("threshold probabilities must lie in [0, 1]")
     idx = (q > 0.5).sum(axis=-1)
-    return Prediction(age=label_set.as_array()[idx], label_index=idx)
+    return label_set.as_array()[idx]
 
 
-def regression_decode(raw_output, label_set: LabelSet) -> Prediction:
+def regression_decode(raw_output, label_set: LabelSet) -> np.ndarray | float:
     """Map a normalized scalar (or array of them) back to years, clamped to the label range."""
     raw = np.asarray(raw_output, dtype=float)
     if not np.isfinite(raw).all():
         raise ValueError("regression output must be finite")
-    age = np.clip(label_set.denormalize(raw), label_set.min_label, label_set.max_label)
-    return Prediction(age=age, label_index=None)
+    return np.clip(label_set.denormalize(raw), label_set.min_label, label_set.max_label)
 
 
-def decode_output(config: MethodConfig, head_out, label_set: LabelSet) -> Prediction:
+def decode_output(config: MethodConfig, head_out, label_set: LabelSet) -> np.ndarray | float:
     """Decode one raw head-output row, or each row of a (..., head) batch,
     by the decoder of its family's head.
 

@@ -264,8 +264,14 @@ def write_rank_report(summary: RankSummary, path) -> tuple[Path, Path]:
     The text form has a commented header block with the test quantities and
     then one method,avg_rank line per method, sorted best first. The JSON
     twin holds the same content machine-readably (an infinite F is null).
+    Raises ValueError, before writing anything, for a path that is its own
+    twin (one ending in .json).
     """
     path = Path(path)
+    json_path = path.with_name(path.stem + ".json")
+    if json_path == path:
+        raise ValueError(f"rank report {path} would be overwritten by its JSON twin; "
+                         "give it a suffix other than .json")
     f_text = "inf" if math.isinf(summary.iman_davenport_f) else fmt_float(summary.iman_davenport_f)
     lines = [
         f"# N={summary.n_datasets} k={len(summary.methods)} alpha={fmt_float(summary.alpha)}",
@@ -281,6 +287,5 @@ def write_rank_report(summary: RankSummary, path) -> tuple[Path, Path]:
         for a, b in sorted(summary.significant_pairs):
             lines.append(f"#   {a} vs {b}")
     path.write_text("\n".join(lines) + "\n")
-    json_path = path.with_name(path.stem + ".json")
     json_path.write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
     return path, json_path

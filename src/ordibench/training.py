@@ -436,8 +436,8 @@ class TrainedRun:
 def _mae(method: MethodConfig, head_out: np.ndarray, ages: np.ndarray,
          label_set: LabelSet) -> np.ndarray:
     """Mean absolute error of each model's (..., n, head) outputs against (..., n) ages."""
-    pred = decode_output(method, head_out, label_set)
-    return _sum_in_order(np.abs(pred.age - ages)) / ages.shape[-1]
+    predicted = decode_output(method, head_out, label_set)
+    return _sum_in_order(np.abs(predicted - ages)) / ages.shape[-1]
 
 
 def evaluate_mae(run: TrainedRun, table: DatasetTable, fold_ids) -> float:

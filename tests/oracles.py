@@ -185,6 +185,21 @@ def reference_sigmoid(x):
     return out
 
 
+def brute_force_bayes(probs, label_set):
+    """Oracle twin of prediction.bayes_mae_predict: scan every candidate label.
+
+    Evaluates the expected absolute error of predicting each label and takes
+    the smallest argmin, returned as an age. Quadratic in K, one posterior at
+    a time; the posterior checks are the decoder's own.
+    """
+    from ordibench.prediction import _as_posterior
+
+    p = _as_posterior(probs, len(label_set))
+    y = label_set.as_array()
+    risks = np.abs(y[:, None] - y[None, :]) @ p
+    return float(y[np.argmin(risks)])  # first minimum = smallest label
+
+
 def reference_greedy(sizes, hists, count_targets, hist_targets):
     """Greedy first assignment of a subject-exclusive split, all in numpy:
     each identity, in the given order, goes to the fold whose count gap plus
@@ -236,7 +251,7 @@ def reference_table(label_set, dimension, rows):
             raise ValidationError(f"sample {s.sample_id!r} has an empty identity_id")
         row_codes.append(codes.setdefault(s.identity_id, len(codes)))
         s.age = int(s.age)
-        if s.age not in label_set:
+        if s.age not in label_set.values:
             raise ValidationError(
                 f"sample {s.sample_id!r}: age {s.age} is outside the label set"
             )

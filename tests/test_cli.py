@@ -397,6 +397,23 @@ def test_compare_forced_matrix_reports_chi2(tmp_path, capsys):
     assert "chi2_F=8.0" in out
 
 
+
+def test_compare_out_writes_the_text_report_and_its_json_twin(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("dataset,a,b\nd0,1.0,2.0\nd1,1.1,2.1\nd2,2.2,1.2\n")
+    assert run_cli("compare", matrix, "--out", tmp_path / "r.txt") == 0
+    assert (tmp_path / "r.txt").read_text().startswith("# N=3 k=2")
+    assert json.loads((tmp_path / "r.json").read_text())["n_datasets"] == 3
+    capsys.readouterr()
+    # r.json would be its own twin: refused before anything is written
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("compare", matrix, "--out", out / "r.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON twin" in err
+    assert not any(out.iterdir())
+
+
 IMPORT_GUARD = """
 import sys
 import ordibench, ordibench.cli

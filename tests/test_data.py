@@ -51,28 +51,28 @@ def test_label_set_requires_strictly_increasing_ints():
 
 def test_label_set_lookup_and_normalization():
     ls = LabelSet(tuple(range(0, 101)))
-    assert ls.index_of(57) == 57
+    assert ls.indices_of(57) == 57
     assert ls.normalize(0) == 0.0
     assert ls.normalize(100) == 1.0
     assert ls.denormalize(0.5) == 50.0
     for age in (0, 13, 99, 100):
         assert ls.denormalize(ls.normalize(age)) == pytest.approx(age)
     with pytest.raises(ValidationError):
-        ls.index_of(101)
+        ls.indices_of(101)
 
 
-def test_label_set_indices_of_matches_index_of():
+def test_label_set_indices_of_truncates_to_the_labels_of_a_gapped_set():
     ls = LabelSet((16, 18, 19, 25, 40, 41, 80))
     ages = np.array([16, 80, 18.0, 19.9, 25.5, 41, 40, 16.2, 80.5, 18])
-    np.testing.assert_array_equal(ls.indices_of(ages), [ls.index_of(int(a)) for a in ages])
+    np.testing.assert_array_equal(ls.indices_of(ages), [0, 6, 1, 2, 3, 5, 4, 0, 6, 1])
+    assert ls.indices_of(25.9) == 3
     for outside in (17, 15.5, 81, 24.9, -16):
         with pytest.raises(ValidationError, match="not in the label set"):
             ls.indices_of(np.append(ages, outside))
 
 
-def test_label_set_contains_and_array():
+def test_label_set_as_array():
     ls = LabelSet((1, 3, 9))
-    assert 3 in ls and 2 not in ls
     np.testing.assert_array_equal(ls.as_array(), [1.0, 3.0, 9.0])
 
 

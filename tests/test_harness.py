@@ -510,7 +510,7 @@ def test_cross_rows_decode_with_the_training_label_set(tmp_path, monkeypatch):
         out = forward(runs[(source, rec.method)].best_model, held_out.features_for(ids))
         err = 0.0
         for row, age in zip(out, held_out.ages_for(ids)):
-            err += abs(decode_output(method, row, trained_on).age - age)
+            err += abs(decode_output(method, row, trained_on) - age)
         assert rec.test_mae == err / len(held_out.ages), rec
 
 

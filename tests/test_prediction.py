@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from oracles import brute_force_bayes
 
 from ordibench.data import LabelSet
 from ordibench.methods import FAMILIES, MethodConfig
 from ordibench.prediction import (
     bayes_mae_predict,
-    brute_force_bayes,
     decode_output,
     ebc_decode,
     regression_decode,
@@ -17,35 +17,40 @@ from ordibench.util import rng_from_seed
 LS3 = LabelSet((0, 1, 2))
 
 
+def random_label_set(rng) -> LabelSet:
+    """A run of 2-80 consecutive labels, or, as a CSV's inferred labels can
+    be, 2-65 sorted distinct labels drawn from 16-80 with gaps between them."""
+    if rng.random() < 0.5:
+        lo = int(rng.integers(0, 40))
+        return LabelSet(tuple(range(lo, lo + int(rng.integers(2, 81)))))
+    k = int(rng.integers(2, 66))
+    return LabelSet(tuple(sorted(rng.choice(np.arange(16, 81), size=k, replace=False).tolist())))
+
+
 def test_bayes_hand_case():
-    pred = bayes_mae_predict([0.2, 0.5, 0.3], LS3)
-    assert pred.age == 1.0 and pred.label_index == 1
+    assert bayes_mae_predict([0.2, 0.5, 0.3], LS3) == 1.0
 
 
 def test_bayes_delta():
     for j, ls in ((0, LS3), (2, LS3)):
         p = np.zeros(3)
         p[j] = 1.0
-        pred = bayes_mae_predict(p, ls)
-        assert pred.age == float(ls.values[j])
+        assert bayes_mae_predict(p, ls) == float(ls.values[j])
 
 
 def test_bayes_symmetric_tie_takes_lower_median():
-    pred = bayes_mae_predict([0.5, 0.5], LabelSet((10, 20)))
-    assert pred.age == 10.0
+    assert bayes_mae_predict([0.5, 0.5], LabelSet((10, 20))) == 10.0
 
 
 def test_brute_force_uniform_five():
-    pred = brute_force_bayes([0.2] * 5, LabelSet((0, 1, 2, 3, 4)))
-    assert pred.age == 2.0
+    assert brute_force_bayes([0.2] * 5, LabelSet((0, 1, 2, 3, 4))) == 2.0
 
 
 def test_decoders_agree_on_random_posteriors():
     rng = rng_from_seed(17)
     for trial in range(2000):
-        k = int(rng.integers(2, 81))
-        lo = int(rng.integers(0, 40))
-        ls = LabelSet(tuple(range(lo, lo + k)))
+        ls = random_label_set(rng)
+        k = len(ls)
         style = trial % 3
         if style == 0:
             p = rng.dirichlet(np.full(k, 0.3))
@@ -55,9 +60,7 @@ def test_decoders_agree_on_random_posteriors():
             z = rng.normal(size=k) * 3
             p = np.exp(z - z.max())
             p /= p.sum()
-        a = bayes_mae_predict(p, ls)
-        b = brute_force_bayes(p, ls)
-        assert a.label_index == b.label_index, (trial, k)
+        assert bayes_mae_predict(p, ls) == brute_force_bayes(p, ls), (trial, ls.values)
 
 
 def test_posterior_validation():
@@ -71,33 +74,33 @@ def test_posterior_validation():
 
 def test_ebc_decode_counting():
     ls = LabelSet((0, 1, 2, 3))
-    assert ebc_decode([0.9, 0.8, 0.3], ls).label_index == 2
-    assert ebc_decode([0.9, 0.8, 0.3], ls).age == 2.0
-    assert ebc_decode([0.0, 0.0, 0.0], ls).age == 0.0
-    assert ebc_decode([1.0, 1.0, 1.0], ls).age == 3.0
+    assert ebc_decode([0.9, 0.8, 0.3], ls) == 2.0
+    assert ebc_decode([0.9, 0.8, 0.3], LabelSet((16, 30, 31, 80))) == 31.0
+    assert ebc_decode([0.0, 0.0, 0.0], ls) == 0.0
+    assert ebc_decode([1.0, 1.0, 1.0], ls) == 3.0
 
 
 def test_regression_decode_midpoint_and_clamps():
     wide = LabelSet(tuple(range(0, 101)))
-    assert regression_decode(0.5, wide).age == 50.0
-    assert regression_decode(-0.2, wide).age == 0.0
+    assert regression_decode(0.5, wide) == 50.0
+    assert regression_decode(-0.2, wide) == 0.0
     narrow = LabelSet(tuple(range(20, 61)))
-    assert regression_decode(1.3, narrow).age == 60.0
-    assert regression_decode(-5.0, narrow).age == 20.0
+    assert regression_decode(1.3, narrow) == 60.0
+    assert regression_decode(-5.0, narrow) == 20.0
 
 
 def test_decode_output_dispatch():
     ls = LabelSet((0, 1, 2, 3))
     # distribution family: argmin expected absolute error over softmax
     z = np.array([0.0, 3.0, 0.0, 0.0])
-    assert decode_output(MethodConfig(family="cross-entropy"), z, ls).age == 1.0
+    assert decode_output(MethodConfig(family="cross-entropy"), z, ls) == 1.0
     # threshold family: sigmoid then count
     big = np.array([9.0, 9.0, -9.0])
-    assert decode_output(MethodConfig(family="or-cnn"), big, ls).age == 2.0
-    assert decode_output(MethodConfig(family="coral"), big, ls).age == 2.0
+    assert decode_output(MethodConfig(family="or-cnn"), big, ls) == 2.0
+    assert decode_output(MethodConfig(family="coral"), big, ls) == 2.0
     # regression family: denormalize the scalar
-    assert decode_output(MethodConfig(family="regression"), np.array([0.0]), ls).age == 0.0
-    assert decode_output(MethodConfig(family="regression"), np.array([1.0]), ls).age == 3.0
+    assert decode_output(MethodConfig(family="regression"), np.array([0.0]), ls) == 0.0
+    assert decode_output(MethodConfig(family="regression"), np.array([1.0]), ls) == 3.0
 
 
 NAN = float("nan")
@@ -141,9 +144,8 @@ def test_batched_decode_equals_rows_exactly(family):
     head = FAMILIES[family].head
     rng = rng_from_seed(29)
     for _ in range(40):
-        k = int(rng.integers(2, 81))
-        lo = int(rng.integers(0, 40))
-        ls = LabelSet(tuple(range(lo, lo + k)))
+        ls = random_label_set(rng)
+        k = len(ls)
         n = int(rng.integers(1, 40))
         out = rng.normal(size=(n, cfg.head_size(k))) * 3.0
         if head in ("thresholds", "shared"):
@@ -154,54 +156,43 @@ def test_batched_decode_equals_rows_exactly(family):
             out = rng.uniform(-0.5, 1.5, size=(n, 1))
         batch = decode_output(cfg, out, ls)
         rows = [decode_output(cfg, out[i], ls) for i in range(n)]
-        assert batch.age.shape == (n,)
-        assert batch.age.tolist() == [r.age for r in rows]
-        if head == "scalar":
-            assert batch.label_index is None
-            assert all(r.label_index is None for r in rows)
-        else:
-            assert batch.label_index.tolist() == [r.label_index for r in rows]
-            assert all(type(r.label_index) is int and type(r.age) is float for r in rows)
+        assert batch.shape == (n,)
+        assert batch.tobytes() == np.array(rows).tobytes()  # bitwise
+        assert all(isinstance(age, float) for age in rows)
+        if head != "scalar":
+            assert set(batch.tolist()) <= set(ls.values)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_stacked_decode_is_bitwise_its_slices(family):
     """An (S, n, head) call, as the trainer makes for S models of one method,
-    decodes to bitwise the ages and indices of S (n, head) calls."""
+    decodes to bitwise the ages of S (n, head) calls."""
     cfg = MethodConfig(family=family)
-    scalar = FAMILIES[family].head == "scalar"
     rng = rng_from_seed(31)
     for _ in range(20):
         k = int(rng.integers(2, 81))
         ls = LabelSet(tuple(range(20, 20 + k)))
         shape = (int(rng.integers(1, 6)), int(rng.integers(1, 40)), cfg.head_size(k))
         out = rng.normal(size=shape) * 3.0
-        if scalar:
+        if FAMILIES[family].head == "scalar":
             out = rng.uniform(-0.5, 1.5, size=shape)
         stacked = decode_output(cfg, out, ls)
-        assert stacked.age.shape == shape[:2]
+        assert stacked.shape == shape[:2]
         for i in range(shape[0]):
-            alone = decode_output(cfg, out[i], ls)
-            assert np.array_equal(stacked.age[i], alone.age)
-            if scalar:
-                assert stacked.label_index is None and alone.label_index is None
-            else:
-                assert np.array_equal(stacked.label_index[i], alone.label_index)
+            assert np.array_equal(stacked[i], decode_output(cfg, out[i], ls))
 
 
 def test_threshold_decode_counts_sigmoid_above_half_not_positive_logits():
     ls = LabelSet((0, 1, 2, 3))
     tiny = np.array([[1e-300, 1e-300, 1e-300], [0.0, 0.0, 0.0], [1.0, 1e-17, -1e-300]])
-    pred = decode_output(MethodConfig(family="or-cnn"), tiny, ls)
-    assert pred.label_index.tolist() == [0, 0, 1]
+    assert decode_output(MethodConfig(family="or-cnn"), tiny, ls).tolist() == [0.0, 0.0, 1.0]
 
 
 def test_batched_bayes_matches_brute_force_rows():
     rng = rng_from_seed(41)
     ls = LabelSet(tuple(range(10, 45)))
     p = rng.dirichlet(np.full(35, 0.5), size=200)
-    batch = bayes_mae_predict(p, ls)
-    assert batch.label_index.tolist() == [brute_force_bayes(row, ls).label_index for row in p]
+    assert bayes_mae_predict(p, ls).tolist() == [brute_force_bayes(row, ls) for row in p]
 
 
 def test_batched_posterior_validation_names_a_bad_row():

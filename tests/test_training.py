@@ -531,7 +531,7 @@ def test_coral_thresholds_start_at_the_train_fold_logits():
     tab, split = clean_split_table()
     run = train(tab, split, MethodConfig(family="coral"),
                 TrainConfig(learning_rate=1e-9, epochs=1, seed=0))
-    idx = [tab.label_set.index_of(a) for a in tab.ages_for(split.train)]
+    idx = [tab.label_set.values.index(int(a)) for a in tab.ages_for(split.train)]
     above = [np.mean([i > k for i in idx]) for k in range(len(tab.label_set) - 1)]
     p = np.clip(above, 1e-3, 1 - 1e-3)
     assert p.min() == 1e-3 or p.max() == 1 - 1e-3  # the clip is exercised
