@@ -19,6 +19,7 @@ from .splitting import (
     SplitConfig, audit_split, load_split, make_split_series, save_split,
 )
 from .stats import friedman_test, load_result_matrix, write_rank_report
+from .training import TrainingDiverged
 
 __all__ = ["main"]
 
@@ -125,7 +126,11 @@ def _cmd_leakage_demo(args: argparse.Namespace) -> int:
         train=dataclasses.replace(defaults.train, epochs=args.epochs, seed=args.base_seed),
         n_seeds=args.seeds,
     )
-    report = leakage_demo(params)
+    try:
+        report = leakage_demo(params)
+    except TrainingDiverged as exc:  # an analysis-level failure, as a failed cell of run is
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(report.to_text())
     if args.out_dir:
         out_dir = Path(args.out_dir)

@@ -41,7 +41,7 @@ from .splitting import (
     make_split_series,
 )
 from .stats import ResultMatrix, save_result_matrix
-from .training import TrainConfig, TrainedRun, evaluate_mae, train
+from .training import TrainConfig, TrainedRun, TrainingDiverged, evaluate_mae, train
 from .util import fmt_float
 
 __all__ = [
@@ -457,7 +457,8 @@ def leakage_demo(params: LeakageParams = LeakageParams()) -> LeakageReport:
     seed rule is in LeakageParams). The reported seeds are the table seeds
     and the numbers are test-fold MAEs. With
     identity-correlated features the random split lets the model recognize
-    people it saw in training, so its test score is optimistically low.
+    people it saw in training, so its test score is optimistically low. A
+    run that diverges raises TrainingDiverged naming its seed and split mode.
     """
     method = MethodConfig(family="cross-entropy")
     seeds = tuple(params.synth.seed + k for k in range(params.n_seeds))
@@ -469,6 +470,8 @@ def leakage_demo(params: LeakageParams = LeakageParams()) -> LeakageReport:
         splits = [make_split(table, mode, SplitConfig.fractions, seed)
                   for mode in (MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE)]
         for split, run in zip(splits, train(table, splits, method, [cfg, cfg])):
+            if isinstance(run, TrainingDiverged):
+                raise TrainingDiverged(run.epoch, f"seed {seed}, {split.mode} split: {run}")
             if isinstance(run, Exception):
                 raise run
             maes.append(float(evaluate_mae(run, table, split.test)))

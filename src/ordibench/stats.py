@@ -7,7 +7,8 @@ p-value, and the Nemenyi critical difference says how far two average ranks
 must be apart before the difference counts as significant.
 
 Rule: scipy is imported inside the function that needs it, never at module
-level. Importing scipy takes about a second, every command, demo and pool
+level. Importing scipy.special after numpy takes 0.23-0.26 s on a 2-CPU
+machine, more than numpy's own 0.13-0.15 s; every command, demo and pool
 worker imports this module, and only f_cdf, chi2_cdf and nemenyi_qalpha use it.
 
 References

@@ -12,7 +12,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,16 +161,16 @@ class ModelStack:
     is the BLAS call the 2-d product of that slice makes, so every member,
     and forward()'s stack of one, gets bitwise what it gets alone. theta holds
     every parameter and grad every gradient, in one layout, and every array
-    is a view into one of them: models[k] is member k's MlpModel over theta
-    and grads[k] its gradients over grad. grad, grads and the gradient
-    blocks are built on first use, so a stack that only runs passes, as
-    forward()'s does, never allocates them. Building a stack copies the given
-    models' parameters in; its members and layout are then fixed for its
-    life. A pass writes its activations into work buffers that the stack
-    keeps for the next pass of the same shape. theta, grad, the inputs, the
-    work buffers and the head outputs have the dtype of the first model's
-    parameters; the loss computes in that dtype too, and the decoders widen
-    head outputs to float64.
+    is a view into one of them: models[k] is member k's MlpModel over theta,
+    and member_mask marks some members' entries of the layout. grad and the
+    gradient blocks are built on first use, so a stack that only runs
+    passes, as forward()'s does, never allocates them. Building a stack
+    copies the given models' parameters in; its members and layout are then
+    fixed for its life. A pass writes its activations into work buffers that
+    the stack keeps for the next pass of the same shape. theta, grad, the
+    inputs, the work buffers and the head outputs have the dtype of the
+    first model's parameters; the loss computes in that dtype too, and the
+    decoders widen head outputs to float64.
     """
 
     def __init__(self, models: list[MlpModel], groups=None):
@@ -210,10 +210,6 @@ class ModelStack:
         return np.zeros_like(self.theta)
 
     @functools.cached_property
-    def grads(self) -> list[MlpModel]:
-        return self._members(self.grad)
-
-    @functools.cached_property
     def _grad_blocks(self) -> tuple[list, list, list, list]:
         return self._blocks(self.grad)
 
@@ -224,6 +220,16 @@ class ModelStack:
                  for s, lo, end in zip(self._shapes, [0] + self._ends, self._ends)]
         n = self._n_hidden
         return views[:n], views[n:2 * n], views[2 * n::2], views[2 * n + 1::2]
+
+    def member_mask(self, members: np.ndarray) -> np.ndarray:
+        """A mask over this stack's flat layout, true on the parameters of the
+        members where the (B,) mask members is true. A block's leading axis
+        is every member for a hidden block, its group's for a head block."""
+        leading = [members] * (2 * self._n_hidden) + [members[g.start:g.stop]
+                                                      for g in self.groups for _ in ("w", "b")]
+        return np.repeat(np.concatenate(leading),
+                         np.repeat([math.prod(s[1:]) for s in self._shapes],
+                                   [s[0] for s in self._shapes]))
 
     def _members(self, flat: np.ndarray) -> list[MlpModel]:
         hidden_w, hidden_b, head_w, head_b = self._blocks(flat)
@@ -455,32 +461,6 @@ def evaluate_mae(run: TrainedRun, table: DatasetTable, fold_ids) -> float:
                       table.ages_for(ids), run.label_set))
 
 
-@dataclass
-class _Member:
-    """One (split, method) part of a lockstep run: the positions of its split
-    and its method, its targets, its model (its views into the run's one
-    stack), its selection state, and whether it has failed and is frozen."""
-
-    split: int
-    method: int
-    targets: Targets
-    model: MlpModel
-    best_model: MlpModel | None = None
-    history: list = field(default_factory=list)
-    best_mae: float = np.inf
-    best_epoch: int = 0
-    epoch_loss: float = 0.0
-    failed: bool = False
-
-
-def _zero(models) -> None:
-    """Set every parameter of each model, a member's views into a stack's
-    flat layout, to 0."""
-    for model in models:
-        for a in model.weights + model.biases:
-            a[...] = 0.0
-
-
 def _joined(targets: list[Targets], dtype) -> Targets:
     """The targets of members with n rows each, one after another, their rows
     in dtype: member i's row r is row i * n + r."""
@@ -559,10 +539,14 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     """train() for splits whose folds have equal sizes: one lockstep stack,
     whose member (s, j) puts its outcome in outcomes[s][j].
 
-    A member that fails keeps its place in the stack, frozen: its parameters
-    and Adam moments are zeroed once and its gradients after every step, so
-    Adam leaves them at zero. Zero parameters give finite outputs, so a
-    frozen member does not fail again.
+    The members' state is arrays over the stack's members: which have
+    failed, each epoch's train losses and val MAEs, the best val MAE and
+    epoch, and one flat snapshot of the best parameters in the stack's
+    layout, whose member views are the runs' best models. A member that
+    fails keeps its place in the stack, frozen: the stack's member mask
+    zeroes its parameters and Adam moments once and its gradients after
+    every step, so Adam leaves them at zero. Zero parameters give finite
+    outputs, so a frozen member does not fail again.
     """
     label_set = table.label_set
     x_train = np.stack([table.features_for(s.train) for s in splits]).astype(_TRUNK_DTYPE)
@@ -571,12 +555,12 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     ages_val = np.stack([table.ages_for(s.val) for s in splits])
     cfg = cfgs[0]
 
-    members: list[_Member] = []
+    places, targets, models = [], [], []  # each member's (split, method), targets and model
     for j, method in enumerate(methods):
         shared = FAMILIES[method.family].head == "shared"
         for s, (ages, split_cfg) in enumerate(zip(ages_train, cfgs)):
             try:
-                targets = encode_targets(method, ages, label_set)
+                member_targets = encode_targets(method, ages, label_set)
                 model = init_model(table.dimension, cfg.hidden_dims,
                                    method.head_size(len(label_set)), seed=split_cfg.seed,
                                    head_width=1 if shared else None)
@@ -584,34 +568,40 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
                 outcomes[s][j] = exc
                 continue
             if shared:
-                p = np.clip(targets.row.mean(axis=0), 1e-3, 1 - 1e-3)
+                p = np.clip(member_targets.row.mean(axis=0), 1e-3, 1 - 1e-3)
                 model.biases[-1][:] = np.log(p / (1 - p))
-            members.append(_Member(s, j, targets, model))
-    if not members:
+            places.append((s, j))
+            targets.append(member_targets)
+            models.append(model.astype(_TRUNK_DTYPE))
+    if not places:
         return
 
-    stack = ModelStack([m.model.astype(_TRUNK_DTYPE) for m in members],
-                       [len(list(run)) for _, run in itertools.groupby(m.method for m in members)])
+    stack = ModelStack(models, [len(list(run)) for _, run in itertools.groupby(j for _, j in places)])
+    del models
     adam = _Adam(stack.theta, cfg.learning_rate)
-    for m, model in zip(members, stack.models):
-        m.model = model
-    group_splits = [np.array([m.split for m in members[g.start:g.stop]]) for g in stack.groups]
-    group_targets = [_joined([m.targets for m in members[g.start:g.stop]], stack.theta.dtype)
-                     for g in stack.groups]
-    group_methods = [methods[members[g.start].method] for g in stack.groups]
+    group_splits = [np.array([s for s, _ in places[g.start:g.stop]]) for g in stack.groups]
+    group_targets = [_joined(targets[g.start:g.stop], stack.theta.dtype) for g in stack.groups]
+    group_methods = [methods[places[g.start][1]] for g in stack.groups]
     inputs = np.concatenate(group_splits)  # the split of every member
     val_x = x_val[inputs]
-    params_and_moments = [stack.models, stack._members(adam.m), stack._members(adam.v)]
+    b = len(places)
+    failed = np.zeros(b, bool)
+    losses, maes = np.zeros((cfg.epochs, b)), np.zeros((cfg.epochs, b))
+    best_mae, best_epoch = np.full(b, np.inf), np.zeros(b, int)
+    best = np.zeros_like(stack.theta)  # every member's parameters at its best epoch
 
-    def freeze(failed: list[int], epoch: int, message: str | None = None) -> bool:
+    def freeze(new: np.ndarray, epoch: int, message: str | None = None) -> bool:
         """Record TrainingDiverged(epoch, message) as the outcome of the
-        members at the failed positions and zero their parameters and Adam
+        members where new is true and zero their parameters and Adam
         moments; False once every member has failed."""
-        for k in failed:
-            members[k].failed = True
-            outcomes[members[k].split][members[k].method] = TrainingDiverged(epoch, message)
-            _zero(views[k] for views in params_and_moments)
-        return any(not m.failed for m in members)
+        for k in np.flatnonzero(new):
+            s, j = places[k]
+            outcomes[s][j] = TrainingDiverged(epoch, message)
+        failed[new] = True
+        mask = stack.member_mask(new)
+        for a in (stack.theta, adam.m, adam.v):
+            np.copyto(a, 0.0, where=mask)
+        return not failed.all()
 
     rngs = [rng_from_seed(c.seed, 1) for c in cfgs]
     n, width = x_train.shape[1:]
@@ -626,48 +616,39 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
             rows = np.arange(0, len(s) * n, n)[:, None] + orders[s]
             index = None if t.index is None else _take(stack, ("index", j), t.index, rows)
             t_epoch.append(Targets(index, _take(stack, ("target", j), t.row, rows)))
-        for m in members:
-            m.epoch_loss = 0.0
+        loss, mae = losses[epoch - 1], maes[epoch - 1]
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
             x = x_epoch[:, batch]
-            values = batch_loss_and_grads(stack, x, [t[:, batch] for t in t_epoch],
-                                          group_methods, label_set)
-            if not freeze([k for k, (m, v) in enumerate(zip(members, values))
-                           if not m.failed and not math.isfinite(v)], epoch):
+            values = np.array(batch_loss_and_grads(stack, x, [t[:, batch] for t in t_epoch],
+                                                   group_methods, label_set))
+            new = ~(failed | np.isfinite(values))
+            if new.any() and not freeze(new, epoch):
                 return
-            _zero(stack.grads[k] for k, m in enumerate(members) if m.failed)
+            if failed.any():
+                np.copyto(stack.grad, 0.0, where=stack.member_mask(failed))
             adam.step(stack.theta, stack.grad)
-            for m, value in zip(members, values):
-                if not m.failed:
-                    m.epoch_loss += value * x.shape[1]
+            loss += values * x.shape[1]
+        loss /= n
         if not np.isfinite(stack.theta).all():
-            if not freeze([k for k, m in enumerate(members)
-                           if not all(np.isfinite(a).all()
-                                      for a in m.model.weights + m.model.biases)], epoch):
+            if not freeze(np.array([not all(np.isfinite(a).all() for a in m.weights + m.biases)
+                                    for m in stack.models]), epoch):
                 return
-        failed = []
+        finite = np.empty(b, bool)
         for g, s, method, out in zip(stack.groups, group_splits, group_methods,
                                      stack.outputs(val_x)):
-            finite = _finite_members(out)
-            maes = _mae(method, out, ages_val[s], label_set).tolist()
-            for k, ok, val_mae in zip(g, finite, maes):
-                m = members[k]
-                if m.failed:
-                    continue
-                if not ok:
-                    failed.append(k)
-                    continue
-                m.history.append((m.epoch_loss / n, val_mae))
-                if val_mae < m.best_mae:
-                    m.best_mae = val_mae
-                    m.best_epoch = epoch
-                    m.best_model = m.model.copy()
-        if not freeze(failed, epoch, f"val outputs not finite at epoch {epoch}"):
+            finite[g.start:g.stop] = _finite_members(out)
+            mae[g.start:g.stop] = _mae(method, out, ages_val[s], label_set)
+        new = ~(failed | finite)
+        if new.any() and not freeze(new, epoch, f"val outputs not finite at epoch {epoch}"):
             return
+        improved = ~failed & (mae < best_mae)
+        best_mae[improved] = mae[improved]
+        best_epoch[improved] = epoch
+        np.copyto(best, stack.theta, where=stack.member_mask(improved))
 
-    for m in members:
-        if not m.failed:
-            outcomes[m.split][m.method] = TrainedRun(
-                best_model=m.best_model, history=tuple(m.history), selected_epoch=m.best_epoch,
-                method=methods[m.method], label_set=label_set)
+    for k, ((s, j), model) in enumerate(zip(places, stack._members(best))):
+        if not failed[k]:
+            outcomes[s][j] = TrainedRun(
+                best_model=model, history=tuple(zip(losses[:, k].tolist(), maes[:, k].tolist())),
+                selected_epoch=int(best_epoch[k]), method=methods[j], label_set=label_set)

@@ -118,7 +118,8 @@ def test_criterion_1_gradient_suite():
                                head_width=1 if FAMILIES[cfg.family].head == "shared" else None)
             stack = ModelStack([model])
             batch_loss_and_grads(stack, xs, [encode_targets(cfg, ages, ls)], [cfg], ls)
-            gw, gb = stack.grads[0].weights, stack.grads[0].biases
+            grads = stack._members(stack.grad)[0]
+            gw, gb = grads.weights, grads.biases
             analytic = np.concatenate([g.ravel() for g in gw]
                                       + [g.ravel() for g in gb])
 

@@ -500,6 +500,18 @@ def test_leakage_demo_writes_reports(tmp_path, capsys):
     assert "seed" in shown
 
 
+def test_a_diverged_leakage_seed_is_one_error_line_and_exit_1(capsys):
+    """Features of 1e38 overflow float32, so the first split trained fails;
+    the demo stops with an error line that names its seed and split mode,
+    the analysis-level exit a failed cell of run gets, and no traceback."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("leakage-demo", "--sigma-obs", "1e38", "--seeds", 1, "--epochs", 2)
+    assert code == 1
+    seed = LeakageParams().synth.seed
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: seed {seed}, random split: training diverged at epoch 1"]
+
+
 def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit):
         run_cli("frobnicate")

@@ -99,15 +99,15 @@ def test_forward_rejects_wrong_width():
 
 
 def test_forward_builds_no_gradient(monkeypatch):
-    """An inference pass allocates no gradient vector, member views or blocks;
-    a training step builds them on first use."""
+    """An inference pass allocates no gradient vector or gradient blocks; a
+    training step builds them on first use."""
     stacks = []
     monkeypatch.setattr(training, "ModelStack",
                         lambda models, groups=None: stacks.append(ModelStack(models, groups))
                         or stacks[-1])
     m = init_model(3, (4,), 2, seed=0)
     forward(m, np.ones((5, 3)))
-    lazy = {"grad", "grads", "_grad_blocks"}
+    lazy = {"grad", "_grad_blocks"}
     assert len(stacks) == 1 and not lazy & set(vars(stacks[0]))
     method = MethodConfig(family="cross-entropy")
     batch_loss_and_grads(stacks[0], np.ones((2, 3)),
@@ -129,7 +129,7 @@ def test_backprop_jacobian_small_model():
         basis = np.zeros((1, 1, 2))
         basis[0, 0, j] = 1.0
         stack.backward(acts, [basis])
-        analytic = flatten_params(stack.grads[0])
+        analytic = flatten_params(stack._members(stack.grad)[0])
         fd = fd_grad(lambda v: forward(set_params(model, v), x)[0, j], theta)
         assert rel_err(analytic, fd) <= 1e-5
 
@@ -148,7 +148,8 @@ def assert_backprop_matches_fd(method, label_set, ages):
         return sum(loss_eval(method, out[r], encode_targets(method, ages[r], label_set),
                              label_set).value for r in range(len(ages))) / len(ages)
 
-    assert rel_err(flatten_params(stack.grads[0]), fd_grad(value, flatten_params(model))) <= 1e-6
+    analytic = flatten_params(stack._members(stack.grad)[0])
+    assert rel_err(analytic, fd_grad(value, flatten_params(model))) <= 1e-6
     return model
 
 
@@ -331,6 +332,21 @@ def _member_arrays(model):
     return [a.tobytes() for a in model.weights + model.biases]
 
 
+@pytest.mark.parametrize("hidden_dims", [(5, 3), ()], ids=["two_hidden", "no_hidden"])
+def test_a_member_mask_marks_exactly_its_members_views(hidden_dims):
+    """Groups of 2 dense heads and 1 shared-score head: the mask of any set
+    of members is true on exactly the entries of theta their views hold."""
+    models = [init_model(4, hidden_dims, 3, seed=s) for s in range(2)] \
+        + [init_model(4, hidden_dims, 3, seed=2, head_width=1)]
+    stack = ModelStack(models, [2, 1])
+    stack.theta[:] = np.arange(stack.theta.size)
+    for members in ([True, False, False], [False, True, True], [False, False, False]):
+        held = [a.ravel() for k in np.flatnonzero(members)
+                for a in stack.models[k].weights + stack.models[k].biases]
+        held = np.sort(np.concatenate(held)) if held else np.array([])
+        np.testing.assert_array_equal(stack.theta[stack.member_mask(np.array(members))], held)
+
+
 @pytest.mark.parametrize("hidden_dims", [(16, 8), ()], ids=["two_hidden", "no_hidden"])
 def test_a_stack_is_bitwise_its_stacks_of_one(hidden_dims):
     """Every family in one stack (dense, shared-score and scalar heads) gets
@@ -352,7 +368,8 @@ def test_a_stack_is_bitwise_its_stacks_of_one(hidden_dims):
         for k, (model, method) in enumerate(zip(models, methods)):
             alone = ModelStack([model])
             assert batch_loss_and_grads(alone, x, [targets[k]], [method], ls) == [values[k]]
-            assert _member_arrays(alone.grads[0]) == _member_arrays(stack.grads[k]), method
+            assert (_member_arrays(alone._members(alone.grad)[0])
+                    == _member_arrays(stack._members(stack.grad)[k])), method
 
     # forward() is the pass of a stack of one: bitwise each member's outputs,
     # into arrays of its own that a later call leaves alone
@@ -435,7 +452,8 @@ def test_in_place_adam_is_bitwise_the_textbook_update(dtype):
     m64 = [np.zeros_like(p) for p in textbook]
     v64 = [np.zeros_like(p) for p in textbook]
     stack = ModelStack([model])
-    model, grad_views = stack.models[0], stack.grads[0].weights + stack.grads[0].biases
+    model, grads = stack.models[0], stack._members(stack.grad)[0]
+    grad_views = grads.weights + grads.biases
     adam = training._Adam(stack.theta, lr)
     rng = np.random.default_rng(0)
     for t in range(1, 31):
@@ -557,7 +575,8 @@ def test_a_bias_only_divergence_is_reported_as_divergence(monkeypatch, learning_
     """All-zero features and no hidden layer leave every head weight at its
     start, so a huge step overflows only the biases. The epoch-end check reads
     the biases too: each such member fails as TrainingDiverged at epoch 1, not
-    as a ValueError from decoding its non-finite val outputs.
+    as a ValueError from decoding its non-finite val outputs, and the stack's
+    member mask freezes its parameters and Adam moments at zero.
 
     Every age is 20, the lowest label, so both steps of the epoch (23 rows,
     then 1) push a labels head's target logit up and its other logits down,
@@ -574,15 +593,18 @@ def test_a_bias_only_divergence_is_reported_as_divergence(monkeypatch, learning_
     split = make_split(tab, MODE_RANDOM, (0.6, 0.2, 0.2), seed=0)
     methods = [MethodConfig(family=f) for f in FAMILIES]
     cfg = TrainConfig(learning_rate=learning_rate, epochs=1, batch_size=23, hidden_dims=())
-    zeroed = []  # a copy of every model train() zeroes: a failed member's parameters and moments
-    zero = training._zero
+    stacks, adams, stepped = [], [], []  # stepped: (theta, m, v) after each Adam step
 
-    def keep(models):
-        models = list(models)
-        zeroed.extend(m.copy() for m in models)
-        zero(models)
+    class KeptAdam(training._Adam):
+        def step(self, theta, g):
+            super().step(theta, g)
+            adams.append(self)
+            stepped.append([a.copy() for a in (theta, self.m, self.v)])
 
-    monkeypatch.setattr(training, "_zero", keep)
+    monkeypatch.setattr(training, "ModelStack",
+                        lambda models, groups=None: stacks.append(ModelStack(models, groups))
+                        or stacks[-1])
+    monkeypatch.setattr(training, "_Adam", KeptAdam)
     with np.errstate(over="ignore", invalid="ignore"):
         runs = train(tab, split, methods, cfg)
     finish = ("regression",) if learning_rate == 3e38 else ()
@@ -592,9 +614,16 @@ def test_a_bias_only_divergence_is_reported_as_divergence(monkeypatch, learning_
         else:
             assert isinstance(run, TrainingDiverged) and run.epoch == 1, (method.family, run)
             assert str(run) == "training diverged at epoch 1", method.family
+    stack, adam = stacks[0], adams[-1]  # one member per method, in method order
+    failed = np.array([isinstance(run, TrainingDiverged) for run in runs])
+    frozen = stack.member_mask(failed)
+    assert not any(a[frozen].any() for a in (stack.theta, adam.m, adam.v))
     if learning_rate == 3e38:
-        assert sum(not all(np.isfinite(b).all() for b in m.biases) for m in zeroed) == 8
-        assert all(np.isfinite(w).all() for m in zeroed for w in m.weights)
+        before = [stack._members(a) for a in stepped[-1]]  # as the epoch-end check read them
+        assert sum(not all(np.isfinite(b).all() for b in views[k].biases)
+                   for views in before for k in np.flatnonzero(failed)) == 8
+        assert all(np.isfinite(w).all()
+                   for views in before for k in np.flatnonzero(failed) for w in views[k].weights)
 
 
 def test_outputs_that_overflow_fail_every_family_as_divergence():
@@ -723,6 +752,41 @@ def test_a_member_whose_val_outputs_are_not_finite_diverges_alone():
     assert all(isinstance(run, TrainedRun) for run in runs[0])
     assert all(isinstance(run, TrainingDiverged) and run.epoch == 1 for run in runs[1])
     assert str(runs[1][0]) == "val outputs not finite at epoch 1"
+
+
+def test_a_member_that_diverges_mid_run_fails_alone():
+    """A member whose loss stops being finite at epoch 3 of 5 fails alone as
+    TrainingDiverged(3), after two epochs of history and selection in the
+    stack; every other member of the multi-split, multi-method stack keeps
+    the history, selected epoch and best model of its solo run."""
+    tab = grid_table()
+    splits = random_splits(tab, 3)
+    methods = [MethodConfig(family=f) for f in LOCKSTEP_FAMILIES]
+    cfgs = [dataclasses.replace(cfg, epochs=5) for cfg in split_cfgs(3)]
+    steps = math.ceil(144 / 32)  # minibatches an epoch
+    calls = []
+
+    def poisoned(method, out, targets, label_set):
+        """coral's losses, with split 1's member's made NaN from epoch 3 on."""
+        ev = loss_eval(method, out, targets, label_set)
+        if method is methods[1]:
+            calls.append(len(out))
+            if len(calls) > 2 * steps:
+                ev.value[1] = np.nan
+        return ev
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "loss_eval", poisoned)
+        runs = train(tab, splits, methods, cfgs)
+    assert calls == [3] * 5 * steps  # the failed member stays in its group's one call
+    failed = runs[1][1]
+    assert isinstance(failed, TrainingDiverged) and failed.epoch == 3
+    assert str(failed) == "training diverged at epoch 3"
+    for s, (split, cfg, row) in enumerate(zip(splits, cfgs, runs)):
+        for j, (method, run) in enumerate(zip(methods, row)):
+            if (s, j) != (1, 1):
+                assert len(run.history) == 5
+                assert_solo(tab, split, method, cfg, run)
 
 
 def test_splits_whose_folds_differ_in_size_train_in_separate_stacks(monkeypatch):
