@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from ordibench import SynthSpec, generate_synthetic
+from ordibench.data import SynthSpec, generate_synthetic
 
 
 @pytest.fixture(scope="session")

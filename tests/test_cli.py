@@ -252,8 +252,7 @@ def test_run_reports_failures_with_exit_1(tmp_path, capsys):
     payload = json.loads(cfg_path.read_text())
     payload["train"]["learning_rate"] = 1e200
     cfg_path.write_text(json.dumps(payload))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run_cli("run", cfg_path)
+    code = run_cli("run", cfg_path)
     assert code == 1
     err = capsys.readouterr().err
     assert "FAILED" in err
@@ -416,9 +415,14 @@ def test_compare_out_writes_the_text_report_and_its_json_twin(tmp_path, capsys):
 
 IMPORT_GUARD = """
 import sys
+import types
 import ordibench, ordibench.cli
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, f"importing ordibench loaded {loaded}"
+assert "ordibench.alignment" not in sys.modules, "importing ordibench loaded its alignment"
+names = [k for k, v in vars(ordibench).items()
+         if not k.startswith("_") and not isinstance(v, types.ModuleType)]
+assert not names, f"the package root re-exports {names}"
 code = ordibench.cli.main(["compare", sys.argv[1]])
 assert "scipy.stats" not in sys.modules, "compare imported scipy.stats"
 sys.exit(code)
@@ -429,7 +433,9 @@ def test_import_loads_no_scipy_and_compare_still_works(tmp_path):
     """Only the rank statistics load scipy, from inside the functions that use it,
     and compare never loads scipy.stats: that import takes about 0.6 s and
     lifts a compare process's peak memory from about 55 to 100 MB. A fresh
-    interpreter, because other tests import scipy.stats into this one."""
+    interpreter, because other tests import scipy.stats into this one. The
+    package root is a namespace: it re-exports no name, and importing the
+    pipeline does not load alignment, which no pipeline path calls."""
     matrix = tmp_path / "m.csv"
     # Rankings that disagree, so the p-value comes from the F distribution.
     matrix.write_text("dataset,a,b,c\nd0,1.0,2.0,3.0\nd1,1.1,2.1,3.1\n"
@@ -504,8 +510,7 @@ def test_a_diverged_leakage_seed_is_one_error_line_and_exit_1(capsys):
     """Features of 1e38 overflow float32, so the first split trained fails;
     the demo stops with an error line that names its seed and split mode,
     the analysis-level exit a failed cell of run gets, and no traceback."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run_cli("leakage-demo", "--sigma-obs", "1e38", "--seeds", 1, "--epochs", 2)
+    code = run_cli("leakage-demo", "--sigma-obs", "1e38", "--seeds", 1, "--epochs", 2)
     assert code == 1
     seed = LeakageParams().synth.seed
     assert capsys.readouterr().err.splitlines() == [

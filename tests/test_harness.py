@@ -519,9 +519,8 @@ LR_OVERFLOW = {"train": {"epochs": 2, "seed": 0, "hidden_dims": [16], "learning_
 
 def test_failed_cell_is_isolated(tmp_path):
     """Failed cells come back alike from this process and through the pool."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        serial = run_experiment(config_for(tmp_path, LR_OVERFLOW, out="s"), jobs=1)
-        pooled = run_experiment(config_for(tmp_path, LR_OVERFLOW, out="p"), jobs=2)
+    serial = run_experiment(config_for(tmp_path, LR_OVERFLOW, out="s"), jobs=1)
+    pooled = run_experiment(config_for(tmp_path, LR_OVERFLOW, out="p"), jobs=2)
     assert serial.failures
     assert pooled.failures == serial.failures
     assert pooled.records == serial.records
@@ -535,8 +534,7 @@ def test_failed_cell_is_isolated(tmp_path):
     clean = run_experiment(config_for(tmp_path, out="s"), jobs=1)
     assert not clean.failures and clean.mean_matrix is not None
     assert not (tmp_path / "s" / "failures.txt").exists()
-    with np.errstate(over="ignore", invalid="ignore"):
-        run_experiment(config_for(tmp_path, LR_OVERFLOW, out="s"), jobs=1)
+    run_experiment(config_for(tmp_path, LR_OVERFLOW, out="s"), jobs=1)
     assert (tmp_path / "s" / "failures.txt").exists()
     for name in ("mae_mean.csv", "mae_std.csv", "mae_splits.csv"):
         assert not (tmp_path / "s" / name).exists()
@@ -549,11 +547,10 @@ def test_a_diverging_family_leaves_the_others_bitwise_unchanged(tmp_path, jobs):
     methods = [{"family": f} for f in ("cross-entropy", "coral", "regression")]
     diverging = methods + [{"family": "mean-variance", "lambda_mean": 1e308}]
     clean = run_experiment(config_for(tmp_path, {"methods": methods}, out="clean"), jobs=jobs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mixed = run_experiment(config_for(tmp_path, {"methods": diverging}, out="mixed"),
-                               jobs=jobs)
-        serial = run_experiment(config_for(tmp_path, {"methods": diverging}, out="serial"),
-                                jobs=1)
+    mixed = run_experiment(config_for(tmp_path, {"methods": diverging}, out="mixed"),
+                           jobs=jobs)
+    serial = run_experiment(config_for(tmp_path, {"methods": diverging}, out="serial"),
+                            jobs=1)
     assert not clean.failures and len(clean.records) == 6
     assert mixed.records == clean.records
     assert mixed.failures == serial.failures == tuple(

@@ -257,10 +257,9 @@ def test_selection_prefers_earliest_best_epoch():
 
 def test_training_diverges_loudly():
     tab, split = clean_split_table()
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDiverged) as exc:
-            train(tab, split, MethodConfig(family="cross-entropy"),
-                  TrainConfig(epochs=30, seed=0, learning_rate=1e200))
+    with pytest.raises(TrainingDiverged) as exc:
+        train(tab, split, MethodConfig(family="cross-entropy"),
+              TrainConfig(epochs=30, seed=0, learning_rate=1e200))
     assert exc.value.epoch >= 1
 
 
@@ -400,10 +399,9 @@ def test_a_failing_method_fails_alone_and_the_others_go_on():
     methods = [MethodConfig(family="sord"),
                MethodConfig(family="mean-variance", lambda_mean=1e308),
                MethodConfig(family="coral")]
-    with np.errstate(over="ignore", invalid="ignore"):
-        runs = train(tab, split, methods, cfg)
-        with pytest.raises(TrainingDiverged):
-            train(tab, split, methods[1], cfg)
+    runs = train(tab, split, methods, cfg)
+    with pytest.raises(TrainingDiverged):
+        train(tab, split, methods[1], cfg)
     assert isinstance(runs[1], TrainingDiverged) and runs[1].epoch == 1
     for method, run in zip(methods[::2], runs[::2]):
         alone = train(tab, split, method, cfg)
@@ -426,8 +424,7 @@ def test_a_failed_member_is_frozen_at_zero_in_the_one_stack(monkeypatch):
         return stacks[-1]
 
     monkeypatch.setattr(training, "ModelStack", kept_stack)
-    with np.errstate(over="ignore", invalid="ignore"):
-        runs = train(tab, split, methods, cfg)
+    runs = train(tab, split, methods, cfg)
     assert isinstance(runs[1], TrainingDiverged) and runs[1].epoch == 1
     assert all(isinstance(run, TrainedRun) for run in runs[::2])
     assert len(stacks) == 1
@@ -605,8 +602,7 @@ def test_a_bias_only_divergence_is_reported_as_divergence(monkeypatch, learning_
                         lambda models, groups=None: stacks.append(ModelStack(models, groups))
                         or stacks[-1])
     monkeypatch.setattr(training, "_Adam", KeptAdam)
-    with np.errstate(over="ignore", invalid="ignore"):
-        runs = train(tab, split, methods, cfg)
+    runs = train(tab, split, methods, cfg)
     finish = ("regression",) if learning_rate == 3e38 else ()
     for method, run in zip(methods, runs):
         if method.family in finish:
@@ -636,8 +632,7 @@ def test_outputs_that_overflow_fail_every_family_as_divergence():
     split = make_split(tab, MODE_RANDOM, (0.6, 0.2, 0.2), seed=0)
     cfg = TrainConfig(learning_rate=1e36, epochs=1, batch_size=64, seed=0, hidden_dims=(8, 8))
     methods = [MethodConfig(family=f) for f in FAMILIES]
-    with np.errstate(over="ignore", invalid="ignore"):
-        runs = train(tab, split, methods, cfg)
+    runs = train(tab, split, methods, cfg)
     for method, run in zip(methods, runs):
         assert isinstance(run, TrainingDiverged) and run.epoch == 1, (method.family, run)
         assert str(run) == "val outputs not finite at epoch 1", method.family
@@ -719,8 +714,7 @@ def test_a_split_whose_members_diverge_leaves_the_other_splits_unchanged():
     splits = [in_test, in_train]
     methods = [MethodConfig(family=f) for f in LOCKSTEP_FAMILIES]
     cfgs = split_cfgs(2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        clean, diverged = train(tab, splits, methods, cfgs)
+    clean, diverged = train(tab, splits, methods, cfgs)
     assert all(isinstance(o, TrainingDiverged) and o.epoch == 1 for o in diverged)
     for method, run in zip(methods, clean):
         assert_solo(tab, in_test, method, cfgs[0], run)
@@ -740,15 +734,14 @@ def test_a_member_whose_val_outputs_are_not_finite_diverges_alone():
               next(s for s in candidates if bad in s.val)]
     methods = [MethodConfig(family="cross-entropy"), MethodConfig(family="coral")]
     cfgs = split_cfgs(2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        runs = train(tab, splits, methods, cfgs)
-        for split, cfg, row in zip(splits, cfgs, runs):
-            for method, run in zip(methods, row):
-                if isinstance(run, Exception):
-                    with pytest.raises(type(run), match=str(run)):
-                        train(tab, split, method, cfg)
-                else:
-                    assert_solo(tab, split, method, cfg, run)
+    runs = train(tab, splits, methods, cfgs)
+    for split, cfg, row in zip(splits, cfgs, runs):
+        for method, run in zip(methods, row):
+            if isinstance(run, Exception):
+                with pytest.raises(type(run), match=str(run)):
+                    train(tab, split, method, cfg)
+            else:
+                assert_solo(tab, split, method, cfg, run)
     assert all(isinstance(run, TrainedRun) for run in runs[0])
     assert all(isinstance(run, TrainingDiverged) and run.epoch == 1 for run in runs[1])
     assert str(runs[1][0]) == "val outputs not finite at epoch 1"
