@@ -28,7 +28,9 @@ def main():
 
     method = MethodConfig(family=args.family)
     tc = TrainConfig(epochs=args.epochs, seed=0)
-    result = train(table, split, method, tc)
+    [[result]] = train(table, [split], [method], [tc])
+    if isinstance(result, Exception):  # train() returns a run's failure as its outcome
+        raise result
 
     print(f"=== {method.display_name} on {len(table)} samples ===")
     for ep, (train_loss, val_mae) in enumerate(result.history, start=1):

@@ -308,6 +308,8 @@ class SynthSpec:
         if lo >= hi:
             raise ValidationError("age_range must satisfy min < max")
         object.__setattr__(self, "age_range", (lo, hi))
+        if not (math.isfinite(self.sigma_id) and math.isfinite(self.sigma_obs)):
+            raise ValidationError("noise scales must be finite")
         if self.sigma_id < 0 or self.sigma_obs < 0:
             raise ValidationError("noise scales must be non-negative")
 

@@ -469,7 +469,7 @@ def leakage_demo(params: LeakageParams = LeakageParams()) -> LeakageReport:
         cfg = dataclasses.replace(params.train, seed=params.train.seed + k)
         splits = [make_split(table, mode, SplitConfig.fractions, seed)
                   for mode in (MODE_RANDOM, MODE_SUBJECT_EXCLUSIVE)]
-        for split, run in zip(splits, train(table, splits, method, [cfg, cfg])):
+        for split, [run] in zip(splits, train(table, splits, [method], [cfg, cfg])):
             if isinstance(run, TrainingDiverged):
                 raise TrainingDiverged(run.epoch, f"seed {seed}, {split.mode} split: {run}")
             if isinstance(run, Exception):

@@ -457,15 +457,9 @@ def evaluate_mae(run: TrainedRun, table: DatasetTable, fold_ids) -> float:
     ids = tuple(fold_ids)
     if not ids:
         raise ValueError("cannot evaluate an empty fold")
-    return float(_mae(run.method, forward(run.best_model, table.features_for(ids)),
-                      table.ages_for(ids), run.label_set))
-
-
-def _joined(targets: list[Targets], dtype) -> Targets:
-    """The targets of members with n rows each, one after another, their rows
-    in dtype: member i's row r is row i * n + r."""
-    index = None if targets[0].index is None else np.concatenate([t.index for t in targets])
-    return Targets(index, np.concatenate([t.row for t in targets], dtype=dtype))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite outputs fail the decoder
+        return float(_mae(run.method, forward(run.best_model, table.features_for(ids)),
+                          table.ages_for(ids), run.label_set))
 
 
 def _take(stack: ModelStack, name, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -474,17 +468,15 @@ def _take(stack: ModelStack, name, a: np.ndarray, rows: np.ndarray) -> np.ndarra
                    out=stack._buffer(name, rows.shape + a.shape[1:], a.dtype))
 
 
-def train(table: DatasetTable, splits, methods, cfgs):
+def train(table: DatasetTable, splits, methods, cfgs) -> list[list]:
     """Fit one model per (split, method) on the split's train fold, selecting
     each by val-fold MAE.
 
-    splits is one SplitSpec with its TrainConfig as cfgs, or a sequence of
-    splits of the table with one TrainConfig each, configs that may differ
-    only in seed; methods is one MethodConfig or a sequence of them. The
-    outcomes come as outcomes[split][method], without the level of an
-    argument given singly: one split and one method give that TrainedRun and
-    raise its failure, and otherwise an outcome is a TrainedRun or the
-    exception that stopped it. No fold of a SplitSpec is empty.
+    splits is a sequence of splits of the table, cfgs one TrainConfig per
+    split, configs that may differ only in seed, and methods a sequence of
+    MethodConfigs. The outcomes come as outcomes[split][method], each a
+    TrainedRun or the exception that stopped it. No fold of a SplitSpec is
+    empty.
 
     The splits whose train and val folds have equal sizes train in lockstep
     as one ModelStack of all their (split, method) members, method-major, a
@@ -494,24 +486,22 @@ def train(table: DatasetTable, splits, methods, cfgs):
     gets bitwise the run it would get alone. A member whose train outputs,
     loss, parameters or val outputs stop being finite gets TrainingDiverged
     at that epoch as its outcome and stays in the stack, frozen; the others
-    go on. So does a member whose targets cannot be encoded or whose model
-    cannot be built, with that error. Any other exception leaves train().
+    go on. A method whose targets cannot be encoded or whose model cannot be
+    built has that error as its outcome on every split, as every split
+    shares the table's label set. Any other exception leaves train().
 
     Only the train and val folds are ever read; the test folds stay
     untouched. Given equal inputs the result is bitwise reproducible: the
     seed drives both initialization and the per-epoch shuffles. Each model
     is drawn in float64 and trains in _TRUNK_DTYPE, float32, as do the
     folds, the target rows and the losses; the decoders widen its head
-    outputs to float64. Targets are encoded from the train fold once and
-    cast to float32 once per stack. A family with a "shared" head gets one
+    outputs to float64. Targets are encoded from the train folds once per
+    stack and cast to float32 once. A family with a "shared" head gets one
     weight column, and its bias k starts at the logit of the train fold's
     P(label index > k), as Cao, Mirjalili & Raschka (2020) do; from zero
     biases Adam cannot spread the thresholds within a short run.
     """
-    one_split, one_method = isinstance(splits, SplitSpec), isinstance(methods, MethodConfig)
-    splits = [splits] if one_split else list(splits)
-    cfgs = [cfgs] if isinstance(cfgs, TrainConfig) else list(cfgs)
-    methods = [methods] if one_method else list(methods)
+    splits, methods, cfgs = list(splits), list(methods), list(cfgs)
     if not methods:
         raise ValueError("no methods to train")
     if not splits or len(cfgs) != len(splits):
@@ -527,13 +517,7 @@ def train(table: DatasetTable, splits, methods, cfgs):
         for group in stacks.values():
             _train_stack(table, [splits[s] for s in group], methods, [cfgs[s] for s in group],
                          [outcomes[s] for s in group])
-    if one_method:
-        outcomes = [row[0] for row in outcomes]
-    if not one_split:
-        return outcomes
-    if one_method and isinstance(outcomes[0], Exception):
-        raise outcomes[0]
-    return outcomes[0]
+    return outcomes
 
 
 def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[MethodConfig],
@@ -541,51 +525,54 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     """train() for splits whose folds have equal sizes: one lockstep stack,
     whose member (s, j) puts its outcome in outcomes[s][j].
 
-    The members' state is arrays over the stack's members: which have
-    failed, each epoch's train losses and val MAEs, the best val MAE and
-    epoch, and one flat snapshot of the best parameters in the stack's
-    layout, whose member views are the runs' best models. A member that
-    fails keeps its place in the stack, frozen: the stack's member mask
-    zeroes its parameters and Adam moments once and its gradients after
-    every step, so Adam leaves them at zero. Zero parameters give finite
-    outputs, so a frozen member does not fail again.
+    The stack is a dense grid: each method that can be encoded and built is
+    one group of a member per split, in split order. A method's targets are
+    encoded once, for the train ages of every split, so a method that cannot
+    be encoded or built fails on every split. The members' state is arrays
+    over the stack's members: which have failed, each epoch's train losses
+    and val MAEs, the best val MAE and epoch, and one flat snapshot of the
+    best parameters in the stack's layout, whose member views are the runs'
+    best models. A member that fails keeps its place in the stack, frozen:
+    the stack's member mask zeroes its parameters and Adam moments once and
+    its gradients after every step, so Adam leaves them at zero. Zero
+    parameters give finite outputs, so a frozen member does not fail again.
     """
     label_set = table.label_set
     x_train = np.stack([table.features_for(s.train) for s in splits]).astype(_TRUNK_DTYPE)
-    ages_train = np.stack([table.ages_for(s.train) for s in splits])
+    # every split's train ages, one after another: split s's row r is row s * n + r
+    ages_train = np.concatenate([table.ages_for(s.train) for s in splits])
     x_val = np.stack([table.features_for(s.val) for s in splits]).astype(_TRUNK_DTYPE)
     ages_val = np.stack([table.ages_for(s.val) for s in splits])
     cfg = cfgs[0]
+    n_splits, n, width = x_train.shape
 
-    places, targets, models = [], [], []  # each member's (split, method), targets and model
+    live, targets, models = [], [], []  # the methods that train, their targets, their models
     for j, method in enumerate(methods):
         shared = FAMILIES[method.family].head == "shared"
-        for s, (ages, split_cfg) in enumerate(zip(ages_train, cfgs)):
-            try:
-                member_targets = encode_targets(method, ages, label_set)
-                model = init_model(table.dimension, cfg.hidden_dims,
-                                   method.head_size(len(label_set)), seed=split_cfg.seed,
-                                   head_width=1 if shared else None)
-            except Exception as exc:  # this member fails; the others go on
-                outcomes[s][j] = exc
-                continue
-            if shared:
-                p = np.clip(member_targets.row.mean(axis=0), 1e-3, 1 - 1e-3)
+        try:
+            method_targets = encode_targets(method, ages_train, label_set)
+            group = [init_model(table.dimension, cfg.hidden_dims, method.head_size(len(label_set)),
+                                seed=c.seed, head_width=1 if shared else None) for c in cfgs]
+        except Exception as exc:  # this method fails on every split; the others go on
+            for row in outcomes:
+                row[j] = exc
+            continue
+        if shared:
+            for model, rows in zip(group, method_targets.row.reshape(n_splits, n, -1)):
+                p = np.clip(rows.mean(axis=0), 1e-3, 1 - 1e-3)
                 model.biases[-1][:] = np.log(p / (1 - p))
-            places.append((s, j))
-            targets.append(member_targets)
-            models.append(model.astype(_TRUNK_DTYPE))
-    if not places:
+        live.append(j)
+        targets.append(Targets(method_targets.index, method_targets.row.astype(_TRUNK_DTYPE)))
+        models.extend(model.astype(_TRUNK_DTYPE) for model in group)
+    if not live:
         return
 
-    stack = ModelStack(models, [len(list(run)) for _, run in itertools.groupby(j for _, j in places)])
+    stack = ModelStack(models, [n_splits] * len(live))
     del models
     adam = _Adam(stack.theta, cfg.learning_rate)
-    group_splits = [np.array([s for s, _ in places[g.start:g.stop]]) for g in stack.groups]
-    group_targets = [_joined(targets[g.start:g.stop], stack.theta.dtype) for g in stack.groups]
-    group_methods = [methods[places[g.start][1]] for g in stack.groups]
-    inputs = np.concatenate(group_splits)  # the split of every member
-    val_x = x_val[inputs]
+    group_methods = [methods[j] for j in live]
+    places = [(s, j) for j in live for s in range(n_splits)]  # each member's (split, method)
+    val_x = np.concatenate([x_val] * len(live))
     b = len(places)
     failed = np.zeros(b, bool)
     losses, maes = np.zeros((cfg.epochs, b)), np.zeros((cfg.epochs, b))
@@ -606,18 +593,14 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
         return not failed.all()
 
     rngs = [rng_from_seed(c.seed, 1) for c in cfgs]
-    n, width = x_train.shape[1:]
     train_rows = x_train.reshape(-1, width)  # row r of split s is train_rows[s * n + r]
     for epoch in range(1, cfg.epochs + 1):
-        # each member's rows and each group's targets in this epoch's order,
-        # taken once; a minibatch is a slice of them
-        orders = np.stack([rng.permutation(n) for rng in rngs])
-        x_epoch = _take(stack, "x", train_rows, inputs[:, None] * n + orders[inputs])
-        t_epoch = []
-        for j, (t, s) in enumerate(zip(group_targets, group_splits)):
-            rows = np.arange(0, len(s) * n, n)[:, None] + orders[s]
-            index = None if t.index is None else _take(stack, ("index", j), t.index, rows)
-            t_epoch.append(Targets(index, _take(stack, ("target", j), t.row, rows)))
+        # each split's rows in this epoch's order, taken once for every
+        # member's inputs and every group's targets; a minibatch is a slice
+        rows = np.stack([s * n + rng.permutation(n) for s, rng in enumerate(rngs)])
+        x_epoch = _take(stack, "x", train_rows, np.concatenate([rows] * len(live)))
+        t_epoch = [Targets(None if t.index is None else _take(stack, ("index", j), t.index, rows),
+                           _take(stack, ("target", j), t.row, rows)) for j, t in enumerate(targets)]
         loss, mae = losses[epoch - 1], maes[epoch - 1]
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
@@ -637,10 +620,9 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
                                     for m in stack.models]), epoch):
                 return
         finite = np.empty(b, bool)
-        for g, s, method, out in zip(stack.groups, group_splits, group_methods,
-                                     stack.outputs(val_x)):
+        for g, method, out in zip(stack.groups, group_methods, stack.outputs(val_x)):
             finite[g.start:g.stop] = _finite_members(out)
-            mae[g.start:g.stop] = _mae(method, out, ages_val[s], label_set)
+            mae[g.start:g.stop] = _mae(method, out, ages_val, label_set)
         new = ~(failed | finite)
         if new.any() and not freeze(new, epoch, f"val outputs not finite at epoch {epoch}"):
             return

@@ -393,8 +393,8 @@ def test_criterion_9_determinism_and_test_fold_isolation(tmp_path):
         tab.features_for = lambda ids: (requested.extend(ids), orig_feat(ids))[1]
         tab.ages_for = lambda ids: (requested.extend(ids), orig_ages(ids))[1]
         try:
-            train(tab, split, MethodConfig(family="cross-entropy"),
-                  TrainConfig(epochs=3, seed=0, hidden_dims=(16,)))
+            train(tab, [split], [MethodConfig(family="cross-entropy")],
+                  [TrainConfig(epochs=3, seed=0, hidden_dims=(16,))])
         finally:
             del tab.features_for
             del tab.ages_for

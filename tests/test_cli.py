@@ -58,6 +58,17 @@ def test_synth_rejects_zero_identities(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize("argv", [
+    ("synth", "--identities", 3, "--sigma-id", "nan", "--seed", 4),
+    ("leakage-demo", "--sigma-obs", "nan", "--seeds", 1, "--epochs", 1),
+], ids=["synth", "leakage-demo"])
+def test_a_nan_noise_scale_is_a_usage_error(tmp_path, capsys, argv):
+    out = ["-o", tmp_path / "x.csv"] if argv[0] == "synth" else ["--out-dir", tmp_path / "out"]
+    assert run_cli(*argv, *out) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: noise scales must be finite"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_split_writes_series(tmp_path):
     data = make_dataset(tmp_path)
     out_dir = tmp_path / "splits"

@@ -149,6 +149,14 @@ def test_synth_spec_validation():
                   age_range=(20, 60), sigma_id=-1.0, sigma_obs=0.1, seed=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["sigma_id", "sigma_obs"])
+def test_synth_spec_refuses_a_non_finite_noise_scale(field, value):
+    """NaN passes a `< 0` check, and a NaN scale used to generate as if it were 0."""
+    with pytest.raises(ValidationError, match="noise scales must be finite"):
+        SynthSpec(2, 1, 4, (20, 60), **{field: value})
+
+
 def test_generate_counts_and_ranges():
     spec = SynthSpec(n_identities=50, samples_per_identity=4, dimension=16,
                      age_range=(20, 60), sigma_id=2.0, sigma_obs=0.5, seed=0)

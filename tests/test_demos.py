@@ -41,3 +41,4 @@ def test_demo_runs_standalone(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, f"{demo.name} exited {done.returncode}:\n{done.stderr}"
     assert done.stdout.strip(), f"{demo.name} printed nothing"
+    assert not done.stderr, f"{demo.name} wrote to stderr:\n{done.stderr}"

@@ -366,8 +366,8 @@ def test_grid_cells_are_the_models_train_builds(tmp_path):
     assert len(result.records) == 4
     for rec in result.records:
         split = splits[rec.split_index]
-        run = train(table, split, MethodConfig(family=rec.method),
-                    dataclasses.replace(cfg.train, seed=rec.seed))
+        [[run]] = train(table, [split], [MethodConfig(family=rec.method)],
+                        [dataclasses.replace(cfg.train, seed=rec.seed)])
         assert (rec.val_mae, rec.test_mae, rec.selected_epoch) == \
             (run.best_val_mae, evaluate_mae(run, table, split.test), run.selected_epoch)
 
@@ -583,8 +583,7 @@ def test_non_finite_test_and_held_out_outputs_fail_only_their_cells(tmp_path):
     test_fold, train_fold = make_split_series(tab, MODE_RANDOM, (0.6, 0.2, 0.2), 9, 2)
     assert tab.sample_ids[0] in test_fold.test and tab.sample_ids[0] in train_fold.train
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run_experiment(cfg, jobs=1)
+    result = run_experiment(cfg, jobs=1)
     not_finite = "ValueError: head outputs must be finite"
     expected = {}
     for family in FAMILIES:
@@ -613,7 +612,7 @@ def test_an_error_from_a_loss_leaves_train_and_fails_its_task(tmp_path, monkeypa
     cfg = config_for(tmp_path)
     table = cfg.datasets[0].load()
     with pytest.raises(RuntimeError, match="regression loss broke"):
-        train(table, make_split(table, MODE_RANDOM, (0.6, 0.2, 0.2), 0), cfg.methods, cfg.train)
+        train(table, [make_split(table, MODE_RANDOM, (0.6, 0.2, 0.2), 0)], cfg.methods, [cfg.train])
     result = run_experiment(cfg, jobs=jobs)
     assert not result.records
     broke = "RuntimeError: regression loss broke"
@@ -704,7 +703,7 @@ def test_leakage_demo_seed_k_uses_table_seed_plus_k_and_train_seed_plus_k():
         table = generate_synthetic(dataclasses.replace(synth, seed=table_seed))
         for mode, maes in expected.items():
             split = make_split(table, mode, SplitConfig().fractions, table_seed)
-            run = train(table, split, method, dataclasses.replace(cfg, seed=train_seed))
+            [[run]] = train(table, [split], [method], [dataclasses.replace(cfg, seed=train_seed)])
             maes.append(float(evaluate_mae(run, table, split.test)))
     assert rep.seeds == (7, 8)
     assert rep.random_mae == tuple(expected[MODE_RANDOM])
@@ -719,7 +718,7 @@ def test_leakage_demo_trains_both_splits_of_a_seed_in_one_call(monkeypatch):
     def recording_train(table, splits, methods, cfgs):
         calls.append([split.mode for split in splits])
         outcomes = train(table, splits, methods, cfgs)
-        return outcomes if len(calls) < 2 else [outcomes[0], ValueError("second seed failed")]
+        return outcomes if len(calls) < 2 else [outcomes[0], [ValueError("second seed failed")]]
 
     monkeypatch.setattr(harness, "train", recording_train)
     synth = SynthSpec(16, 4, 8, (20, 40), sigma_id=2.0, sigma_obs=0.5, seed=7)

@@ -221,7 +221,7 @@ def clean_split_table(seed=5):
 def test_training_reduces_validation_error():
     tab, split = clean_split_table()
     cfg = TrainConfig(epochs=50, seed=0)
-    run = train(tab, split, MethodConfig(family="cross-entropy"), cfg)
+    [[run]] = train(tab, [split], [MethodConfig(family="cross-entropy")], [cfg])
     first = run.history[0][1]
     assert run.best_val_mae < first
     assert run.best_val_mae == min(v for _, v in run.history)
@@ -229,8 +229,8 @@ def test_training_reduces_validation_error():
 
 def test_training_single_epoch():
     tab, split = clean_split_table()
-    run = train(tab, split, MethodConfig(family="regression"),
-                TrainConfig(epochs=1, seed=0))
+    [[run]] = train(tab, [split], [MethodConfig(family="regression")],
+                    [TrainConfig(epochs=1, seed=0)])
     assert len(run.history) == 1
     assert run.selected_epoch == 1
 
@@ -239,8 +239,8 @@ def test_training_is_deterministic():
     tab, split = clean_split_table()
     cfg = TrainConfig(epochs=8, seed=4)
     m = MethodConfig(family="sord")
-    a = train(tab, split, m, cfg)
-    b = train(tab, split, m, cfg)
+    [[a]] = train(tab, [split], [m], [cfg])
+    [[b]] = train(tab, [split], [m], [cfg])
     assert a.history == b.history
     assert a.selected_epoch == b.selected_epoch
     for wa, wb in zip(a.best_model.weights, b.best_model.weights):
@@ -249,18 +249,17 @@ def test_training_is_deterministic():
 
 def test_selection_prefers_earliest_best_epoch():
     tab, split = clean_split_table()
-    run = train(tab, split, MethodConfig(family="cross-entropy"),
-                TrainConfig(epochs=30, seed=1))
+    [[run]] = train(tab, [split], [MethodConfig(family="cross-entropy")],
+                    [TrainConfig(epochs=30, seed=1)])
     maes = [v for _, v in run.history]
     assert run.selected_epoch == maes.index(min(maes)) + 1
 
 
 def test_training_diverges_loudly():
     tab, split = clean_split_table()
-    with pytest.raises(TrainingDiverged) as exc:
-        train(tab, split, MethodConfig(family="cross-entropy"),
-              TrainConfig(epochs=30, seed=0, learning_rate=1e200))
-    assert exc.value.epoch >= 1
+    [[run]] = train(tab, [split], [MethodConfig(family="cross-entropy")],
+                    [TrainConfig(epochs=30, seed=0, learning_rate=1e200)])
+    assert isinstance(run, TrainingDiverged) and run.epoch >= 1
 
 
 def test_train_never_touches_the_test_fold():
@@ -280,8 +279,7 @@ def test_train_never_touches_the_test_fold():
     tab.features_for = spy_feat
     tab.ages_for = spy_ages
     try:
-        train(tab, split, MethodConfig(family="cross-entropy"),
-              TrainConfig(epochs=3, seed=0))
+        train(tab, [split], [MethodConfig(family="cross-entropy")], [TrainConfig(epochs=3, seed=0)])
     finally:
         del tab.features_for
         del tab.ages_for
@@ -322,7 +320,7 @@ def test_one_loss_call_per_minibatch_and_one_decode_per_fold(call_counts, family
     assert call_counts == {"loss": 1, "decode": 1}
 
     cfg = TrainConfig(epochs=3, batch_size=16, seed=0, hidden_dims=(8,))
-    train(tab, split, method, cfg)
+    train(tab, [split], [method], [cfg])
     batches = -(-len(split.train) // cfg.batch_size)
     assert call_counts == {"loss": 1 + cfg.epochs * batches, "decode": 1 + cfg.epochs}
 
@@ -385,9 +383,9 @@ def test_a_stack_is_bitwise_its_stacks_of_one(hidden_dims):
     n = len(split.train)
     for batch_size in (n - 1, 10):  # last minibatches of 1 and of n % 10 = 6 rows
         cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=2, hidden_dims=hidden_dims)
-        runs = train(tab, split, methods, cfg)
+        [runs] = train(tab, [split], methods, [cfg])
         for method, run in zip(methods, runs):
-            alone = train(tab, split, method, cfg)
+            [[alone]] = train(tab, [split], [method], [cfg])
             assert run.history == alone.history, method
             assert run.selected_epoch == alone.selected_epoch
             assert _member_arrays(run.best_model) == _member_arrays(alone.best_model)
@@ -399,12 +397,12 @@ def test_a_failing_method_fails_alone_and_the_others_go_on():
     methods = [MethodConfig(family="sord"),
                MethodConfig(family="mean-variance", lambda_mean=1e308),
                MethodConfig(family="coral")]
-    runs = train(tab, split, methods, cfg)
-    with pytest.raises(TrainingDiverged):
-        train(tab, split, methods[1], cfg)
+    [runs] = train(tab, [split], methods, [cfg])
+    [[alone]] = train(tab, [split], [methods[1]], [cfg])
+    assert isinstance(alone, TrainingDiverged)
     assert isinstance(runs[1], TrainingDiverged) and runs[1].epoch == 1
     for method, run in zip(methods[::2], runs[::2]):
-        alone = train(tab, split, method, cfg)
+        [[alone]] = train(tab, [split], [method], [cfg])
         assert run.history == alone.history
         assert _member_arrays(run.best_model) == _member_arrays(alone.best_model)
 
@@ -424,7 +422,7 @@ def test_a_failed_member_is_frozen_at_zero_in_the_one_stack(monkeypatch):
         return stacks[-1]
 
     monkeypatch.setattr(training, "ModelStack", kept_stack)
-    runs = train(tab, split, methods, cfg)
+    [runs] = train(tab, [split], methods, [cfg])
     assert isinstance(runs[1], TrainingDiverged) and runs[1].epoch == 1
     assert all(isinstance(run, TrainedRun) for run in runs[::2])
     assert len(stacks) == 1
@@ -518,8 +516,8 @@ def test_train_returns_float32_models_drawn_in_float64():
     """Each member is drawn in float64 and rounded to float32 once: steps
     too small to move a weight leave the rounded draw."""
     tab, split = clean_split_table()
-    run = train(tab, split, MethodConfig(family="cross-entropy"),
-                TrainConfig(learning_rate=1e-30, epochs=1, seed=3, hidden_dims=(8,)))
+    [[run]] = train(tab, [split], [MethodConfig(family="cross-entropy")],
+                    [TrainConfig(learning_rate=1e-30, epochs=1, seed=3, hidden_dims=(8,))])
     drawn = init_model(tab.dimension, (8,), len(tab.label_set), seed=3)
     assert all(a.dtype == np.float32 for a in run.best_model.weights + run.best_model.biases)
     for got, want in zip(run.best_model.weights, drawn.weights):
@@ -534,8 +532,8 @@ def test_a_numpy_learning_rate_trains_bitwise_as_its_python_float():
     lr = np.linspace(1e-3, 4e-3, 4)[1]
     assert type(TrainConfig(learning_rate=lr).learning_rate) is float
     methods = [MethodConfig(family=f) for f in LOCKSTEP_FAMILIES]
-    as_numpy = train(tab, split, methods, TrainConfig(learning_rate=lr, epochs=3, seed=1))
-    as_float = train(tab, split, methods, TrainConfig(learning_rate=float(lr), epochs=3, seed=1))
+    [as_numpy] = train(tab, [split], methods, [TrainConfig(learning_rate=lr, epochs=3, seed=1)])
+    [as_float] = train(tab, [split], methods, [TrainConfig(learning_rate=float(lr), epochs=3, seed=1)])
     for a, b in zip(as_numpy, as_float):
         assert a.history == b.history
         assert _member_arrays(a.best_model) == _member_arrays(b.best_model)
@@ -544,8 +542,8 @@ def test_a_numpy_learning_rate_trains_bitwise_as_its_python_float():
 def test_coral_thresholds_start_at_the_train_fold_logits():
     """Bias k starts at logit(P(label index > k)) over the train fold, clipped."""
     tab, split = clean_split_table()
-    run = train(tab, split, MethodConfig(family="coral"),
-                TrainConfig(learning_rate=1e-9, epochs=1, seed=0))
+    [[run]] = train(tab, [split], [MethodConfig(family="coral")],
+                    [TrainConfig(learning_rate=1e-9, epochs=1, seed=0)])
     idx = [tab.label_set.values.index(int(a)) for a in tab.ages_for(split.train)]
     above = [np.mean([i > k for i in idx]) for k in range(len(tab.label_set) - 1)]
     p = np.clip(above, 1e-3, 1 - 1e-3)
@@ -560,7 +558,7 @@ def test_the_family_rule_gives_every_head_its_shape():
     assert [f for f in FAMILIES if FAMILIES[f].head == "shared"] == ["coral"]
     tab, split = clean_split_table()
     methods = [MethodConfig(family=f) for f in FAMILIES]
-    runs = train(tab, split, methods, TrainConfig(epochs=1, seed=0, hidden_dims=(8,)))
+    [runs] = train(tab, [split], methods, [TrainConfig(epochs=1, seed=0, hidden_dims=(8,))])
     for method, run in zip(methods, runs):
         size = method.head_size(len(tab.label_set))
         assert run.best_model.biases[-1].shape == (size,)
@@ -602,7 +600,7 @@ def test_a_bias_only_divergence_is_reported_as_divergence(monkeypatch, learning_
                         lambda models, groups=None: stacks.append(ModelStack(models, groups))
                         or stacks[-1])
     monkeypatch.setattr(training, "_Adam", KeptAdam)
-    runs = train(tab, split, methods, cfg)
+    [runs] = train(tab, [split], methods, [cfg])
     finish = ("regression",) if learning_rate == 3e38 else ()
     for method, run in zip(methods, runs):
         if method.family in finish:
@@ -632,7 +630,7 @@ def test_outputs_that_overflow_fail_every_family_as_divergence():
     split = make_split(tab, MODE_RANDOM, (0.6, 0.2, 0.2), seed=0)
     cfg = TrainConfig(learning_rate=1e36, epochs=1, batch_size=64, seed=0, hidden_dims=(8, 8))
     methods = [MethodConfig(family=f) for f in FAMILIES]
-    runs = train(tab, split, methods, cfg)
+    [runs] = train(tab, [split], methods, [cfg])
     for method, run in zip(methods, runs):
         assert isinstance(run, TrainingDiverged) and run.epoch == 1, (method.family, run)
         assert str(run) == "val outputs not finite at epoch 1", method.family
@@ -661,6 +659,15 @@ def two_label_table():
                         [21 if age > 50 else 20 for age in tab.ages], tab.feature_matrix)
 
 
+def one_label_table():
+    """grid_table with every age made 20: one label, so no threshold family
+    can encode its targets."""
+    tab = grid_table()
+    names = tab.identities()
+    return DatasetTable(tab.name, LabelSet((20,)), tab.dimension, tab.sample_ids,
+                        [names[c] for c in tab.identity_codes], [20] * len(tab), tab.feature_matrix)
+
+
 def random_splits(tab, n):
     return make_split_series(tab, MODE_RANDOM, (0.6, 0.2, 0.2), 3, n)
 
@@ -678,7 +685,7 @@ def with_features(tab, features):
 
 def assert_solo(tab, split, method, cfg, run):
     """run is bitwise the run train() gives the split and method alone."""
-    alone = train(tab, split, method, cfg)
+    [[alone]] = train(tab, [split], [method], [cfg])
     assert run.history == alone.history, method
     assert run.selected_epoch == alone.selected_epoch
     assert _member_arrays(run.best_model) == _member_arrays(alone.best_model)
@@ -738,8 +745,8 @@ def test_a_member_whose_val_outputs_are_not_finite_diverges_alone():
     for split, cfg, row in zip(splits, cfgs, runs):
         for method, run in zip(methods, row):
             if isinstance(run, Exception):
-                with pytest.raises(type(run), match=str(run)):
-                    train(tab, split, method, cfg)
+                [[alone]] = train(tab, [split], [method], [cfg])
+                assert type(alone) is type(run) and str(alone) == str(run)
             else:
                 assert_solo(tab, split, method, cfg, run)
     assert all(isinstance(run, TrainedRun) for run in runs[0])
@@ -818,16 +825,21 @@ def test_a_split_never_reads_another_splits_rows():
 
 
 def test_train_takes_one_config_per_split_differing_only_in_seed():
+    """train() takes sequences only: a bare split, method or config is a
+    TypeError, and the outcomes are always outcomes[split][method]."""
     tab = grid_table()
     splits = random_splits(tab, 2)
-    method = MethodConfig(family="regression")
-    for cfgs in (split_cfgs(1), split_cfgs(1)[0]):
-        with pytest.raises(ValueError, match="one TrainConfig per split"):
-            train(tab, splits, method, cfgs)
+    methods = [MethodConfig(family="regression")]
+    with pytest.raises(ValueError, match="one TrainConfig per split"):
+        train(tab, splits, methods, split_cfgs(1))
     with pytest.raises(ValueError, match="differ only in seed"):
-        train(tab, splits, method, [TrainConfig(epochs=1), TrainConfig(epochs=2)])
-    runs = train(tab, splits, method, split_cfgs(2))  # one method: one outcome per split
-    assert len(runs) == 2 and all(isinstance(r, TrainedRun) for r in runs)
+        train(tab, splits, methods, [TrainConfig(epochs=1), TrainConfig(epochs=2)])
+    for args in ((splits[0], methods, split_cfgs(1)), (splits, methods[0], split_cfgs(2)),
+                 (splits[:1], methods, split_cfgs(1)[0])):
+        with pytest.raises(TypeError):
+            train(tab, *args)
+    runs = train(tab, splits, methods, split_cfgs(2))  # one method: one outcome per split
+    assert len(runs) == 2 and all(len(row) == 1 and isinstance(row[0], TrainedRun) for row in runs)
 
 
 @pytest.mark.parametrize("block", [7, 64, training._ADAM_BLOCK])
@@ -869,8 +881,8 @@ def test_two_label_coral_starts_at_the_train_fold_logit_and_runs_as_alone():
     tab = two_label_table()
     splits = random_splits(tab, 2)
     coral = MethodConfig(family="coral")
-    start = train(tab, splits[0], coral, TrainConfig(learning_rate=1e-9, epochs=1, seed=0,
-                                                      hidden_dims=(16, 8)))
+    [[start]] = train(tab, splits[:1], [coral], [TrainConfig(learning_rate=1e-9, epochs=1, seed=0,
+                                                              hidden_dims=(16, 8))])
     p = np.mean(tab.ages_for(splits[0].train) == 21)
     assert start.best_model.weights[-1].shape == (8, 1)
     assert abs(np.log(p / (1 - p))) > 0.5
@@ -882,3 +894,21 @@ def test_two_label_coral_starts_at_the_train_fold_logit_and_runs_as_alone():
     for split, cfg, row in zip(splits, cfgs, runs):
         for method, run in zip(methods, row):
             assert_solo(tab, split, method, cfg, run)
+
+
+def test_a_method_that_cannot_be_encoded_fails_on_every_split_and_the_rest_run_as_alone():
+    """On a one-label table the two threshold families cannot encode their
+    targets: each fails with that error on both splits, and every other
+    member of the call is bitwise its solo run."""
+    tab = one_label_table()
+    splits = random_splits(tab, 2)
+    methods = [MethodConfig(family=f) for f in FAMILIES]
+    cfgs = split_cfgs(2)
+    runs = train(tab, splits, methods, cfgs)
+    for split, cfg, row in zip(splits, cfgs, runs):
+        for method, run in zip(methods, row):
+            if method.family in ("or-cnn", "coral"):
+                assert isinstance(run, ValueError), method.family
+                assert str(run) == "threshold encoding needs at least 2 labels"
+            else:
+                assert_solo(tab, split, method, cfg, run)
