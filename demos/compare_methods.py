@@ -49,8 +49,6 @@ def main():
                    if summary.p_value < summary.alpha
                    else "no significant differences")
         print(f"p = {summary.p_value:.4f}: {verdict} at alpha {summary.alpha}")
-        for a, b in summary.significant_pairs:
-            print(f"  {a} beats {b} beyond the critical difference")
 
 
 if __name__ == "__main__":

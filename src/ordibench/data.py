@@ -411,8 +411,11 @@ def load_dataset(path, name: str | None = None, label_set: LabelSet | None = Non
     the file; when given, rows with ages outside it are rejected.
     """
     path = Path(path)
-    with path.open("r", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open("r", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:  # csv.Error is not a ValueError
+        raise ParseError(f"{path}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty manifest")
     header = rows[0]

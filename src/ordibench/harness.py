@@ -25,6 +25,7 @@ import numpy as np
 
 from .data import (
     DatasetTable,
+    ParseError,
     SynthSpec,
     ValidationError,
     _from_json,
@@ -131,7 +132,10 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         path = Path(path)
-        payload = json.loads(path.read_text())
+        try:
+            payload = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc})") from None
         return cls.from_dict(payload, base_dir=path.parent)
 
 
@@ -173,10 +177,6 @@ def save_run_records(records, path) -> Path:
 class RunResult:
     records: tuple[RunRecord, ...]
     failures: tuple[tuple[str, str], ...]
-    contexts: tuple[str, ...]
-    methods: tuple[str, ...]
-    mean_matrix: Optional[ResultMatrix]
-    split_matrix: Optional[ResultMatrix]
     files: dict[str, str]
 
 
@@ -339,36 +339,22 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     for r in records:
         mae[row[r.dataset], col[r.method], r.split_index] = r.test_mae
 
-    mean_matrix = None
-    split_matrix = None
     if not np.isnan(mae).any():  # every cell of every context has a record
         std = mae.std(axis=2, ddof=1) if split.n_splits > 1 else np.zeros(mae.shape[:2])
-        mean_matrix = ResultMatrix(datasets=tuple(contexts), methods=method_names,
-                                   mae=mae.mean(axis=2))
-        files["mae_mean"] = str(save_result_matrix(mean_matrix, out_dir / "mae_mean.csv"))
-        std_matrix = ResultMatrix(datasets=tuple(contexts), methods=method_names, mae=std)
-        files["mae_std"] = str(save_result_matrix(std_matrix, out_dir / "mae_std.csv"))
-        split_matrix = ResultMatrix(
-            datasets=tuple(f"{ctx}/split{s}" for ctx in contexts for s in range(split.n_splits)),
-            methods=method_names,
-            mae=mae.transpose(0, 2, 1).reshape(-1, len(method_names)),
-        )
-        files["mae_splits"] = str(save_result_matrix(split_matrix, out_dir / "mae_splits.csv"))
+        split_rows = tuple(f"{ctx}/split{s}" for ctx in contexts for s in range(split.n_splits))
+        for name, rows, values in (
+                ("mae_mean", contexts, mae.mean(axis=2)),
+                ("mae_std", contexts, std),
+                ("mae_splits", split_rows, mae.transpose(0, 2, 1).reshape(-1, len(method_names)))):
+            files[name] = str(save_result_matrix(ResultMatrix(tuple(rows), method_names, values),
+                                                 out_dir / f"{name}.csv"))
 
     if failures:
         fail_lines = [f"{key}: {msg}" for key, msg in sorted(failures)]
         (out_dir / "failures.txt").write_text("\n".join(fail_lines) + "\n")
         files["failures"] = str(out_dir / "failures.txt")
 
-    return RunResult(
-        records=tuple(records),
-        failures=tuple(sorted(failures)),
-        contexts=tuple(contexts),
-        methods=method_names,
-        mean_matrix=mean_matrix,
-        split_matrix=split_matrix,
-        files=files,
-    )
+    return RunResult(records=tuple(records), failures=tuple(sorted(failures)), files=files)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,6 @@ __all__ = [
     "sigmoid",
     "ebc_encode",
     "soft_targets",
-    "expectation",
-    "variance",
     "encode_targets",
     "loss_eval",
 ]
@@ -249,15 +247,6 @@ def _moments(probs, label_set: LabelSet) -> tuple[np.ndarray, np.ndarray, np.nda
     e = _rowdot(p, y)
     dev = y - e[..., None]
     return e, _rowdot(p, dev ** 2), dev
-
-
-def expectation(probs, label_set: LabelSet):
-    """Mean label value under a posterior (per row for a batch)."""
-    return _unwrap(_moments(probs, label_set)[0])
-
-
-def variance(probs, label_set: LabelSet):
-    return _unwrap(_moments(probs, label_set)[1])
 
 
 def _dldlv2(config, z, targets, label_set) -> LossEval:

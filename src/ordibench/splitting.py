@@ -288,11 +288,11 @@ _SCAN_CHUNK = 1 << 13
 _REPAIR_CHUNK = 1024
 _OTHER_FOLDS = np.array([[1, 2], [0, 2], [0, 1]])
 _TOL = 1e-9
+_MAX_PASSES = 200  # a repair stops after this many passes, improving or not
 
 
 def _repair_assignment(sizes: np.ndarray, hists: np.ndarray, fold: np.ndarray,
-                       targets: np.ndarray, hist_targets: np.ndarray,
-                       max_passes: int = 200) -> None:
+                       targets: np.ndarray, hist_targets: np.ndarray) -> None:
     """Hill-climb the greedy assignment with moves and swaps, in place.
 
     sizes (n,) and hists (n, bins) are the identities' sample counts and age
@@ -320,7 +320,7 @@ def _repair_assignment(sizes: np.ndarray, hists: np.ndarray, fold: np.ndarray,
     order, so the steps taken are those of scoring every candidate in turn.
     """
     goals = (targets, hist_targets, hist_targets.sum(axis=0) / float(sizes.sum()))
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         # counts and histograms are whole numbers: any summation order is exact
         fold_counts = np.bincount(fold, weights=sizes, minlength=3)
         fold_hists = np.zeros_like(hist_targets)

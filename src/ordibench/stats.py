@@ -157,9 +157,6 @@ class RankSummary:
         """Order-independent lookup of a method pair."""
         return (a, b) in self.significant_pairs or (b, a) in self.significant_pairs
 
-    def rank_of(self, method: str) -> float:
-        return self.avg_ranks[self.methods.index(method)]
-
     def to_dict(self) -> dict:
         f_f = self.iman_davenport_f
         return {

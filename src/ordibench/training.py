@@ -99,13 +99,6 @@ class MlpModel:
     def head_size(self) -> int:
         return len(self.biases[-1])
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    def copy(self) -> "MlpModel":
-        return MlpModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
     def astype(self, dtype) -> "MlpModel":
         """A copy with every parameter rounded to dtype."""
         return MlpModel([w.astype(dtype) for w in self.weights],

@@ -31,7 +31,7 @@ def flatten_params(model):
 
 def set_params(model, vec):
     """Write a flat parameter vector back into a model copy."""
-    m = model.copy()
+    m = model.astype(model.weights[0].dtype)
     i = 0
     for w in m.weights:
         w[...] = vec[i:i + w.size].reshape(w.shape)

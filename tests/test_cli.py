@@ -138,6 +138,15 @@ def test_split_missing_dataset_errors(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+def test_split_of_a_manifest_csv_cannot_read_names_it_exit_2(tmp_path, capsys):
+    """A field over csv's size limit is one error line naming the file."""
+    p = tmp_path / "big.csv"
+    p.write_bytes(b"sample_id,identity_id,age,f0\na,p1,20," + b"1" * 200_000 + b"\n")
+    assert run_cli("split", p, "--out-dir", tmp_path / "s") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+
+
 def test_audit_exit_codes(tmp_path, capsys):
     data = make_dataset(tmp_path)
     se_dir = tmp_path / "se"
@@ -381,6 +390,13 @@ def test_run_missing_dataset_file_exit_2_without_output(tmp_path, capsys):
 def test_run_missing_config_exit_2(tmp_path, capsys):
     assert run_cli("run", tmp_path / "none.json") == 2
     assert capsys.readouterr().err.strip()
+
+
+def test_run_on_a_config_that_is_not_json_names_it_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text("{datasets: []}")
+    assert run_cli("run", cfg_path) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: invalid JSON (")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2", "two"])

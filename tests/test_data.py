@@ -271,6 +271,21 @@ def test_load_rejects_wrong_header(tmp_path):
         load_dataset(p)
 
 
+OVERSIZED_FIELD = b"sample_id,identity_id,age,f0\na,p1,20," + b"1" * 200_000 + b"\n"
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(OVERSIZED_FIELD, id="field-over-the-csv-limit"),
+    pytest.param(b"sample_id,identity_id,age,f0\na,p1,20,\xff\n", id="not-utf-8"),
+])
+def test_a_manifest_csv_or_utf_8_cannot_read_is_a_parse_error_naming_it(tmp_path, content):
+    p = tmp_path / "m.csv"
+    p.write_bytes(content)
+    with pytest.raises(ParseError) as exc:
+        load_dataset(p)
+    assert str(exc.value).startswith(f"{p}: ")
+
+
 def test_save_floats_survive_exactly(tmp_path):
     rng = rng_from_seed(8)
     rows = [("s%d" % i, "p%d" % i, 20 + i, rng.normal(size=3)) for i in range(5)]

@@ -14,12 +14,10 @@ from ordibench.methods import (
     Targets,
     ebc_encode,
     encode_targets,
-    expectation,
     loss_eval,
     sigmoid,
     soft_targets,
     softmax,
-    variance,
 )
 from ordibench import methods
 from ordibench.util import rng_from_seed
@@ -282,12 +280,11 @@ def test_unimodal_loss_feasible_equals_ce():
 
 
 def test_expectation_and_variance_hand_values():
-    assert expectation([0, 1, 0], LS3) == pytest.approx(1.0)
-    assert variance([0, 1, 0], LS3) == pytest.approx(0.0)
-    assert expectation([0.5, 0, 0.5], LS3) == pytest.approx(1.0)
-    assert variance([0.5, 0, 0.5], LS3) == pytest.approx(1.0)
-    assert expectation([1 / 3] * 3, LS3) == pytest.approx(1.0)
-    assert variance([1 / 3] * 3, LS3) == pytest.approx(2 / 3)
+    for probs, mean, var in (([0, 1, 0], 1.0, 0.0), ([0.5, 0, 0.5], 1.0, 1.0),
+                             ([1 / 3] * 3, 1.0, 2 / 3)):
+        e, v, _ = methods._moments(probs, LS3)
+        assert float(e) == pytest.approx(mean)
+        assert float(v) == pytest.approx(var)
 
 
 # -------------------------------------------------------- finite differences
@@ -307,7 +304,7 @@ def _kink_adjacent(cfg, ls, age, z):
         return abs(float(z[0]) - ls.normalize(age)) < 1e-4
     if cfg.family == "dldl-v2":
         p = softmax(z)
-        return abs(expectation(p, ls) - age) < 1e-4
+        return abs(methods._moments(p, ls)[0] - age) < 1e-4
     if cfg.family == "unimodal":
         p = softmax(z)
         return bool(np.any(np.abs(np.diff(p)) < 1e-5))
@@ -376,10 +373,11 @@ def test_stacked_batches_are_bitwise_their_slices(family):
             assert np.array_equal(stacked.grad[i], alone.grad)
         if FAMILIES[family].head == "labels":
             p = softmax(z)
+            moments = methods._moments(p, ls)
             for i in range(s):
                 assert np.array_equal(p[i], softmax(z[i]))
-                assert np.array_equal(expectation(p, ls)[i], expectation(p[i], ls))
-                assert np.array_equal(variance(p, ls)[i], variance(p[i], ls))
+                for batch, row in zip(moments, methods._moments(p[i], ls)):
+                    assert np.array_equal(batch[i], row)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

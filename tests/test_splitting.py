@@ -424,8 +424,9 @@ def test_repair_respects_max_passes(monkeypatch):
     make_split(repair_table(24, 5, ages=(20, 40)), MODE_SUBJECT_EXCLUSIVE, FRACTIONS, 3)
     sizes, hists, greedy, targets, hist_targets = captured[0]
     for passes in (0, 1, 2, 5):
+        monkeypatch.setattr(splitting, "_MAX_PASSES", passes)
         fold, ref = greedy.copy(), greedy.copy()
-        repair(sizes, hists, fold, targets, hist_targets, max_passes=passes)
+        repair(sizes, hists, fold, targets, hist_targets)
         oracle_repair(sizes, hists, ref, targets, hist_targets, max_passes=passes)
         np.testing.assert_array_equal(fold, ref)
         assert (fold != greedy).sum() <= 2 * passes

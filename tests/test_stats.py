@@ -190,8 +190,8 @@ def test_column_permutation_permutes_ranks():
         assert out.friedman_chi2 == pytest.approx(ref.friedman_chi2)
         assert out.p_value == pytest.approx(ref.p_value)
         assert out.cd == pytest.approx(ref.cd)
-        for name in names:
-            assert out.rank_of(name) == pytest.approx(ref.rank_of(name))
+        for name, rank in zip(out.methods, out.avg_ranks):
+            assert rank == pytest.approx(ref.avg_ranks[names.index(name)])
         assert {frozenset(p) for p in out.significant_pairs} == \
                {frozenset(p) for p in ref.significant_pairs}
 
@@ -206,7 +206,8 @@ def test_significant_pairs_follow_cd():
     assert s.is_significant(best, worst)
     assert s.is_significant(worst, best)
     for a, b in s.significant_pairs:
-        assert abs(s.rank_of(a) - s.rank_of(b)) >= s.cd - 1e-12
+        rank_a, rank_b = (s.avg_ranks[s.methods.index(m)] for m in (a, b))
+        assert abs(rank_a - rank_b) >= s.cd - 1e-12
 
 
 def test_matrix_round_trip(tmp_path):

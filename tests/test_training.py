@@ -40,7 +40,7 @@ def test_init_parameter_counts():
     m = init_model(4, (8,), 3, seed=0)
     assert m.weights[0].shape == (4, 8) and m.biases[0].shape == (8,)
     assert m.weights[1].shape == (8, 3) and m.biases[1].shape == (3,)
-    assert m.n_params == (4 * 8 + 8) + (8 * 3 + 3)
+    assert sum(p.size for p in m.weights + m.biases) == (4 * 8 + 8) + (8 * 3 + 3)
     assert m.input_dim == 4 and m.head_size == 3
 
 
@@ -439,7 +439,7 @@ def test_in_place_adam_is_bitwise_the_textbook_update(dtype):
     from the same start and gradients) to round-off of the dtype."""
     lr, beta1, beta2, eps = 3e-3, training._BETA1, training._BETA2, training._ADAM_EPS
     model = init_model(5, (7, 4), 3, seed=2).astype(dtype)
-    ref = model.copy()
+    ref = model.astype(model.weights[0].dtype)
     params = ref.weights + ref.biases
     textbook = [p.astype(np.float64) for p in params]
     m = [np.zeros_like(p) for p in params]
