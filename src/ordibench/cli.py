@@ -85,7 +85,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json(args.config)
-    if args.output_dir:
+    if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=args.output_dir)
     result = run_experiment(config, jobs=args.jobs)
     print(f"{len(result.records)} records -> {result.files['records']}")

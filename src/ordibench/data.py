@@ -9,6 +9,7 @@ correlated, so letting an identity span folds leaks information.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -64,6 +65,14 @@ def _kind_text(hint) -> str:
         count = "" if items[-1] is Ellipsis else f"{len(items)} "
         return f"a list of {count}{_kind_text(items[0]).split(' ', 1)[1]}s"
     return "an object" if is_dataclass(hint) else _JSON_TYPES[hint][1]
+
+
+def _read_json(path: Path):
+    """The JSON value in a file; ParseError, naming it, if it is not UTF-8 JSON."""
+    try:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _from_json(cls, section: str, payload, path: str = ""):

@@ -14,7 +14,6 @@ trained on.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,10 +24,10 @@ import numpy as np
 
 from .data import (
     DatasetTable,
-    ParseError,
     SynthSpec,
     ValidationError,
     _from_json,
+    _read_json,
     generate_synthetic,
     load_dataset,
 )
@@ -132,11 +131,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(payload, base_dir=path.parent)
+        return cls.from_dict(_read_json(path), base_dir=path.parent)
 
 
 @dataclass(frozen=True)
@@ -302,7 +297,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("mae_mean.csv", "mae_std.csv", "mae_splits.csv", "failures.txt"):
+    for name in ("mae_mean.csv", "mae_std.csv", "mae_splits.csv", "failures.txt",
+                 "rank_report.txt", "rank_report.json"):
         (out_dir / name).unlink(missing_ok=True)  # written below only if this run earns them
 
     workers = min(jobs, len(tasks))

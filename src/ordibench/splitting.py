@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetTable, ParseError, ValidationError, _from_json
+from .data import DatasetTable, ParseError, ValidationError, _from_json, _read_json
 from .util import rng_from_seed
 
 __all__ = [
@@ -553,7 +553,7 @@ def save_split(split: SplitSpec, path) -> Path:
 def load_split(path) -> SplitSpec:
     """Read a split file: a JSON object with exactly SplitSpec's fields.
 
-    Raises ParseError when the file is not a JSON object, and
+    Raises ParseError when the file is not a UTF-8 JSON object, and
     ValidationError, naming the key, for an unknown or missing key or a
     value of the wrong type, and naming the fold, for an empty fold or an id
     in two places; every message starts with the path. Whether the ids
@@ -561,10 +561,7 @@ def load_split(path) -> SplitSpec:
     audit_split's to check.
     """
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: a split file must be a JSON object")
     try:

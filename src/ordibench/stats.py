@@ -235,7 +235,10 @@ def save_result_matrix(matrix: ResultMatrix, path) -> Path:
 
 def load_result_matrix(path) -> ResultMatrix:
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    try:
+        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(lines) < 2:
         raise ValueError(f"{path}: need a header and at least one row")
     header = lines[0].split(",")

@@ -145,49 +145,46 @@ def forward(model: MlpModel, x) -> np.ndarray:
 class ModelStack:
     """Models with one input width and one set of hidden-layer shapes, trained as one.
 
-    Hidden layer i of all B members is one (B, fan_in, fan_out) weight block
-    and one (B, fan_out) bias block, run as one batched matmul. The members
-    come in groups of consecutive models with one head shape (groups gives
-    their sizes; by default each model is a group of its own), and the heads
-    of a group of G are one (G, hidden, width) weight block and one (G, size)
-    bias block, run as one batched matmul too. Each slice of a batched matmul
-    is the BLAS call the 2-d product of that slice makes, so every member,
-    and forward()'s stack of one, gets bitwise what it gets alone. theta holds
-    every parameter and grad every gradient, in one layout, and every array
-    is a view into one of them: models[k] is member k's MlpModel over theta,
-    and member_mask marks some members' entries of the layout. grad and the
-    gradient blocks are built on first use, so a stack that only runs
-    passes, as forward()'s does, never allocates them. Building a stack
-    copies the given models' parameters in; its members and layout are then
-    fixed for its life. A pass writes its activations into work buffers that
-    the stack keeps for the next pass of the same shape. theta, grad, the
-    inputs, the work buffers and the head outputs have the dtype of the
+    The members form an M x S grid: M groups of S = group_size consecutive
+    models, member (j, s) being models[j * S + s], and the members of a
+    group share one head shape; train()'s grid is methods x splits. Hidden
+    layer i of all members is one (M, S, fan_in, fan_out) weight block and
+    one (M, S, fan_out) bias block, run as one batched matmul, and the heads
+    of group j are one (S, hidden, width) weight block and one (S, size)
+    bias block, run as one batched matmul too. Each slice of a batched
+    matmul is the BLAS call the 2-d product of that slice makes, so every
+    member, and forward()'s 1 x 1 grid, gets bitwise what it gets alone.
+    theta holds every parameter and grad every gradient, in one layout, and
+    every array is a view into one of them: models[k] is member k's MlpModel
+    over theta, and member_mask marks some members' entries of the layout.
+    grad and the gradient blocks are built on first use, so a stack that
+    only runs passes, as forward()'s does, never allocates them. Building a
+    stack copies the given models' parameters in; its members and layout are
+    then fixed for its life. A pass writes its activations into work buffers
+    that the stack keeps for the next pass of the same shape. theta, grad,
+    the inputs, the work buffers and the head outputs have the dtype of the
     first model's parameters; the loss computes in that dtype too, and the
     decoders widen head outputs to float64.
     """
 
-    def __init__(self, models: list[MlpModel], groups=None):
+    def __init__(self, models: list[MlpModel], group_size: int = 1):
         if not models:
             raise ValueError("a stack needs at least one model")
-        sizes = [1] * len(models) if groups is None else [int(g) for g in groups]
-        if min(sizes) < 1 or sum(sizes) != len(models):
-            raise ValueError("group sizes must be positive and add up to the model count")
-        self.groups = [range(end - size, end)
-                       for size, end in zip(sizes, itertools.accumulate(sizes))]
+        if group_size < 1 or len(models) % group_size:
+            raise ValueError(f"{len(models)} models do not form groups of {group_size}")
+        self.grid = (len(models) // group_size, group_size)
         first = models[0]
-        heads = [models[g.start] for g in self.groups]
-        for g, lead in zip(self.groups, heads):
-            for m in models[g.start:g.stop]:
-                if [w.shape for w in m.weights[:-1]] != [w.shape for w in first.weights[:-1]]:
-                    raise ValueError("stacked models must share their hidden-layer shapes")
-                if (m.weights[-1].shape, m.biases[-1].shape) != \
-                        (lead.weights[-1].shape, lead.biases[-1].shape):
-                    raise ValueError("the models of a group must share their head shape")
-        b = len(models)
+        for k, m in enumerate(models):
+            lead = models[k - k % group_size]
+            if [w.shape for w in m.weights[:-1]] != [w.shape for w in first.weights[:-1]]:
+                raise ValueError("stacked models must share their hidden-layer shapes")
+            if (m.weights[-1].shape, m.biases[-1].shape) != \
+                    (lead.weights[-1].shape, lead.biases[-1].shape):
+                raise ValueError("the models of a group must share their head shape")
         self._n_hidden = len(first.weights) - 1
-        self._shapes = ([(b, *w.shape) for w in first.weights[:-1]]
-                        + [(b, *x.shape) for x in first.biases[:-1]]
-                        + [(len(g), *p.shape) for g, m in zip(self.groups, heads)
+        self._shapes = ([(*self.grid, *w.shape) for w in first.weights[:-1]]
+                        + [(*self.grid, *x.shape) for x in first.biases[:-1]]
+                        + [(group_size, *p.shape) for m in models[::group_size]
                            for p in (m.weights[-1], m.biases[-1])])
         self._ends = list(itertools.accumulate(map(math.prod, self._shapes)))
         self.theta = np.empty(self._ends[-1], first.weights[0].dtype)
@@ -216,19 +213,18 @@ class ModelStack:
 
     def member_mask(self, members: np.ndarray) -> np.ndarray:
         """A mask over this stack's flat layout, true on the parameters of the
-        members where the (B,) mask members is true. A block's leading axis
-        is every member for a hidden block, its group's for a head block."""
-        leading = [members] * (2 * self._n_hidden) + [members[g.start:g.stop]
-                                                      for g in self.groups for _ in ("w", "b")]
-        return np.repeat(np.concatenate(leading),
-                         np.repeat([math.prod(s[1:]) for s in self._shapes],
-                                   [s[0] for s in self._shapes]))
+        members where members, a mask over the M * S members in order, is
+        true. A hidden block holds every member, a head block its group's."""
+        leading = [members] * (2 * self._n_hidden) + [g for g in np.reshape(members, self.grid)
+                                                      for _ in ("w", "b")]
+        return np.concatenate([np.repeat(m, size // len(m))
+                               for m, size in zip(leading, np.diff(self._ends, prepend=0))])
 
     def _members(self, flat: np.ndarray) -> list[MlpModel]:
         hidden_w, hidden_b, head_w, head_b = self._blocks(flat)
-        return [MlpModel(weights=[w[k] for w in hidden_w] + [head_w[j][i]],
-                         biases=[b[k] for b in hidden_b] + [head_b[j][i]])
-                for j, g in enumerate(self.groups) for i, k in enumerate(g)]
+        return [MlpModel(weights=[w[j, s] for w in hidden_w] + [head_w[j][s]],
+                         biases=[b[j, s] for b in hidden_b] + [head_b[j][s]])
+                for j, s in np.ndindex(self.grid)]
 
     def _buffer(self, name, shape: tuple, dtype=None) -> np.ndarray:
         """A work array of this stack, the same one on every call with equal
@@ -245,65 +241,59 @@ class ModelStack:
         return [w for m in self.models for w in m.weights]
 
     def _layers(self, x: np.ndarray) -> list[np.ndarray]:
-        """Each layer's input: x, the (B, n, input) stack of the members'
-        batches or one (n, input) batch they all read, in the stack's dtype,
-        then each hidden layer's (B, n, fan_out) activations."""
+        """Each layer's input, in the stack's dtype: x viewed as (M, S, n,
+        input), then each hidden layer's (M, S, n, fan_out) activations. x is
+        an (S, n, input) stack of batches, member (j, s) reading batch s, or
+        one (n, input) batch that every member reads."""
         x = np.asarray(x, self.theta.dtype)
-        acts = [np.broadcast_to(x, (len(self.models), *x.shape[-2:]))]
+        acts = [np.broadcast_to(x, (*self.grid, *x.shape[-2:]))]
         for i, (w, b) in enumerate(zip(self._w, self._b)):
-            out = self._buffer(("act", i), (len(w), x.shape[-2], w.shape[-1]))
+            out = self._buffer(("act", i), (*self.grid, x.shape[-2], w.shape[-1]))
             np.matmul(acts[-1], w, out=out)
-            out += b[:, None, :]
+            out += b[..., None, :]
             acts.append(np.maximum(out, 0.0, out=out))
         return acts
 
     def _heads(self, h: np.ndarray) -> list[np.ndarray]:
-        """Each group's (G, n, size) head outputs for the (B, n, hidden) head
-        inputs, in the stack's dtype; a shared-score head's (G, n, 1) score
-        broadcasts over its biases."""
+        """Each group's (S, n, size) head outputs for the (M, S, n, hidden)
+        head inputs, in the stack's dtype; a shared-score head's (S, n, 1)
+        score broadcasts over its biases."""
         outs = []
-        for j, g in enumerate(self.groups):
-            w, b = self._hw[j], self._hb[j]
-            out = self._buffer(("out", j), (len(g), h.shape[-2], b.shape[-1]))
+        for j, (w, b) in enumerate(zip(self._hw, self._hb)):
+            out = self._buffer(("out", j), (*h.shape[1:3], b.shape[-1]))
             score = out if w.shape[-1] == b.shape[-1] else \
-                self._buffer(("score", j), (len(g), h.shape[-2], 1))
-            np.matmul(h[g.start:g.stop], w, out=score)
+                self._buffer(("score", j), (*h.shape[1:3], 1))
+            np.matmul(h[j], w, out=score)
             outs.append(np.add(score, b[:, None, :], out=out))
         return outs
 
     def outputs(self, x: np.ndarray) -> list[np.ndarray]:
-        """Each group's (G, n, size) head outputs for a batch as _layers takes
+        """Each group's (S, n, size) head outputs for a batch as _layers takes
         it, in work buffers that the stack's next pass overwrites."""
         return self._heads(self._layers(x)[-1])
 
     def backward(self, acts: list[np.ndarray], grad_outs: list[np.ndarray]) -> None:
         """Write into grad the parameter gradients, given each group's
-        (G, n, size) block of d(loss)/d(head outputs).
+        (S, n, size) block of d(loss)/d(head outputs).
 
         No gradient is computed for the input.
         """
         h = acts[-1]
         grad_w, grad_b, grad_hw, grad_hb = self._grad_blocks
         da = self._buffer("da", h.shape) if self._n_hidden else None
-        for j, (g, d_out) in enumerate(zip(self.groups, grad_outs)):
-            h_t = np.swapaxes(h[g.start:g.stop], -1, -2)
-            w, gw, gb = self._hw[j], grad_hw[j], grad_hb[j]
-            if w.shape[-1] == gb.shape[-1]:  # dense: one weight column per output
-                np.matmul(h_t, d_out, out=gw)
-                if da is not None:
-                    np.matmul(d_out, np.swapaxes(w, -1, -2), out=da[g.start:g.stop])
-            else:  # shared score: every output adds the one column's score
-                d_score = d_out.sum(axis=-1)
-                np.matmul(h_t, d_score[..., None], out=gw)
-                if da is not None:
-                    np.multiply(d_score[..., None], w[:, None, :, 0], out=da[g.start:g.stop])
-            d_out.sum(axis=1, out=gb)
+        for j, (w, d_out) in enumerate(zip(self._hw, grad_outs)):
+            # a one-column head's score gets the sum of its outputs' gradients
+            d_score = d_out if w.shape[-1] > 1 else d_out.sum(axis=-1, keepdims=True)
+            np.matmul(np.swapaxes(h[j], -1, -2), d_score, out=grad_hw[j])
+            if da is not None:
+                np.matmul(d_score, np.swapaxes(w, -1, -2), out=da[j])
+            d_out.sum(axis=-2, out=grad_hb[j])
         for i in range(self._n_hidden - 1, -1, -1):
             shape = acts[i + 1].shape
             dz = np.multiply(da, np.greater(acts[i + 1], 0, out=self._buffer(("on", i), shape, bool)),
                              out=self._buffer(("dz", i), shape))
             np.matmul(np.swapaxes(acts[i], -1, -2), dz, out=grad_w[i])
-            dz.sum(axis=1, out=grad_b[i])
+            dz.sum(axis=-2, out=grad_b[i])
             if i:
                 da = np.matmul(dz, np.swapaxes(self._w[i], -1, -2),
                                out=self._buffer(("da", i), acts[i].shape))
@@ -323,16 +313,17 @@ def batch_loss_and_grads(stack: ModelStack, x: np.ndarray, targets: list[Targets
                          methods: list[MethodConfig], label_set: LabelSet) -> list[float]:
     """One training step of every member of a stack, each on its own minibatch.
 
-    x is the (B, n, input) stack of the members' minibatches, or one
-    (n, input) minibatch they all read. targets[j] and methods[j] are group
-    j's: its members' targets for their batch rows, stacked to (G, n), and
-    its method; one loss_eval call scores the group's (G, n, size) head
+    x is an (S, n, input) stack of minibatches, member (j, s) of the
+    stack's M x S grid reading minibatch s, or one (n, input) minibatch
+    that every member reads. targets[j] and methods[j] are group j's: its
+    members' targets for their batch rows, stacked to (S, n), and its
+    method; one loss_eval call scores the group's (S, n, size) head
     outputs. The parameter gradients of each member's mean loss land in
-    stack.grad. Returns the mean losses in member order. A member whose head
-    outputs are not finite gets inf, to signal divergence; the gradient of a
-    member without a finite loss is zero. The losses compute in the stack's
-    dtype, so targets in that dtype (as train() gives them) are read as they
-    are.
+    stack.grad. Returns the mean losses in member order. A member whose
+    head outputs are not finite gets inf, to signal divergence; the
+    gradient of a member without a finite loss is zero. The losses compute
+    in the stack's dtype, so targets in that dtype (as train() gives them)
+    are read as they are.
     """
     n = np.shape(x)[-2]
     acts = stack._layers(x)
@@ -518,8 +509,9 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     """train() for splits whose folds have equal sizes: one lockstep stack,
     whose member (s, j) puts its outcome in outcomes[s][j].
 
-    The stack is a dense grid: each method that can be encoded and built is
-    one group of a member per split, in split order. A method's targets are
+    The stack is a methods x splits grid: each method that can be encoded
+    and built is one group of a member per split, in split order, and the
+    members on one split read one input batch. A method's targets are
     encoded once, for the train ages of every split, so a method that cannot
     be encoded or built fails on every split. The members' state is arrays
     over the stack's members: which have failed, each epoch's train losses
@@ -560,12 +552,11 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     if not live:
         return
 
-    stack = ModelStack(models, [n_splits] * len(live))
+    stack = ModelStack(models, n_splits)
     del models
     adam = _Adam(stack.theta, cfg.learning_rate)
     group_methods = [methods[j] for j in live]
     places = [(s, j) for j in live for s in range(n_splits)]  # each member's (split, method)
-    val_x = np.concatenate([x_val] * len(live))
     b = len(places)
     failed = np.zeros(b, bool)
     losses, maes = np.zeros((cfg.epochs, b)), np.zeros((cfg.epochs, b))
@@ -588,10 +579,10 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
     rngs = [rng_from_seed(c.seed, 1) for c in cfgs]
     train_rows = x_train.reshape(-1, width)  # row r of split s is train_rows[s * n + r]
     for epoch in range(1, cfg.epochs + 1):
-        # each split's rows in this epoch's order, taken once for every
-        # member's inputs and every group's targets; a minibatch is a slice
+        # each split's rows in this epoch's order, taken once for the inputs
+        # of all its members and every group's targets; a minibatch is a slice
         rows = np.stack([s * n + rng.permutation(n) for s, rng in enumerate(rngs)])
-        x_epoch = _take(stack, "x", train_rows, np.concatenate([rows] * len(live)))
+        x_epoch = _take(stack, "x", train_rows, rows)
         t_epoch = [Targets(None if t.index is None else _take(stack, ("index", j), t.index, rows),
                            _take(stack, ("target", j), t.row, rows)) for j, t in enumerate(targets)]
         loss, mae = losses[epoch - 1], maes[epoch - 1]
@@ -612,10 +603,10 @@ def _train_stack(table: DatasetTable, splits: list[SplitSpec], methods: list[Met
             if not freeze(np.array([not all(np.isfinite(a).all() for a in m.weights + m.biases)
                                     for m in stack.models]), epoch):
                 return
-        finite = np.empty(b, bool)
-        for g, method, out in zip(stack.groups, group_methods, stack.outputs(val_x)):
-            finite[g.start:g.stop] = _finite_members(out)
-            mae[g.start:g.stop] = _mae(method, out, ages_val, label_set)
+        outs = stack.outputs(x_val)
+        finite = np.concatenate([_finite_members(out) for out in outs])
+        mae[:] = np.concatenate([_mae(method, out, ages_val, label_set)
+                                 for method, out in zip(group_methods, outs)])
         new = ~(failed | finite)
         if new.any() and not freeze(new, epoch, f"val outputs not finite at epoch {epoch}"):
             return

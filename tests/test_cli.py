@@ -399,6 +399,27 @@ def test_run_on_a_config_that_is_not_json_names_it_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {cfg_path}: invalid JSON (")
 
 
+@pytest.mark.parametrize("command", ["run", "audit", "compare"])
+def test_a_config_split_or_matrix_that_is_not_utf8_names_it_exit_2(tmp_path, capsys, command):
+    """A run config, a split file or a result matrix that UTF-8 cannot read
+    is one error line naming the file."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    dataset = [make_dataset(tmp_path)] if command == "audit" else []
+    assert run_cli(command, bad, *dataset) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+def test_run_refuses_an_empty_output_dir_flag_exit_2(tmp_path, capsys):
+    """An empty --output-dir is refused, not taken for no flag, so a script
+    whose output variable is unset cannot overwrite the config's output_dir."""
+    cfg = write_run_config(tmp_path)
+    assert run_cli("run", cfg, "--output-dir", "") == 2
+    assert capsys.readouterr().err == "error: output_dir must be set\n"
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
 def test_run_rejects_bad_jobs_exit_2(tmp_path, capsys, jobs):
     cfg = write_run_config(tmp_path)

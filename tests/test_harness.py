@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordibench import harness, training
+from ordibench import cli, harness, training
 from ordibench.data import (
     DatasetTable, SynthSpec, ValidationError, generate_synthetic, save_dataset,
 )
@@ -535,6 +535,19 @@ def test_failed_cell_is_isolated(tmp_path):
     assert (tmp_path / "s" / "failures.txt").exists()
     for name in ("mae_mean.csv", "mae_std.csv", "mae_splits.csv"):
         assert not (tmp_path / "s" / name).exists()
+
+
+def test_a_rerun_deletes_the_rank_report_of_the_last_run(tmp_path):
+    """compare writes its rank report beside the matrix it reads; a rerun
+    into that directory deletes the report with the matrices, so no report
+    ranks a method that the new run does not have."""
+    run_experiment(config_for(tmp_path), jobs=1)
+    assert cli.main(["compare", str(tmp_path / "runs" / "mae_splits.csv")]) == 0
+    reports = [tmp_path / "runs" / name for name in ("rank_report.txt", "rank_report.json")]
+    assert all(path.exists() for path in reports)
+    diverging = [{"family": "cross-entropy"}, {"family": "mean-variance", "lambda_mean": 1e308}]
+    assert run_experiment(config_for(tmp_path, {"methods": diverging}), jobs=1).failures
+    assert not any(path.exists() for path in reports)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

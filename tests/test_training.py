@@ -103,7 +103,7 @@ def test_forward_builds_no_gradient(monkeypatch):
     training step builds them on first use."""
     stacks = []
     monkeypatch.setattr(training, "ModelStack",
-                        lambda models, groups=None: stacks.append(ModelStack(models, groups))
+                        lambda models, group_size=1: stacks.append(ModelStack(models, group_size))
                         or stacks[-1])
     m = init_model(3, (4,), 2, seed=0)
     forward(m, np.ones((5, 3)))
@@ -329,19 +329,49 @@ def _member_arrays(model):
     return [a.tobytes() for a in model.weights + model.biases]
 
 
+def grid_models(hidden_dims, splits=2):
+    """A group of dense heads, then a group of shared-score heads, a member per split."""
+    return [init_model(4, hidden_dims, 3, seed=s, head_width=width)
+            for width in (None, 1) for s in range(splits)]
+
+
 @pytest.mark.parametrize("hidden_dims", [(5, 3), ()], ids=["two_hidden", "no_hidden"])
 def test_a_member_mask_marks_exactly_its_members_views(hidden_dims):
-    """Groups of 2 dense heads and 1 shared-score head: the mask of any set
-    of members is true on exactly the entries of theta their views hold."""
-    models = [init_model(4, hidden_dims, 3, seed=s) for s in range(2)] \
-        + [init_model(4, hidden_dims, 3, seed=2, head_width=1)]
-    stack = ModelStack(models, [2, 1])
+    """A 2 x 2 grid, a group of dense heads and a group of shared-score
+    heads: the mask of any set of members is true on exactly the entries of
+    theta their views hold."""
+    stack = ModelStack(grid_models(hidden_dims), 2)
     stack.theta[:] = np.arange(stack.theta.size)
-    for members in ([True, False, False], [False, True, True], [False, False, False]):
+    for members in ([True, False, False, False], [False, True, True, False],
+                    [False, True, False, True], [False] * 4):
         held = [a.ravel() for k in np.flatnonzero(members)
                 for a in stack.models[k].weights + stack.models[k].biases]
         held = np.sort(np.concatenate(held)) if held else np.array([])
         np.testing.assert_array_equal(stack.theta[stack.member_mask(np.array(members))], held)
+
+
+@pytest.mark.parametrize("hidden_dims", [(5, 3), ()], ids=["two_hidden", "no_hidden"])
+def test_a_grid_member_reads_its_splits_batch(hidden_dims):
+    """In a 2 methods x 2 splits stack fed a (2, n, input) batch, member
+    (j, s) gets bitwise forward() of its model on batch s."""
+    models = grid_models(hidden_dims)
+    rng = rng_from_seed(8)
+    for model in models:  # move every member off the shared initial hidden layers
+        for a in model.weights + model.biases:
+            a += rng.normal(scale=0.1, size=a.shape)
+    x = rng_from_seed(9).normal(size=(2, 7, 4))
+    outs = ModelStack(models, 2).outputs(x)
+    for k, model in enumerate(models):
+        j, s = divmod(k, 2)
+        assert outs[j][s].tobytes() == forward(model, x[s]).tobytes(), (j, s)
+
+
+def test_a_stack_is_a_grid_of_equal_groups():
+    models = grid_models(())
+    for group_size in (0, 3):
+        with pytest.raises(ValueError, match="do not form groups"):
+            ModelStack(models, group_size)
+    assert ModelStack(models[:2], 2).grid == (1, 2) and ModelStack(models).grid == (4, 1)
 
 
 @pytest.mark.parametrize("hidden_dims", [(16, 8), ()], ids=["two_hidden", "no_hidden"])
@@ -417,8 +447,8 @@ def test_a_failed_member_is_frozen_at_zero_in_the_one_stack(monkeypatch):
                MethodConfig(family="coral")]
     stacks = []
 
-    def kept_stack(models, groups=None):
-        stacks.append(ModelStack(models, groups))
+    def kept_stack(models, group_size=1):
+        stacks.append(ModelStack(models, group_size))
         return stacks[-1]
 
     monkeypatch.setattr(training, "ModelStack", kept_stack)
@@ -597,7 +627,7 @@ def test_a_bias_only_divergence_is_reported_as_divergence(monkeypatch, learning_
             stepped.append([a.copy() for a in (theta, self.m, self.v)])
 
     monkeypatch.setattr(training, "ModelStack",
-                        lambda models, groups=None: stacks.append(ModelStack(models, groups))
+                        lambda models, group_size=1: stacks.append(ModelStack(models, group_size))
                         or stacks[-1])
     monkeypatch.setattr(training, "_Adam", KeptAdam)
     [runs] = train(tab, [split], methods, [cfg])
@@ -698,10 +728,10 @@ def test_every_split_and_method_in_one_stack_is_bitwise_its_solo_run(monkeypatch
     methods = [MethodConfig(family=f) for f in FAMILIES]
     cfgs = split_cfgs(3)
     stacks = []
-    monkeypatch.setattr(training, "ModelStack",
-                        lambda models, groups=None: stacks.append(groups) or ModelStack(models, groups))
+    monkeypatch.setattr(training, "ModelStack", lambda models, group_size=1:
+                        stacks.append(group_size) or ModelStack(models, group_size))
     runs = train(tab, splits, methods, cfgs)
-    assert stacks == [[3] * len(methods)]  # one stack, method-major, a method's splits one group
+    assert stacks == [3]  # one stack, method-major, a method's splits one group
     monkeypatch.undo()
     assert len(runs) == 3 and all(len(row) == len(methods) for row in runs)
     for split, cfg, row in zip(splits, cfgs, runs):
@@ -797,10 +827,10 @@ def test_splits_whose_folds_differ_in_size_train_in_separate_stacks(monkeypatch)
     methods = [MethodConfig(family=f) for f in LOCKSTEP_FAMILIES]
     cfgs = split_cfgs(3)
     stacks = []
-    monkeypatch.setattr(training, "ModelStack",
-                        lambda models, groups=None: stacks.append(groups) or ModelStack(models, groups))
+    monkeypatch.setattr(training, "ModelStack", lambda models, group_size=1:
+                        stacks.append(group_size) or ModelStack(models, group_size))
     runs = train(tab, [a, b, c], methods, cfgs)
-    assert stacks == [[2, 2, 2], [1, 1, 1]]  # splits a and c, then b alone
+    assert stacks == [2, 1]  # splits a and c, then b alone
     monkeypatch.undo()
     for split, cfg, row in zip((a, b, c), cfgs, runs):
         for method, run in zip(methods, row):
